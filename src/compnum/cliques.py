@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, bits, popcount
+from .graph import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _bron_kerbosch(rows, r: int, p: int, x: int, out: list[int]) -> None:
         return
     pivot, best = -1, -1
     for u in bits(p | x):
-        score = popcount(p & rows[u])
+        score = (p & rows[u]).bit_count()
         if score > best:
             pivot, best = u, score
     for v in bits(p & ~rows[pivot]):
@@ -75,7 +75,7 @@ def maximal_cliques_in(graph: Graph, subset_mask: int) -> tuple[int, ...]:
                  for v in range(graph.n))
     out: list[int] = []
     _bron_kerbosch(rows, 0, subset_mask, 0, out)
-    return tuple(sorted((m for m in out if popcount(m) >= 2), key=_mask_key))
+    return tuple(sorted((m for m in out if m.bit_count() >= 2), key=_mask_key))
 
 
 def is_diamond_free(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
@@ -99,7 +99,7 @@ def _diamond_free_by_cliques(graph: Graph) -> tuple[bool, tuple[int, ...] | None
     cliques = maximal_clique_masks(graph)
     for ci, cj in combinations(cliques, 2):
         shared = ci & cj
-        if popcount(shared) < 2:
+        if shared.bit_count() < 2:
             continue
         u, v = list(bits(shared))[:2]
         # maximality of both cliques guarantees a nonadjacent cross pair
@@ -132,7 +132,7 @@ def every_clique_has_occupied_edge(graph: Graph) -> bool:
     """Each maximal clique (of size >= 2) covers at least one edge that no
     other maximal clique covers."""
     return all(occupied_edges(graph, tuple(bits(c)))
-               for c in maximal_clique_masks(graph) if popcount(c) >= 2)
+               for c in maximal_clique_masks(graph) if c.bit_count() >= 2)
 
 
 def every_vertex_on_occupied_edge(graph: Graph) -> tuple[bool, tuple | None]:
@@ -140,7 +140,7 @@ def every_vertex_on_occupied_edge(graph: Graph) -> tuple[bool, tuple | None]:
     endpoint of an edge occupied by that clique.  Returns (ok, witness)
     where the witness names the offending (clique, vertex) pair."""
     for c in maximal_clique_masks(graph):
-        if popcount(c) < 2:
+        if c.bit_count() < 2:
             continue
         members = tuple(bits(c))
         occ = occupied_edges(graph, members)
@@ -302,7 +302,7 @@ def _as_cycle(graph: Graph, sub) -> tuple[int, ...] | None:
     smask = 0
     for v in sub:
         smask |= 1 << v
-    if any(popcount(graph.rows[v] & smask) != 2 for v in sub):
+    if any((graph.rows[v] & smask).bit_count() != 2 for v in sub):
         return None
     start = sub[0]
     walk = [start]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .cliques import (EliminationOrdering, chordality, every_vertex_on_occupied_edge,
                       maximal_clique_masks, occupied_edges)
 from .ecc import CliqueCover, min_edge_clique_cover, theta_e
-from .graph import Digraph, Graph, add_isolated, bits, competition_graph, popcount
+from .graph import Digraph, Graph, add_isolated, bits, competition_graph
 from .realizer import (Realization, RealizationError, certify_realization,
                        competition_number)
 
@@ -178,7 +178,7 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
     certify_realization(graph, realization.digraph, realization.k)
 
     cliques = [tuple(bits(c)) for c in maximal_clique_masks(graph)
-               if popcount(c) >= 2]
+               if c.bit_count() >= 2]
     if len(cliques) != theta_e(graph):
         raise RealizationError(
             "maximal cliques do not form a minimum cover despite the "
@@ -391,7 +391,7 @@ def hall_certificate(graph: Graph, cover: CliqueCover,
     for c in cover.cliques:
         mask = _mask_of(c)
         members = tuple(v for v in range(digraph.n)
-                        if popcount(digraph.in_rows[v] & mask) >= 2)
+                        if (digraph.in_rows[v] & mask).bit_count() >= 2)
         if not members:
             raise ValueError(f"clique {c} has no fed prey; not a realization")
         sets.append(members)

@@ -3,19 +3,24 @@
 The candidate universe is the maximal cliques only: any edge clique cover
 can be turned into one of maximal cliques of the same size by expanding
 each clique, so restricting to maximal cliques is sound.  The solver
-branches on the lowest-index uncovered edge, trying only cliques that
-contain it, and memoizes on the uncovered-edge bitmask.  Among equal-size
-optima the lexicographically least cover (cliques as sorted tuples, the
-cover as a sorted tuple of them) is returned, so fixtures are stable.
+numbers the edges most constrained first, by the number of maximal cliques
+containing each edge, then by the edge itself.  It branches on the
+lowest-numbered uncovered edge, so on one with the fewest candidate
+cliques, trying only cliques that contain it, and memoizes on the
+uncovered-edge bitmask.  Among equal-size optima the lexicographically
+least cover (cliques as sorted tuples, the cover as a sorted tuple of
+them) is returned, so fixtures are stable.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .cliques import maximal_clique_masks
-from .graph import Graph, bits, popcount
+from .graph import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -44,15 +49,17 @@ class _CoverSolver:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.edges = graph.edges()
+        self.clique_masks = [c for c in maximal_clique_masks(graph) if c.bit_count() >= 2]
+        hits = Counter(pair for c in self.clique_masks
+                       for pair in combinations(bits(c), 2))
+        self.edges = sorted(graph.edges(), key=lambda e: (hits[e], e))
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.full_mask = (1 << len(self.edges)) - 1
-        self.clique_masks = [c for c in maximal_clique_masks(graph) if popcount(c) >= 2]
         self.clique_edge_masks = [self._edge_mask(c) for c in self.clique_masks]
-        self.cliques_per_edge = [
-            [i for i, em in enumerate(self.clique_edge_masks) if (em >> e) & 1]
-            for e in range(len(self.edges))
-        ]
+        self.cliques_per_edge: list[list[int]] = [[] for _ in self.edges]
+        for ci, em in enumerate(self.clique_edge_masks):
+            for e in bits(em):
+                self.cliques_per_edge[e].append(ci)
         self._size_memo: dict[int, int] = {0: 0}
 
     def _edge_mask(self, member_mask: int) -> int:
@@ -84,19 +91,6 @@ class _CoverSolver:
                 best = cand
         memo[uncovered] = best
         return best
-
-    def disjoint_edge_bound(self, uncovered: int) -> int:
-        """Greedy set of pairwise clique-disjoint edges; a lower bound on
-        the number of cliques any cover of the set needs."""
-        taken_cliques = 0
-        count = 0
-        for e in bits(uncovered):
-            hits = self.cliques_per_edge[e]
-            if all(not (taken_cliques >> ci) & 1 for ci in hits):
-                count += 1
-                for ci in hits:
-                    taken_cliques |= 1 << ci
-        return count
 
     def lex_min_cover(self, uncovered: int) -> tuple[int, ...]:
         """Lexicographically least minimum cover of the edge set, returned
@@ -157,7 +151,9 @@ def min_edge_clique_cover(graph: Graph) -> CliqueCover:
 
 def min_cover_of_edges(graph: Graph, edge_mask: int) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least minimum cover of an arbitrary edge subset
-    (mask over ``graph.edges()`` positions) by maximal cliques."""
+    by maximal cliques.  The mask is over the edge numbering of
+    ``cover_solver(graph)`` (its ``edges`` list), as built by its
+    ``edge_mask_of`` and ``full_mask``, not over ``graph.edges()``."""
     solver = cover_solver(graph)
     return tuple(solver.clique_tuple(i) for i in solver.lex_min_cover(edge_mask))
 

@@ -22,10 +22,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -74,14 +70,14 @@ class Graph:
         return tuple(bits(self.rows[v]))
 
     def degree(self, v: int) -> int:
-        return popcount(self.rows[v])
+        return self.rows[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.rows[u]) if u < v]
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(popcount(r) for r in self.rows) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
     @property
     def vertex_mask(self) -> int:
@@ -156,7 +152,7 @@ class Digraph:
         return tuple(rows)
 
     def in_degree(self, v: int) -> int:
-        return popcount(self.in_rows[v])
+        return self.in_rows[v].bit_count()
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.in_rows[v]))
@@ -245,7 +241,7 @@ def competition_graph(digraph: Digraph) -> Graph:
     rows = [0] * n
     for z in range(n):
         group = digraph.in_rows[z]
-        if popcount(group) >= 2:
+        if group.bit_count() >= 2:
             for u in bits(group):
                 rows[u] |= group & ~(1 << u)
     return Graph(n, tuple(rows), digraph.labels)

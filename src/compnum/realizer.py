@@ -37,7 +37,7 @@ from itertools import combinations
 from .cliques import maximal_cliques_in
 from .ecc import cover_solver, min_cover_of_edges, theta_e
 from .graph import (AcyclicLabeling, Digraph, Graph, add_isolated,
-                    acyclic_labeling, bits, competition_graph, popcount)
+                    acyclic_labeling, bits, competition_graph)
 
 
 class RealizationError(RuntimeError):
@@ -102,7 +102,7 @@ class _Search:
             for cm in maximal_cliques_in(self.graph, placed):
                 members = tuple(bits(cm))
                 opts.append((members, self.solver.edge_mask_of(members)))
-            opts.sort(key=lambda t: (-popcount(t[1]), t[0]))
+            opts.sort(key=lambda t: (-t[1].bit_count(), t[0]))
             cached = tuple(opts)
             self._options[placed] = cached
         return cached
@@ -119,7 +119,7 @@ class _Search:
                 raise _Found
             if placed == self.all_mask:
                 return
-            if self.solver.size(rem) > k + self.n - popcount(placed):
+            if self.solver.size(rem) > k + self.n - placed.bit_count():
                 return
             state = (placed, covered)
             if state in visited:
@@ -162,7 +162,7 @@ class _Search:
                         raise _Found
             if placed == self.all_mask:
                 return
-            if c > k + self.n - popcount(placed):
+            if c > k + self.n - placed.bit_count():
                 return
             if best[0] is not None and used + c >= best[0]:
                 return
@@ -274,13 +274,15 @@ def competition_number(graph: Graph) -> tuple[int, Realization]:
     lower = max(0, theta - core.n + 2, 1)
     search = _search(core)
     for k0 in range(lower, theta + 1):
-        if search.feasible(k0) is not None:
+        plan = search.feasible(k0)
+        if plan is not None:
             break
     else:
         raise RuntimeError("no realization found up to the cover-size bound")
     k = max(0, k0 - len(isolates))
     budget = k + len(isolates)
-    plan = search.feasible(budget)
+    if budget != k0:
+        plan = search.feasible(budget)
     digraph = search.build(budget, plan)
     return k, _expand_plan(graph, core, isolates, budget, k, digraph)
 
