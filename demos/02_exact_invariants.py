@@ -4,7 +4,7 @@ Usage: python demos/02_exact_invariants.py
 """
 
 from compnum import (Graph, add_isolated, competition_graph,
-                     competition_number, dag_oracle, max_predators_with,
+                     competition_number, max_predators_with,
                      min_edge_clique_cover, min_prey_count,
                      primary_predator_index, theta_e)
 
@@ -42,8 +42,3 @@ print("Max predators is also available away from the optimum k: the")
 print("triangle realizes with 2 isolates too, wasting one of them.")
 print("  k=1:", max_predators_with(ZOO["triangle"], 1)[0], "predators")
 print("  k=2:", max_predators_with(ZOO["triangle"], 2)[0], "predators")
-
-print()
-print("A brute-force sweep of every labeled acyclic digraph agrees on")
-print("small instances:")
-print("  oracle(triangle, k=1):", dag_oracle(ZOO["triangle"], 1))

@@ -26,10 +26,9 @@ from .graph import (AcyclicLabeling, Digraph, DirectedCycle, Graph,
                     acyclic_labeling, add_isolated, competition_graph)
 from .io import (FormatError, parse_edge_list, parse_graph6,
                  parse_graph6_lines, serialize_edge_list, serialize_graph6)
-from .realizer import (OracleResult, Realization, RealizationError,
-                       competition_number, dag_oracle, max_predators_with,
-                       min_prey_count, primary_predator_index,
-                       realizable_with)
+from .realizer import (Realization, RealizationError, competition_number,
+                       max_predators_with, min_prey_count,
+                       primary_predator_index, realizable_with)
 from .smallgraphs import canonical_graph, enumerate_small_graphs
 from .sweep import SweepReport, sweep, sweep_small
 
@@ -39,10 +38,10 @@ __all__ = [
     "AcyclicLabeling", "BoundsReport", "CliqueCover", "Digraph",
     "DirectedCycle", "EffectiveCoverCertificate", "EliminationOrdering",
     "FormatError", "Graph", "HallCertificate", "Hole", "NotChordalError",
-    "OracleResult", "Realization", "RealizationError", "SweepReport",
+    "Realization", "RealizationError", "SweepReport",
     "acyclic_labeling", "add_isolated", "best_union_tail", "bounds_report",
     "canonical_graph", "chordal_realizer", "chordality", "clique_census",
-    "competition_graph", "competition_number", "dag_oracle",
+    "competition_graph", "competition_number",
     "enumerate_small_graphs", "every_clique_has_occupied_edge",
     "every_vertex_on_occupied_edge", "expand_to_maximal", "hall_certificate",
     "is_diamond_free", "make_cover", "max_predators_with", "maximal_cliques",

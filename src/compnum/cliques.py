@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,7 @@ def _diamond_free_by_cliques(graph: Graph) -> tuple[bool, tuple[int, ...] | None
 def occupied_edges(graph: Graph, clique) -> list[tuple[int, int]]:
     """Edges inside the maximal clique that no other maximal clique covers."""
     members = tuple(sorted(clique))
-    mask = 0
-    for v in members:
-        mask |= 1 << v
+    mask = mask_of(members)
     if mask not in maximal_clique_masks(graph):
         raise ValueError(f"{members} is not a maximal clique")
     others = [c for c in maximal_clique_masks(graph) if c != mask]
@@ -299,9 +297,7 @@ def _hole_by_scan(graph: Graph) -> Hole | None:
 
 
 def _as_cycle(graph: Graph, sub) -> tuple[int, ...] | None:
-    smask = 0
-    for v in sub:
-        smask |= 1 << v
+    smask = mask_of(sub)
     if any((graph.rows[v] & smask).bit_count() != 2 for v in sub):
         return None
     start = sub[0]

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliques import (EliminationOrdering, chordality, every_vertex_on_occupied_edge,
-                      maximal_clique_masks, occupied_edges)
+                      maximal_clique_masks, occupied_edges, simplicial_vertices)
 from .ecc import CliqueCover, min_edge_clique_cover, theta_e
-from .graph import Digraph, Graph, add_isolated, bits, competition_graph
+from .graph import (Digraph, Graph, add_isolated, bits, competition_graph,
+                    mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
                        competition_number)
 
@@ -132,7 +133,7 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
         nk = min(pos[v] for v in clique)
         head = order[nk - 1]
         closed = ((1 << head) | graph.rows[head]) & suffix[nk]
-        if closed != _mask_of(clique):
+        if closed != mask_of(clique):
             raise RealizationError(
                 f"cover clique {clique} is not a closed later neighbourhood")
         if idx == 0 and nk != 1:
@@ -147,13 +148,6 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
     if not cert.valid:
         raise RealizationError(f"chordal construction failed: {cert.failure}")
     return realization, cover
-
-
-def _mask_of(members) -> int:
-    m = 0
-    for v in members:
-        m |= 1 << v
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +241,11 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
 
     rows = [0] * graph.n
     for i in family:
-        for clique in (cover.cliques[i],):
-            for a in clique:
-                for b in clique:
-                    if a != b:
-                        rows[a] |= 1 << b
+        mask = mask_of(cover.cliques[i])
+        for a in cover.cliques[i]:
+            rows[a] |= mask & ~(1 << a)
     edge_graph = Graph(graph.n, tuple(rows))
-    simplicial = set()
-    for v in range(graph.n):
-        nb = edge_graph.rows[v]
-        if nb and all(nb & ~(1 << u) & ~edge_graph.rows[u] == 0 for u in bits(nb)):
-            simplicial.add(v)
+    simplicial = {v for v in simplicial_vertices(edge_graph) if edge_graph.rows[v]}
     if len(simplicial) < theta - k:
         raise ValueError(
             f"only {len(simplicial)} simplicial vertices in the family "
@@ -342,7 +330,7 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
     minimum = covers_all and cover.theta == theta_e(graph)
     record("cover minimum", minimum)
     maximal_set = set(maximal_clique_masks(graph))
-    all_max = cliques_ok and all(_mask_of(c) in maximal_set for c in cover.cliques)
+    all_max = cliques_ok and all(mask_of(c) in maximal_set for c in cover.cliques)
     record("all cliques maximal", all_max)
 
     k, _ = competition_number(graph)
@@ -357,7 +345,7 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
 
     adjacency = []
     for c in cover.cliques:
-        mask = _mask_of(c)
+        mask = mask_of(c)
         adjacency.append([w for w in prey if digraph.in_rows[w] & mask == mask])
     match = _max_bipartite_matching(adjacency)
     sinks_ok = cliques_ok and all(w is not None for w in match)
@@ -389,7 +377,7 @@ def hall_certificate(graph: Graph, cover: CliqueCover,
         raise ValueError("digraph does not realize the graph plus isolates")
     sets = []
     for c in cover.cliques:
-        mask = _mask_of(c)
+        mask = mask_of(c)
         members = tuple(v for v in range(digraph.n)
                         if (digraph.in_rows[v] & mask).bit_count() >= 2)
         if not members:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .cliques import maximal_clique_masks
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -55,26 +55,22 @@ class _CoverSolver:
         self.edges = sorted(graph.edges(), key=lambda e: (hits[e], e))
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.full_mask = (1 << len(self.edges)) - 1
-        self.clique_edge_masks = [self._edge_mask(c) for c in self.clique_masks]
+        self.clique_edge_masks = [self.edge_mask_of(bits(c)) for c in self.clique_masks]
         self.cliques_per_edge: list[list[int]] = [[] for _ in self.edges]
         for ci, em in enumerate(self.clique_edge_masks):
             for e in bits(em):
                 self.cliques_per_edge[e].append(ci)
         self._size_memo: dict[int, int] = {0: 0}
 
-    def _edge_mask(self, member_mask: int) -> int:
+    def edge_mask_of(self, members) -> int:
+        """Bitmask, over this solver's edge numbering, of the edges inside
+        the clique ``members``."""
+        members = sorted(members)
         em = 0
-        members = list(bits(member_mask))
         for i, u in enumerate(members):
             for v in members[i + 1:]:
                 em |= 1 << self.edge_index[(u, v)]
         return em
-
-    def edge_mask_of(self, members) -> int:
-        m = 0
-        for v in members:
-            m |= 1 << v
-        return self._edge_mask(m)
 
     def size(self, uncovered: int) -> int:
         """Exact minimum number of maximal cliques covering the edge set."""
@@ -94,14 +90,19 @@ class _CoverSolver:
 
     def lex_min_cover(self, uncovered: int) -> tuple[int, ...]:
         """Lexicographically least minimum cover of the edge set, returned
-        as clique indices in ascending order."""
+        as clique indices in ascending order.
+
+        Each step takes the lowest-index clique that lies in some minimum
+        cover of the uncovered edges.  No earlier clique lies in a minimum
+        cover of what is left (it would have been taken first), so the
+        unrestricted ``size`` decides each step."""
         budget = self.size(uncovered)
         chosen: list[int] = []
         lo = 0
         while uncovered:
             for idx in range(lo, len(self.clique_masks)):
                 em = self.clique_edge_masks[idx]
-                if em & uncovered and self._size_from(uncovered & ~em, idx + 1) <= budget - 1:
+                if self.size(uncovered & ~em) < budget:
                     chosen.append(idx)
                     uncovered &= ~em
                     budget -= 1
@@ -110,21 +111,6 @@ class _CoverSolver:
             else:
                 raise RuntimeError("cover extraction failed")
         return tuple(chosen)
-
-    @lru_cache(maxsize=None)
-    def _size_from(self, uncovered: int, lo: int) -> int:
-        """Minimum cover size of the edge set using cliques of index >= lo."""
-        if uncovered == 0:
-            return 0
-        e = (uncovered & -uncovered).bit_length() - 1
-        best = len(self.edges) + 1
-        for ci in self.cliques_per_edge[e]:
-            if ci < lo:
-                continue
-            cand = 1 + self._size_from(uncovered & ~self.clique_edge_masks[ci], lo)
-            if cand < best:
-                best = cand
-        return best
 
     def clique_tuple(self, idx: int) -> tuple[int, ...]:
         return tuple(bits(self.clique_masks[idx]))
@@ -173,16 +159,9 @@ def make_cover(graph: Graph, cliques) -> CliqueCover:
                 covered.add((u, v))
     covers_all = covered == set(graph.edges())
     maximal_set = set(maximal_clique_masks(graph))
-    all_maximal = all(_mask(c) in maximal_set for c in cliques)
+    all_maximal = all(mask_of(c) in maximal_set for c in cliques)
     is_minimum = covers_all and len(cliques) == theta_e(graph)
     return CliqueCover(cliques, covers_all, all_maximal, is_minimum)
-
-
-def _mask(members) -> int:
-    m = 0
-    for v in members:
-        m |= 1 << v
-    return m
 
 
 def expand_to_maximal(graph: Graph, cover: CliqueCover, dedup: bool = False) -> CliqueCover:
@@ -196,7 +175,7 @@ def expand_to_maximal(graph: Graph, cover: CliqueCover, dedup: bool = False) -> 
         raise ValueError("input does not cover all edges")
     expanded = []
     for c in cover.cliques:
-        mask = _mask(c)
+        mask = mask_of(c)
         while True:
             common = graph.vertex_mask & ~mask
             for v in bits(mask):
@@ -209,22 +188,3 @@ def expand_to_maximal(graph: Graph, cover: CliqueCover, dedup: bool = False) -> 
         expanded = sorted(set(expanded))
     return CliqueCover(tuple(expanded), True, True,
                        len(expanded) == theta_e(graph))
-
-
-def naive_theta_e(graph: Graph) -> int:
-    """Independent oracle: try all subsets of maximal cliques by increasing
-    size.  Exponential; for cross-checks on tiny graphs only."""
-    from itertools import combinations
-
-    solver = cover_solver(graph)
-    if solver.full_mask == 0:
-        return 0
-    cliques = solver.clique_edge_masks
-    for size in range(1, len(cliques) + 1):
-        for combo in combinations(cliques, size):
-            m = 0
-            for em in combo:
-                m |= em
-            if m == solver.full_mask:
-                return size
-    raise RuntimeError("maximal cliques fail to cover the graph")

@@ -22,6 +22,14 @@ def bits(mask: int):
         mask ^= low
 
 
+def mask_of(members) -> int:
+    """Bitmask with the bit of every member set."""
+    mask = 0
+    for v in members:
+        mask |= 1 << v
+    return mask
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -85,6 +93,14 @@ class Graph:
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.rows[v] == 0)
+
+    def without_isolates(self) -> tuple["Graph", tuple[int, ...]]:
+        """The subgraph on the non-isolated vertices, renumbered in
+        ascending order, and the original index of each of its vertices."""
+        keep = tuple(v for v in range(self.n) if self.rows[v])
+        index = {v: i for i, v in enumerate(keep)}
+        rows = tuple(sum(1 << index[u] for u in bits(self.rows[v])) for v in keep)
+        return Graph(len(keep), rows), keep
 
     def is_clique(self, members) -> bool:
         mem = list(members)

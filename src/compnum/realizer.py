@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .cliques import maximal_cliques_in
 from .ecc import cover_solver, min_cover_of_edges, theta_e
@@ -109,44 +108,21 @@ class _Search:
 
     def feasible(self, k: int):
         """Decision: a placement plan realizing G plus k isolates, or None."""
-        result = []
-        visited = set()
-
-        def rec(placed, covered, trail):
-            rem = self.full_edges & ~covered
-            if self.solver.size(rem) <= k:
-                result.append((list(trail), rem))
-                raise _Found
-            if placed == self.all_mask:
-                return
-            if self.solver.size(rem) > k + self.n - placed.bit_count():
-                return
-            state = (placed, covered)
-            if state in visited:
-                return
-            visited.add(state)
-            options = self._clique_options(placed)
-            for w in bits(self.all_mask & ~placed):
-                wbit = 1 << w
-                for members, em in options:
-                    if em & ~covered:
-                        trail.append((w, members))
-                        rec(placed | wbit, covered | em, trail)
-                        trail.pop()
-                trail.append((w, None))
-                rec(placed | wbit, covered, trail)
-                trail.pop()
-
-        try:
-            rec(0, 0, [])
-        except _Found:
-            return result[0]
-        return None
+        found = self._walk(k, 0, k)
+        return None if found is None else found[1]
 
     def minimize(self, k: int):
         """Minimum total clique count (= prey count) over all realizations
         with k isolates, with a witness plan; None if infeasible."""
-        floor = self.solver.size(self.full_edges)
+        return self._walk(k, 1, self.solver.size(self.full_edges))
+
+    def _walk(self, k: int, cost: int, goal: int):
+        """Depth-first search over placement plans whose leftover edges k
+        isolates can cover.  A plan's total is ``cost`` per hosted clique
+        plus the size of the leftover cover; returns the least (total,
+        plan) seen, stopping at the first total <= goal, or None when no
+        plan exists.  With cost 0 every plan totals at most k, so the
+        first plan found ends the walk."""
         best: list = [None, None]
         visited: dict[tuple[int, int], int] = {}
 
@@ -158,7 +134,7 @@ class _Search:
                 if best[0] is None or total < best[0]:
                     best[0] = total
                     best[1] = (list(trail), rem)
-                    if total == floor:
+                    if total <= goal:
                         raise _Found
             if placed == self.all_mask:
                 return
@@ -177,7 +153,7 @@ class _Search:
                 for members, em in options:
                     if em & ~covered:
                         trail.append((w, members))
-                        rec(placed | wbit, covered | em, used + 1, trail)
+                        rec(placed | wbit, covered | em, used + cost, trail)
                         trail.pop()
                 trail.append((w, None))
                 rec(placed | wbit, covered, used, trail)
@@ -187,9 +163,7 @@ class _Search:
             rec(0, 0, 0, [])
         except _Found:
             pass
-        if best[0] is None:
-            return None
-        return best[0], best[1]
+        return None if best[0] is None else tuple(best)
 
     def build(self, budget: int, plan) -> Digraph:
         """Turn a placement plan into a digraph on n + budget vertices."""
@@ -211,49 +185,29 @@ def _search(graph: Graph) -> _Search:
     return _Search(graph)
 
 
-def _split_isolates(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
-    isolates = graph.isolated_vertices()
-    if not isolates:
-        return graph, ()
-    keep = [v for v in range(graph.n) if graph.rows[v]]
-    index = {v: i for i, v in enumerate(keep)}
-    rows = tuple(
-        sum(1 << index[u] for u in bits(graph.rows[v])) for v in keep)
-    return Graph(len(keep), rows), isolates
-
-
-def _expand_plan(graph: Graph, core: Graph, isolates, budget: int,
-                 k: int, digraph: Digraph, sink_map=None) -> Realization:
-    """Map a core-level witness back onto the original vertex indices."""
-    keep = [v for v in range(graph.n) if graph.rows[v]]
-    mapping = {i: v for i, v in enumerate(keep)}
-    for j in range(budget):
-        if j < len(isolates):
-            mapping[core.n + j] = isolates[j]
-        else:
-            mapping[core.n + j] = graph.n + (j - len(isolates))
+def _expand_plan(graph: Graph, keep, k: int, search: _Search,
+                 plan) -> Realization:
+    """Build a core-level plan's digraph and map it onto the graph: the
+    core's vertices are ``keep``, then come the graph's own isolates and
+    k added ones."""
+    digraph = search.build(k + graph.n - len(keep), plan)
+    mapping = keep + graph.isolated_vertices() + tuple(range(graph.n, graph.n + k))
     arcs = [(mapping[u], mapping[v]) for u, v in digraph.arcs]
-    out = Digraph.from_arcs(graph.n + k, arcs, labels=None)
-    mapped_sinks = None
-    if sink_map is not None:
-        mapped_sinks = tuple((i, mapping[w]) for i, w in sink_map)
-    return certify_realization(graph, out, k, mapped_sinks)
+    return certify_realization(graph, Digraph.from_arcs(graph.n + k, arcs), k)
 
 
 def realizable_with(graph: Graph, k: int) -> Realization | None:
     """A verified realization of the graph plus k isolates, or None."""
     if k < 0:
         raise ValueError("isolate count must be nonnegative")
-    core, isolates = _split_isolates(graph)
-    budget = k + len(isolates)
+    core, keep = graph.without_isolates()
     if core.edge_count == 0:
         return certify_realization(graph, Digraph.from_arcs(graph.n + k, ()), k)
     search = _search(core)
-    plan = search.feasible(budget)
+    plan = search.feasible(k + graph.n - core.n)
     if plan is None:
         return None
-    return _expand_plan(graph, core, isolates, budget, k,
-                        search.build(budget, plan))
+    return _expand_plan(graph, keep, k, search, plan)
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +220,7 @@ def competition_number(graph: Graph) -> tuple[int, Realization]:
     minimal vertex of any acyclic labeling sends no arcs, so a competition
     graph of an acyclic digraph always has an isolated vertex.
     """
-    core, isolates = _split_isolates(graph)
+    core, keep = graph.without_isolates()
     if core.edge_count == 0:
         witness = certify_realization(graph, Digraph.from_arcs(graph.n, ()), 0)
         return 0, witness
@@ -279,12 +233,11 @@ def competition_number(graph: Graph) -> tuple[int, Realization]:
             break
     else:
         raise RuntimeError("no realization found up to the cover-size bound")
-    k = max(0, k0 - len(isolates))
-    budget = k + len(isolates)
-    if budget != k0:
-        plan = search.feasible(budget)
-    digraph = search.build(budget, plan)
-    return k, _expand_plan(graph, core, isolates, budget, k, digraph)
+    isolates = graph.n - core.n
+    k = max(0, k0 - isolates)
+    if k + isolates != k0:
+        plan = search.feasible(k + isolates)
+    return k, _expand_plan(graph, keep, k, search, plan)
 
 
 def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
@@ -293,18 +246,16 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     witness attaining it.  Returns None when no realization exists."""
     if k < 0:
         raise ValueError("isolate count must be nonnegative")
-    core, isolates = _split_isolates(graph)
-    budget = k + len(isolates)
+    core, keep = graph.without_isolates()
     if core.edge_count == 0:
         witness = certify_realization(graph, Digraph.from_arcs(graph.n + k, ()), k)
         return graph.n + k, witness
     search = _search(core)
-    result = search.minimize(budget)
+    result = search.minimize(k + graph.n - core.n)
     if result is None:
         return None
     m_star, plan = result
-    witness = _expand_plan(graph, core, isolates, budget, k,
-                           search.build(budget, plan))
+    witness = _expand_plan(graph, keep, k, search, plan)
     assert witness.prey_count == m_star
     return graph.n + k - m_star, witness
 
@@ -324,71 +275,6 @@ def min_prey_count(graph: Graph) -> int:
     the competition number; always at least theta_e."""
     p, witness = primary_predator_index(graph)
     return witness.prey_count
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    realizable: bool
-    max_predators: int | None
-
-
-def dag_oracle(graph: Graph, k: int, cap: int = 6) -> OracleResult:
-    """Independent check by sweeping every labeled acyclic digraph.
-
-    Recursion over topological placements: vertices are laid down one at a
-    time and each chooses any in-neighbour set among the already placed
-    vertices that is a clique of the target graph (including the empty set
-    and singletons, and isolates may send or receive arcs).  Memoization on
-    (placed set, covered edges) collapses the walk without changing the
-    decision or the maximum predator count.  Test-side use only.
-    """
-    total = graph.n + k
-    if total > cap:
-        raise ValueError(f"oracle capped at {cap} vertices, got {total}")
-    target = add_isolated(graph, k)
-    full = (1 << total) - 1
-    edges = target.edges()
-    edge_index = {e: i for i, e in enumerate(edges)}
-    full_edges = (1 << len(edges)) - 1
-
-    options = [(0, 0)]
-    for size in range(1, total + 1):
-        for sub in combinations(range(total), size):
-            if size >= 2 and not target.is_clique(sub):
-                continue
-            mask = 0
-            for v in sub:
-                mask |= 1 << v
-            em = 0
-            for u, v in combinations(sub, 2):
-                em |= 1 << edge_index[(u, v)]
-            options.append((mask, em))
-
-    memo: dict[tuple[int, int], int | None] = {}
-
-    def best(placed: int, covered: int) -> int | None:
-        if placed == full:
-            return 0 if covered == full_edges else None
-        key = (placed, covered)
-        if key in memo:
-            return memo[key]
-        out: int | None = None
-        for w in bits(full & ~placed):
-            wbit = 1 << w
-            for mask, em in options:
-                if mask & ~placed:
-                    continue
-                sub = best(placed | wbit, covered | em)
-                if sub is None:
-                    continue
-                cand = sub + (1 if mask == 0 else 0)
-                if out is None or cand > out:
-                    out = cand
-        memo[key] = out
-        return out
-
-    res = best(0, 0)
-    return OracleResult(res is not None, res)
 
 
 def realization_json_dict(k: int, p: int, prey: int,

@@ -22,7 +22,6 @@ from .cliques import (chordality, EliminationOrdering,
                       every_vertex_on_occupied_edge, is_diamond_free)
 from .constructions import chordal_realizer, hall_certificate, rebuild_star
 from .ecc import min_edge_clique_cover, theta_e
-from .graph import Graph
 from .io import serialize_graph6
 from .realizer import competition_number, primary_predator_index
 from .smallgraphs import enumerate_small_graphs
@@ -53,13 +52,6 @@ class SweepReport:
         return self.summary.get("conjecture", {}).get("counterexamples", [])
 
 
-def _strip_isolates(graph: Graph) -> Graph:
-    keep = [v for v in range(graph.n) if graph.rows[v]]
-    index = {v: i for i, v in enumerate(keep)}
-    rows = tuple(sum(1 << index[u] for u in graph.neighbors(v)) for v in keep)
-    return Graph(len(keep), rows)
-
-
 def graph_record(args) -> dict:
     """Worker: compute one graph's record.  Top level for picklability."""
     graph, checks = args
@@ -75,7 +67,7 @@ def graph_record(args) -> dict:
         k, k_witness = competition_number(graph)
         p, p_witness = primary_predator_index(graph)
         record.update(theta_e=theta, k=k, p=p, prey=p_witness.prey_count)
-        core = _strip_isolates(graph)
+        core, _ = graph.without_isolates()
         chordal = isinstance(chordality(core), EliminationOrdering)
         diamond_free, _ = is_diamond_free(graph)
         record.update(chordal=chordal, diamond_free=diamond_free)
@@ -127,13 +119,15 @@ def graph_record(args) -> dict:
     return record
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _worker_count(threads: int | None, jobs: int) -> int:
+    """Processes for a sweep: the requested count (``--threads``, else
+    ``COMPNUM_THREADS``, else one per CPU), never more than the jobs or
+    the CPUs, and at least one."""
+    cpus = os.cpu_count() or 1
+    if threads is None:
+        env = os.environ.get(ENV_THREADS)
+        threads = int(env) if env else cpus
+    return max(1, min(threads, jobs, cpus))
 
 
 def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
@@ -143,8 +137,8 @@ def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     jobs = [(graph, checks) for graph in graphs]
-    workers = _worker_count(threads)
-    if workers > 1 and len(jobs) > 1:
+    workers = _worker_count(threads, len(jobs))
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:

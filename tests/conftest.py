@@ -8,9 +8,10 @@ check.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
-from compnum.graph import Digraph, Graph
+from compnum.graph import Digraph, Graph, add_isolated, bits
 
 
 def brute_competition_graph(digraph: Digraph) -> Graph:
@@ -61,14 +62,106 @@ def _connected_subset(graph: Graph, sub) -> bool:
     return seen == sub
 
 
+def naive_min_cover(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """First minimum-size set of maximal cliques covering every edge.
+
+    Maximal cliques of size >= 2 come from a subset scan, listed in
+    lexicographic order; subsets of them are tried by increasing size in
+    combinations order, so among minimum covers the one returned is least
+    in clique-index order.  Exponential; for tiny graphs only.
+    """
+    def is_clique(sub) -> bool:
+        return all(graph.has_edge(u, v) for u, v in combinations(sub, 2))
+
+    cliques = sorted(
+        sub for size in range(2, graph.n + 1)
+        for sub in combinations(range(graph.n), size)
+        if is_clique(sub) and not any(is_clique(sub + (v,))
+                                      for v in range(graph.n) if v not in sub))
+    edges = set(graph.edges())
+    for size in range(len(cliques) + 1):
+        for combo in combinations(cliques, size):
+            if {pair for c in combo for pair in combinations(c, 2)} == edges:
+                return combo
+    raise RuntimeError("maximal cliques fail to cover the graph")
+
+
+def naive_theta_e(graph: Graph) -> int:
+    """Edge clique cover number by subset enumeration."""
+    return len(naive_min_cover(graph))
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    realizable: bool
+    max_predators: int | None
+
+
+def dag_oracle(graph: Graph, k: int, cap: int = 6) -> OracleResult:
+    """Independent check by sweeping every labeled acyclic digraph.
+
+    Recursion over topological placements: vertices are laid down one at a
+    time and each chooses any in-neighbour set among the already placed
+    vertices that is a clique of the target graph (including the empty set
+    and singletons, and isolates may send or receive arcs).  Memoization on
+    (placed set, covered edges) collapses the walk without changing the
+    decision or the maximum predator count.
+    """
+    total = graph.n + k
+    if total > cap:
+        raise ValueError(f"oracle capped at {cap} vertices, got {total}")
+    target = add_isolated(graph, k)
+    full = (1 << total) - 1
+    edges = target.edges()
+    edge_index = {e: i for i, e in enumerate(edges)}
+    full_edges = (1 << len(edges)) - 1
+
+    options = [(0, 0)]
+    for size in range(1, total + 1):
+        for sub in combinations(range(total), size):
+            if size >= 2 and not target.is_clique(sub):
+                continue
+            mask = 0
+            for v in sub:
+                mask |= 1 << v
+            em = 0
+            for u, v in combinations(sub, 2):
+                em |= 1 << edge_index[(u, v)]
+            options.append((mask, em))
+
+    memo: dict[tuple[int, int], int | None] = {}
+
+    def best(placed: int, covered: int) -> int | None:
+        if placed == full:
+            return 0 if covered == full_edges else None
+        key = (placed, covered)
+        if key in memo:
+            return memo[key]
+        out: int | None = None
+        for w in bits(full & ~placed):
+            wbit = 1 << w
+            for mask, em in options:
+                if mask & ~placed:
+                    continue
+                sub = best(placed | wbit, covered | em)
+                if sub is None:
+                    continue
+                cand = sub + (1 if mask == 0 else 0)
+                if out is None or cand > out:
+                    out = cand
+        memo[key] = out
+        return out
+
+    res = best(0, 0)
+    return OracleResult(res is not None, res)
+
+
 def raw_dag_oracle(graph: Graph, k: int):
     """Unmemoized sweep of every (ordering, in-neighbourhood) choice.
 
     Exponential; only for tiny instances.  Returns (realizable,
-    max_predators) like the library oracle.
+    max_predators) like dag_oracle.
     """
-    from compnum.graph import add_isolated
-
     target = add_isolated(graph, k)
     total = target.n
     edges = set(target.edges())

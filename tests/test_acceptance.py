@@ -8,6 +8,8 @@ import random
 import time
 from itertools import permutations, product
 
+from conftest import dag_oracle
+
 from compnum.cliques import EliminationOrdering, chordality, is_diamond_free
 from compnum.constructions import (chordal_realizer, rebuild_star,
                                    verify_effective_cover)
@@ -19,9 +21,8 @@ from compnum.fixtures import (EXPECTED_SINKS, effective_cover_example_cover,
 from compnum.graph import Graph, add_isolated, competition_graph
 from compnum.io import (parse_edge_list, parse_graph6, serialize_edge_list,
                         serialize_graph6)
-from compnum.realizer import (competition_number, dag_oracle,
-                              max_predators_with, primary_predator_index,
-                              realizable_with)
+from compnum.realizer import (competition_number, max_predators_with,
+                              primary_predator_index, realizable_with)
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import sweep
 

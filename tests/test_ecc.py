@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from conftest import naive_min_cover, naive_theta_e
 
 from compnum.ecc import (expand_to_maximal, make_cover, min_edge_clique_cover,
-                         naive_theta_e, theta_e)
+                         theta_e)
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
 from compnum.smallgraphs import enumerate_small_graphs
@@ -43,6 +44,7 @@ def test_theta_matches_naive_enumeration_exhaustively():
     for n in range(1, 7):
         for g in enumerate_small_graphs(n):
             assert theta_e(g) == naive_theta_e(g)
+            assert min_edge_clique_cover(g).cliques == naive_min_cover(g)
 
 
 def test_cover_is_deterministic_and_lex_least():

@@ -16,7 +16,8 @@ from compnum.cli import main
 from compnum.ecc import cover_solver, min_edge_clique_cover
 from compnum.graph import Graph, add_isolated
 from compnum.io import serialize_graph6
-from compnum.realizer import _Search, competition_number
+from compnum.realizer import (_Search, competition_number, max_predators_with,
+                              realizable_with)
 
 
 def rg(n: int, p: float, seed: int) -> Graph:
@@ -58,6 +59,18 @@ PINNED = {
 }
 
 
+# seed: k, the most predators with k + 1 isolates, and sha256 of the JSON
+# witness arcs of max_predators_with and realizable_with at k + 1.
+PINNED_ABOVE_K = {
+    1: (3, 3, "9e22bdedce76f0bac9c28c126f8312761c399a9e6c0e85cd80e4686ffa16ec38",
+        "5a4e2c901f5986e9f081f6196f3fbbd92f0827e671bc8f993dda3a6ae23959e1"),
+    2: (3, 4, "414d95fe20443d07d01c668ab4c3f397804e5d5bc1bfddaaae1090212c8ca410",
+        "70fc86becbb87aa255aa86d26d52346dd3daadde7bfccecec19f20922b97cb88"),
+    3: (7, 3, "cde54be96b29ec3e8f82f690eed76f5c229d85ab94001c1592112815620edbe9",
+        "66cd221367000efdc5146d8f57118e30016d3e770a66c19fa5b2da665c9ba02e"),
+}
+
+
 def pindex_stdout(graph: Graph, tmp_path, capsys) -> str:
     path = tmp_path / "g.g6"
     path.write_text(serialize_graph6(graph) + "\n")
@@ -84,6 +97,18 @@ def test_min_edge_clique_cover_is_pinned(n, seed):
     expected = tuple(tuple(int(c, 16) for c in word)
                      for word in PINNED[n, seed][2].split())
     assert cover.cliques == expected
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ABOVE_K))
+def test_witnesses_above_the_competition_number_are_pinned(seed):
+    graph = rg(12, .5, seed)
+    k, predators, max_hash, feasible_hash = PINNED_ABOVE_K[seed]
+    assert competition_number(graph)[0] == k
+    p, witness = max_predators_with(graph, k + 1)
+    assert p == predators
+    assert sha256(json.dumps(witness.witness_arcs())) == max_hash
+    witness = realizable_with(graph, k + 1)
+    assert sha256(json.dumps(witness.witness_arcs())) == feasible_hash
 
 
 def test_graph_isolates_outnumbering_the_ascent_answer(tmp_path, capsys):

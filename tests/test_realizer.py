@@ -1,12 +1,12 @@
 import pytest
-from conftest import raw_dag_oracle
+from conftest import dag_oracle, raw_dag_oracle
 
 from compnum.ecc import theta_e
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph, add_isolated, competition_graph
-from compnum.realizer import (competition_number, dag_oracle,
-                              max_predators_with, min_prey_count,
-                              primary_predator_index, realizable_with)
+from compnum.realizer import (competition_number, max_predators_with,
+                              min_prey_count, primary_predator_index,
+                              realizable_with)
 from compnum.smallgraphs import enumerate_small_graphs
 
 K2 = Graph.from_edges(2, [(0, 1)])

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -8,7 +10,7 @@ from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_graph)
 from compnum.io import serialize_edge_list, serialize_graph6
 from compnum.smallgraphs import enumerate_small_graphs
-from compnum.sweep import sweep, sweep_small
+from compnum.sweep import ENV_THREADS, _worker_count, sweep, sweep_small
 
 
 @pytest.fixture
@@ -41,6 +43,44 @@ def test_sweep_serial_equals_parallel():
     parallel = sweep(graphs, threads=2)
     assert serial.records == parallel.records
     assert serial.summary == parallel.summary
+
+
+def test_worker_count_is_clamped_to_jobs_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    assert _worker_count(5000, 100) == 4
+    assert _worker_count(5000, 3) == 3
+    assert _worker_count(None, 100) == 4
+    assert _worker_count(0, 100) == 1
+    assert _worker_count(2, 0) == 1
+    monkeypatch.setenv(ENV_THREADS, "5000")
+    assert _worker_count(None, 100) == 4
+    assert _worker_count(None, 2) == 2
+
+
+def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
+    # a stand-in pool records its size and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    graphs = list(enumerate_small_graphs(3))
+    report = sweep(graphs, threads=5000)
+    assert sizes == [len(graphs)]
+    assert report.records == sweep(graphs, threads=1).records
 
 
 def test_sweep_small_n4_clean():
