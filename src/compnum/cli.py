@@ -180,27 +180,15 @@ def _cmd_cover(args) -> int:
     return 0
 
 
-def _knumber_payload(graph: Graph) -> dict:
-    k, _ = competition_number(graph)
-    p, witness = primary_predator_index(graph)
-    return realization_json_dict(k, p, witness.prey_count, witness)
-
-
 def _cmd_knumber(args) -> int:
     graph = _load_graph(args.infile, args.format)
-    payload = _knumber_payload(graph)
+    k, _ = competition_number(graph)
+    p, witness = primary_predator_index(graph)
+    payload = realization_json_dict(k, p, witness.prey_count, witness)
     if not args.witness:
         payload.pop("witness_arcs")
-    _emit(payload, args.json, f"k = {payload['k']}")
-    return 0
-
-
-def _cmd_pindex(args) -> int:
-    graph = _load_graph(args.infile, args.format)
-    payload = _knumber_payload(graph)
-    if not args.witness:
-        payload.pop("witness_arcs")
-    _emit(payload, args.json, f"p = {payload['p']}")
+    key = "k" if args.command == "knumber" else "p"
+    _emit(payload, args.json, f"{key} = {payload[key]}")
     return 0
 
 
@@ -325,7 +313,7 @@ _HANDLERS = {
     "compete": _cmd_compete,
     "theta": _cmd_theta,
     "knumber": _cmd_knumber,
-    "pindex": _cmd_pindex,
+    "pindex": _cmd_knumber,
     "cover": _cmd_cover,
     "realize": _cmd_realize,
     "chordal-build": _cmd_chordal_build,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graph import Graph, bits, mask_of
 
@@ -81,33 +81,31 @@ def maximal_cliques_in(graph: Graph, subset_mask: int) -> tuple[int, ...]:
 def is_diamond_free(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Whether the graph has no induced diamond (K4 minus an edge).
 
-    Returns (True, None) or (False, witness) where the witness is the first
-    induced-diamond quadruple in ascending scan order.  For graphs beyond
-    direct-scan size the maximal-clique shared-edge characterization is used
-    instead; the two tests agree everywhere both run.
+    Returns (True, None) or (False, witness) where the witness is the
+    lexicographically least induced diamond, as ascending vertices.  Any
+    three vertices of a diamond span at least two of its edges, so only
+    such triples a < b < c are scanned, in ascending order, and the least
+    d > c completing one is read off the rows: adjacent to all three when
+    the triple spans two edges, to exactly two of them when it spans three.
     """
-    if graph.n <= 32:
-        for quad in combinations(range(graph.n), 4):
-            edges = sum(1 for u, v in combinations(quad, 2) if graph.has_edge(u, v))
-            if edges == 5:
-                return False, quad
-        return True, None
-    return _diamond_free_by_cliques(graph)
-
-
-def _diamond_free_by_cliques(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    cliques = maximal_clique_masks(graph)
-    for ci, cj in combinations(cliques, 2):
-        shared = ci & cj
-        if shared.bit_count() < 2:
-            continue
-        u, v = list(bits(shared))[:2]
-        # maximality of both cliques guarantees a nonadjacent cross pair
-        for x in bits(ci & ~cj):
-            nonadj = cj & ~ci & ~graph.rows[x]
-            if nonadj:
-                y = next(bits(nonadj))
-                return False, tuple(sorted((u, v, x, y)))
+    rows = graph.rows
+    for a in range(graph.n):
+        ra = rows[a]
+        reach = ra
+        for u in bits(ra):
+            reach |= rows[u]
+        for b in bits(reach & (-1 << (a + 1))):
+            rb = rows[b]
+            ab = (ra >> b) & 1
+            for c in bits((ra | rb if ab else ra & rb) & (-1 << (b + 1))):
+                rc = rows[c]
+                if ab and ((ra & rb) >> c) & 1:
+                    fourth = (ra & rb & ~rc) | (ra & rc & ~rb) | (rb & rc & ~ra)
+                else:
+                    fourth = ra & rb & rc
+                fourth &= -1 << (c + 1)
+                if fourth:
+                    return False, (a, b, c, (fourth & -fourth).bit_length() - 1)
     return True, None
 
 
@@ -189,7 +187,6 @@ def _mcs_order(graph: Graph) -> list[int]:
 def verify_elimination_ordering(graph: Graph, order) -> bool:
     """Check the defining property: each vertex's later neighbours form a
     clique."""
-    position = {v: i for i, v in enumerate(order)}
     if sorted(order) != list(range(graph.n)):
         return False
     later = 0
@@ -204,50 +201,63 @@ def verify_elimination_ordering(graph: Graph, order) -> bool:
 
 
 def chordality(graph: Graph) -> EliminationOrdering | Hole:
-    """A verified perfect elimination ordering, or a hole witness.
+    """A verified perfect elimination ordering, or a verified hole witness.
 
     The ordering is produced by maximum cardinality search with smallest
     index on ties and then checked directly; on failure an induced cycle of
-    length >= 4 is extracted and returned as the result.
+    length >= 4 is extracted, checked, and returned as the result.
     """
     order = _mcs_order(graph)
     if verify_elimination_ordering(graph, order):
         return EliminationOrdering(tuple(order))
     hole = _find_hole(graph, order)
-    if hole is None:
+    if hole is None or not is_induced_cycle(graph, hole.vertices):
         raise RuntimeError("elimination ordering failed but no hole found")
     return hole
 
 
 def _find_hole(graph: Graph, order) -> Hole | None:
-    # locate the first position whose later neighbourhood is not a clique,
-    # then close a chordless path between the offending pair through the
-    # allowed region; fall back to a subset scan if that ever misses
+    """An induced cycle of length >= 4, or None when the graph is chordal.
+
+    Each vertex v with nonadjacent neighbours u, w is a candidate: a
+    shortest u-w path avoiding v and the rest of v's neighbourhood is
+    chordless, none of its inner vertices sees v, and so v closes it into a
+    hole.  In any hole C, C - v is such a path between v's two cycle
+    neighbours, so trying every candidate finds a hole whenever one exists.
+    The candidate on which ``order`` fails to be a perfect elimination
+    ordering is tried first, then all candidates in ascending order.
+    """
     later = 0
-    fail = None
+    first = []
     for i in range(graph.n - 1, -1, -1):
         v = order[i]
         group = graph.rows[v] & later
         for u in bits(group):
             gap = group & ~(1 << u) & ~graph.rows[u]
             if gap:
-                fail = (v, u, next(bits(gap)))
+                first = [(v, u, next(bits(gap)))]
         later |= 1 << v
-    if fail is not None:
-        v, u, w = fail
+    for v, u, w in chain(first, _hole_candidates(graph)):
         allowed = graph.vertex_mask & ~(graph.rows[v] & ~(1 << u) & ~(1 << w))
         allowed &= ~(1 << v)
         path = _shortest_path(graph, u, w, allowed)
-        if path is not None and len(path) >= 3:
+        if path is not None:
             cycle = [v] + path
             k = cycle.index(min(cycle))
             cycle = cycle[k:] + cycle[:k]
             if cycle[1] > cycle[-1]:
                 cycle = [cycle[0]] + cycle[:0:-1]
-            cand = Hole(tuple(cycle))
-            if is_induced_cycle(graph, cand.vertices):
-                return cand
-    return _hole_by_scan(graph)
+            return Hole(tuple(cycle))
+    return None
+
+
+def _hole_candidates(graph: Graph):
+    """Every (v, u, w) with u < w nonadjacent neighbours of v, ascending."""
+    for v in range(graph.n):
+        nb = graph.rows[v]
+        for u in bits(nb):
+            for w in bits(nb & ~graph.rows[u] & (-1 << (u + 1))):
+                yield v, u, w
 
 
 def _shortest_path(graph: Graph, src: int, dst: int, allowed: int):
@@ -283,38 +293,3 @@ def is_induced_cycle(graph: Graph, cycle) -> bool:
             if adjacent != consecutive:
                 return False
     return True
-
-
-def _hole_by_scan(graph: Graph) -> Hole | None:
-    if graph.n > 20:
-        raise NotImplementedError("hole scan limited to 20 vertices")
-    for size in range(4, graph.n + 1):
-        for sub in combinations(range(graph.n), size):
-            cyc = _as_cycle(graph, sub)
-            if cyc is not None:
-                return Hole(cyc)
-    return None
-
-
-def _as_cycle(graph: Graph, sub) -> tuple[int, ...] | None:
-    smask = mask_of(sub)
-    if any((graph.rows[v] & smask).bit_count() != 2 for v in sub):
-        return None
-    start = sub[0]
-    walk = [start]
-    prev = -1
-    while True:
-        nbrs = [u for u in bits(graph.rows[walk[-1]] & smask) if u != prev]
-        prev = walk[-1]
-        walk.append(nbrs[0])
-        if walk[-1] == start:
-            break
-    cycle = walk[:-1]
-    if len(cycle) != len(sub):
-        return None
-    # canonical rotation: smallest vertex first, smaller neighbour second
-    k = cycle.index(min(cycle))
-    cycle = cycle[k:] + cycle[:k]
-    if cycle[1] > cycle[-1]:
-        cycle = [cycle[0]] + cycle[:0:-1]
-    return tuple(cycle)

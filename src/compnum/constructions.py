@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cliques import (EliminationOrdering, chordality, every_vertex_on_occupied_edge,
                       maximal_clique_masks, occupied_edges, simplicial_vertices)
-from .ecc import CliqueCover, min_edge_clique_cover, theta_e
+from .ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
 from .graph import (Digraph, Graph, add_isolated, bits, competition_graph,
                     mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
@@ -319,19 +319,11 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
     cliques_ok = all(c and graph.is_clique(c) and len(set(c)) == len(c)
                      for c in cover.cliques)
     record("cliques are cliques", cliques_ok)
-    covered = set()
-    if cliques_ok:
-        for c in cover.cliques:
-            for i, u in enumerate(c):
-                for v in c[i + 1:]:
-                    covered.add((min(u, v), max(u, v)))
-    covers_all = cliques_ok and covered == set(graph.edges())
-    record("covers all edges", covers_all)
-    minimum = covers_all and cover.theta == theta_e(graph)
-    record("cover minimum", minimum)
-    maximal_set = set(maximal_clique_masks(graph))
-    all_max = cliques_ok and all(mask_of(c) in maximal_set for c in cover.cliques)
-    record("all cliques maximal", all_max)
+    made = (make_cover(graph, cover.cliques) if cliques_ok
+            else CliqueCover((), False, False, False))
+    record("covers all edges", made.covers_all_edges)
+    record("cover minimum", made.is_minimum)
+    record("all cliques maximal", made.all_maximal)
 
     k, _ = competition_number(graph)
     iso_ok = digraph.n == graph.n + k

@@ -38,6 +38,18 @@ def has_directed_cycle(digraph: Digraph) -> bool:
     return any(color[v] == 0 and visit(v) for v in range(digraph.n))
 
 
+def find_diamond_by_scan(graph: Graph):
+    """First induced diamond in ascending quadruple order.
+
+    Returns (True, None) or (False, quad), like ``is_diamond_free``.
+    """
+    for quad in combinations(range(graph.n), 4):
+        edges = sum(1 for u, v in combinations(quad, 2) if graph.has_edge(u, v))
+        if edges == 5:
+            return False, quad
+    return True, None
+
+
 def find_hole_by_scan(graph: Graph):
     """Exhaustive induced-cycle search; None when the graph is chordal."""
     for size in range(4, graph.n + 1):

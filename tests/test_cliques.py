@@ -2,9 +2,9 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import find_hole_by_scan, random_graph
+from conftest import find_diamond_by_scan, find_hole_by_scan, random_graph
 
-from compnum.cliques import (EliminationOrdering, Hole, chordality,
+from compnum.cliques import (EliminationOrdering, Hole, _find_hole, chordality,
                              every_clique_has_occupied_edge,
                              every_vertex_on_occupied_edge, is_diamond_free,
                              is_induced_cycle, maximal_cliques,
@@ -60,19 +60,20 @@ def test_diamond_free_matches_shared_edge_rule_exhaustively():
                 assert edges == 5
 
 
-def test_diamond_clique_fallback_agrees_with_scan():
-    # the large-graph fallback must agree with the direct scan wherever
-    # both run, and its witnesses must be genuine induced diamonds
-    from compnum.cliques import _diamond_free_by_cliques
+def test_diamond_witness_is_least_induced_diamond():
+    # the witness is the first quadruple an ascending scan finds, at every n
     for n in range(1, 7):
         for g in enumerate_small_graphs(n):
-            flag, _ = is_diamond_free(g)
-            fallback_flag, witness = _diamond_free_by_cliques(g)
-            assert flag == fallback_flag
-            if not fallback_flag:
-                edges = sum(1 for a, b in combinations(witness, 2)
-                            if g.has_edge(a, b))
-                assert len(witness) == 4 and edges == 5
+            assert is_diamond_free(g) == find_diamond_by_scan(g)
+    rng = random.Random(5)
+    for n in (12, 20, 33, 40):
+        for _ in range(3):
+            g = random_graph(rng, n)
+            assert is_diamond_free(g) == find_diamond_by_scan(g)
+        for p in (0.05, 0.1):
+            g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                     if rng.random() < p])
+            assert is_diamond_free(g) == find_diamond_by_scan(g)
 
 
 def test_occupied_edges():
@@ -152,6 +153,17 @@ def test_chordality_random_larger_graphs():
             assert find_hole_by_scan(g) is None
         else:
             assert is_induced_cycle(g, res.vertices)
+
+
+def test_find_hole_beyond_twenty_vertices():
+    # the ordering's failing pair (0; 1, 2) sits in a chordal K4 minus an
+    # edge, so the hole must come from the search over all candidates
+    edges = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3),
+             (4, 5), (5, 6), (6, 7), (4, 7)]
+    g = Graph.from_edges(25, edges)
+    assert _find_hole(g, list(range(25))) == Hole((4, 5, 6, 7))
+    assert chordality(g) == Hole((4, 5, 6, 7))
+    assert _find_hole(Graph.from_edges(25, edges[:5]), list(range(25))) is None
 
 
 def test_simplicial_vertices():

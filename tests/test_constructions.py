@@ -194,6 +194,28 @@ def test_verify_effective_cover_non_minimum():
     padded = make_cover(g, cover.cliques + ((6, 7),))
     cert = verify_effective_cover(g, padded, d)
     assert not cert.valid and cert.failure == "cover not minimum"
+    assert _failed(cert) == [
+        "cover minimum", "prey count equals cover size", "sinks assigned"]
+
+
+def test_verify_effective_cover_non_clique():
+    g = effective_cover_example_graph()
+    d = effective_cover_example_digraph()
+    cover = effective_cover_example_cover()
+    bad = CliqueCover(cover.cliques + ((0, 2),), False, False, False)
+    cert = verify_effective_cover(g, bad, d)
+    assert not cert.valid and cert.failure == "cover contains a non-clique"
+    assert cert.to_json_dict()["checks"] == {
+        "cliques are cliques": False,
+        "covers all edges": False,
+        "cover minimum": False,
+        "all cliques maximal": False,
+        "isolate count equals competition number": True,
+        "competition graph matches": True,
+        "prey count equals cover size": False,
+        "sinks assigned": False,
+    }
+    assert cert.sink_map is None and cert.realization is None
 
 
 def test_verify_effective_cover_missing_arc():
@@ -221,8 +243,17 @@ def test_verify_effective_cover_clique_mutations():
     shrunk = CliqueCover(cover.cliques[:-1], False, True, False)
     cert = verify_effective_cover(g, shrunk, d)
     assert not cert.valid and cert.failure == "cover does not cover all edges"
+    assert _failed(cert) == [
+        "covers all edges", "cover minimum", "prey count equals cover size"]
     swapped = CliqueCover(cover.cliques[:-1] + ((1, 3),), False, True, False)
-    assert not verify_effective_cover(g, swapped, d).valid
+    cert = verify_effective_cover(g, swapped, d)
+    assert not cert.valid
+    assert _failed(cert) == [
+        "covers all edges", "cover minimum", "all cliques maximal"]
+
+
+def _failed(cert) -> list[str]:
+    return [name for name, ok in cert.checks if not ok]
 
 
 # ------------------------------------------------------------------- hall

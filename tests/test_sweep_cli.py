@@ -116,6 +116,10 @@ def test_cli_theta_knumber_pindex(capsys, fixture_files):
     code, out = run_cli(capsys, "pindex", "--in", str(fixture_files["edges"]),
                         "--json")
     assert code == 0 and json.loads(out)["p"] == 4
+    code, out = run_cli(capsys, "knumber", "--in", str(fixture_files["edges"]))
+    assert code == 0 and out == "k = 1\n"
+    code, out = run_cli(capsys, "pindex", "--in", str(fixture_files["edges"]))
+    assert code == 0 and out == "p = 4\n"
 
 
 def test_cli_cover_and_realize(capsys, fixture_files):
