@@ -168,7 +168,7 @@ def bounds_report(graph: Graph) -> BoundsReport:
         cover = min_edge_clique_cover(graph)
         union_tail = tuple((i, union_tail_bound(cover, i))
                            for i in range(1, theta + 1))
-        union_best = best_union_tail(cover)
+        union_best = max(union_tail, key=lambda item: item[1])
     census = faces = formula_k = consistent = None
     try:
         census = clique_census(graph)

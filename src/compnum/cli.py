@@ -22,8 +22,7 @@ from .graph import Digraph, Graph, competition_graph
 from .io import (FormatError, parse_edge_list, parse_graph6,
                  parse_graph6_lines, serialize_edge_list, serialize_graph6)
 from .realizer import (certify_realization, competition_number,
-                       max_predators_with, primary_predator_index,
-                       realization_json_dict)
+                       max_predators_with, primary_predator_index)
 from .smallgraphs import enumerate_small_graphs
 from .sweep import ALL_CHECKS, sweep
 
@@ -44,11 +43,9 @@ def _load_graph(path: str, fmt: str) -> Graph:
     if fmt == "g6":
         return parse_graph6(text)
     value = parse_edge_list(text)
-    if fmt == "edges":
-        if not isinstance(value, Graph):
-            raise CliError("expected an undirected edge list, found arcs")
-        return value
-    raise CliError("this subcommand needs an undirected graph")
+    if not isinstance(value, Graph):
+        raise CliError("expected an undirected edge list, found arcs")
+    return value
 
 
 def _load_digraph(path: str, fmt: str) -> Digraph:
@@ -182,11 +179,10 @@ def _cmd_cover(args) -> int:
 
 def _cmd_knumber(args) -> int:
     graph = _load_graph(args.infile, args.format)
-    k, _ = competition_number(graph)
     p, witness = primary_predator_index(graph)
-    payload = realization_json_dict(k, p, witness.prey_count, witness)
-    if not args.witness:
-        payload.pop("witness_arcs")
+    payload = {"k": witness.k, "p": p, "prey": witness.prey_count}
+    if args.witness:
+        payload["witness_arcs"] = witness.witness_arcs()
     key = "k" if args.command == "knumber" else "p"
     _emit(payload, args.json, f"{key} = {payload[key]}")
     return 0

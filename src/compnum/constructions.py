@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .cliques import (EliminationOrdering, chordality, every_vertex_on_occupied_edge,
                       maximal_clique_masks, occupied_edges, simplicial_vertices)
 from .ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
-from .graph import (Digraph, Graph, add_isolated, bits, competition_graph,
-                    mask_of)
+from .graph import (AcyclicLabeling, Digraph, Graph, acyclic_labeling,
+                    add_isolated, bits, competition_graph, mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
                        competition_number)
 
@@ -143,11 +143,11 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
         arcs.extend((v, sink) for v in clique)
 
     digraph = Digraph.from_arcs(n + 1, arcs)
-    realization = certify_realization(graph, digraph, 1, sink_map)
     cert = verify_effective_cover(graph, cover, digraph)
-    if not cert.valid:
-        raise RealizationError(f"chordal construction failed: {cert.failure}")
-    return realization, cover
+    if not cert.valid or cert.sink_map != tuple(sink_map):
+        raise RealizationError("chordal construction failed: "
+                               f"{cert.failure or 'sink map differs'}")
+    return cert.realization, cover
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +279,12 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
 
     digraph = Digraph.from_arcs(graph.n + k, arcs)
     sink_map = tuple((i, host_of[i]) for i in range(theta))
-    realization = certify_realization(graph, digraph, k, sink_map)
     cert = verify_effective_cover(graph, cover, digraph)
-    if not cert.valid:
+    if not cert.valid or cert.sink_map != sink_map:
         raise RealizationError(
             f"simplicial-family construction failed verification: "
-            f"{cert.failure}")
-    return realization
+            f"{cert.failure or 'sink map differs'}")
+    return cert.realization
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +298,7 @@ _FAILURES = {
     "all cliques maximal": "cover contains a non-maximal clique",
     "isolate count equals competition number": "isolate count differs from k",
     "competition graph matches": "competition graph mismatch",
+    "digraph is acyclic": "digraph contains a cycle",
     "prey count equals cover size": "prey count differs from cover size",
     "sinks assigned": "no distinct sink assignment covers the cliques",
 }
@@ -330,6 +330,8 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
     record("isolate count equals competition number", iso_ok)
     comp_ok = iso_ok and competition_graph(digraph) == add_isolated(graph, k)
     record("competition graph matches", comp_ok)
+    record("digraph is acyclic",
+           isinstance(acyclic_labeling(digraph), AcyclicLabeling))
 
     prey = [v for v in range(digraph.n) if digraph.in_rows[v]]
     prey_ok = len(prey) == cover.theta
@@ -367,6 +369,8 @@ def hall_certificate(graph: Graph, cover: CliqueCover,
     k = digraph.n - graph.n
     if k < 0 or competition_graph(digraph) != add_isolated(graph, k):
         raise ValueError("digraph does not realize the graph plus isolates")
+    if not isinstance(acyclic_labeling(digraph), AcyclicLabeling):
+        raise ValueError("digraph contains a cycle")
     sets = []
     for c in cover.cliques:
         mask = mask_of(c)

@@ -135,15 +135,6 @@ def min_edge_clique_cover(graph: Graph) -> CliqueCover:
     return CliqueCover(cliques, True, True, True)
 
 
-def min_cover_of_edges(graph: Graph, edge_mask: int) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least minimum cover of an arbitrary edge subset
-    by maximal cliques.  The mask is over the edge numbering of
-    ``cover_solver(graph)`` (its ``edges`` list), as built by its
-    ``edge_mask_of`` and ``full_mask``, not over ``graph.edges()``."""
-    solver = cover_solver(graph)
-    return tuple(solver.clique_tuple(i) for i in solver.lex_min_cover(edge_mask))
-
-
 def make_cover(graph: Graph, cliques) -> CliqueCover:
     """Wrap explicit cliques in a CliqueCover, computing its certificates."""
     cliques = tuple(tuple(sorted(c)) for c in cliques)

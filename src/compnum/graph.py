@@ -119,9 +119,6 @@ class Graph:
             seen |= frontier
         return seen == self.vertex_mask
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -167,17 +164,8 @@ class Digraph:
             rows[u] |= 1 << v
         return tuple(rows)
 
-    def in_degree(self, v: int) -> int:
-        return self.in_rows[v].bit_count()
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.in_rows[v]))
-
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.out_rows[v]))
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
 
 @dataclass(frozen=True)
@@ -189,9 +177,6 @@ class AcyclicLabeling:
     def __post_init__(self):
         if sorted(self.labels) != list(range(1, len(self.labels) + 1)):
             raise ValueError("labels must be a bijection onto 1..n")
-
-    def of(self, v: int) -> int:
-        return self.labels[v]
 
     def validates(self, digraph: Digraph) -> bool:
         return all(self.labels[u] > self.labels[v] for u, v in digraph.arcs)

@@ -19,9 +19,15 @@ only and finishes each branch with an exact set-cover of the leftover
 edges, one clique per isolate.  States are memoized on (placed-vertex
 bitmask, covered-edge bitmask).  Hosting a clique that is maximal within
 the placed prefix dominates hosting any sub-clique, so only those are
-branched on.  Everything is verified after the fact: every witness is
-re-checked against the competition-graph definition and given an acyclic
-labeling before it is returned.
+branched on.
+
+Every witness comes out of one path, ``_realize(graph, k, cost)``: it
+walks the isolate-free core with the graph's own isolates added to the
+budget of k, builds the plan's digraph, maps it back onto the graph, and
+certifies it: re-checks it against the competition-graph definition and
+gives it an acyclic labeling.  Each core's search keeps every walk's
+result keyed by (isolate budget, cost), so the ascent's last step, the
+witness built from it and later queries on the core itself share a walk.
 
 The number of prey (vertices of nonzero in-degree) of an optimal witness is
 the minimum possible, and the predator count n + k minus prey is the
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cliques import maximal_cliques_in
-from .ecc import cover_solver, min_cover_of_edges, theta_e
+from .ecc import cover_solver, theta_e
 from .graph import (AcyclicLabeling, Digraph, Graph, add_isolated,
                     acyclic_labeling, bits, competition_graph)
 
@@ -92,6 +98,7 @@ class _Search:
         self.solver = cover_solver(graph)
         self.full_edges = self.solver.full_mask
         self._options: dict[int, tuple] = {}
+        self._walks: dict[tuple[int, int], tuple | None] = {}
 
     def _clique_options(self, placed: int):
         """Cliques maximal within the placed prefix, largest first."""
@@ -106,23 +113,27 @@ class _Search:
             self._options[placed] = cached
         return cached
 
-    def feasible(self, k: int):
-        """Decision: a placement plan realizing G plus k isolates, or None."""
-        found = self._walk(k, 0, k)
-        return None if found is None else found[1]
+    def feasible(self, k: int) -> bool:
+        """Decision: is G plus k isolates realizable?  One step of the
+        competition-number ascent."""
+        return self.best(k, 0) is not None
 
-    def minimize(self, k: int):
-        """Minimum total clique count (= prey count) over all realizations
-        with k isolates, with a witness plan; None if infeasible."""
-        return self._walk(k, 1, self.solver.size(self.full_edges))
+    def best(self, budget: int, cost: int):
+        """``_walk(budget, cost)``, walked once per (budget, cost)."""
+        key = (budget, cost)
+        if key not in self._walks:
+            self._walks[key] = self._walk(budget, cost)
+        return self._walks[key]
 
-    def _walk(self, k: int, cost: int, goal: int):
+    def _walk(self, k: int, cost: int):
         """Depth-first search over placement plans whose leftover edges k
         isolates can cover.  A plan's total is ``cost`` per hosted clique
         plus the size of the leftover cover; returns the least (total,
         plan) seen, stopping at the first total <= goal, or None when no
-        plan exists.  With cost 0 every plan totals at most k, so the
-        first plan found ends the walk."""
+        plan exists.  With cost 0 the goal is k, which every plan meets,
+        so the first plan found ends the walk; with cost 1 the total is
+        the prey count and the goal is theta_e, below which none falls."""
+        goal = self.solver.size(self.full_edges) if cost else k
         best: list = [None, None]
         visited: dict[tuple[int, int], int] = {}
 
@@ -172,11 +183,11 @@ class _Search:
         for w, members in placements:
             if members is not None:
                 arcs.extend((v, w) for v in members)
-        leftover = min_cover_of_edges(self.graph, rem)
+        leftover = self.solver.lex_min_cover(rem)
         if len(leftover) > budget:
             raise RealizationError("isolate budget exceeded by plan")
-        for j, clique in enumerate(leftover):
-            arcs.extend((v, self.n + j) for v in clique)
+        for j, idx in enumerate(leftover):
+            arcs.extend((v, self.n + j) for v in self.solver.clique_tuple(idx))
         return Digraph.from_arcs(self.n + budget, arcs)
 
 
@@ -185,29 +196,31 @@ def _search(graph: Graph) -> _Search:
     return _Search(graph)
 
 
-def _expand_plan(graph: Graph, keep, k: int, search: _Search,
-                 plan) -> Realization:
-    """Build a core-level plan's digraph and map it onto the graph: the
-    core's vertices are ``keep``, then come the graph's own isolates and
-    k added ones."""
-    digraph = search.build(k + graph.n - len(keep), plan)
-    mapping = keep + graph.isolated_vertices() + tuple(range(graph.n, graph.n + k))
+def _realize(graph: Graph, k: int, cost: int) -> tuple[int, Realization] | None:
+    """The walk's total and the certified witness for the graph plus k
+    isolates, or None when there is none.  The walk runs on the core with
+    the graph's own isolates added to the budget; the built digraph's
+    vertices are the core's, then those isolates, then the k added ones."""
+    if k < 0:
+        raise ValueError("isolate count must be nonnegative")
+    core, keep = graph.without_isolates()
+    search = _search(core)
+    isolates = graph.isolated_vertices()
+    budget = k + len(isolates)
+    found = search.best(budget, cost)
+    if found is None:
+        return None
+    total, plan = found
+    digraph = search.build(budget, plan)
+    mapping = keep + isolates + tuple(range(graph.n, graph.n + k))
     arcs = [(mapping[u], mapping[v]) for u, v in digraph.arcs]
-    return certify_realization(graph, Digraph.from_arcs(graph.n + k, arcs), k)
+    return total, certify_realization(graph, Digraph.from_arcs(graph.n + k, arcs), k)
 
 
 def realizable_with(graph: Graph, k: int) -> Realization | None:
     """A verified realization of the graph plus k isolates, or None."""
-    if k < 0:
-        raise ValueError("isolate count must be nonnegative")
-    core, keep = graph.without_isolates()
-    if core.edge_count == 0:
-        return certify_realization(graph, Digraph.from_arcs(graph.n + k, ()), k)
-    search = _search(core)
-    plan = search.feasible(k + graph.n - core.n)
-    if plan is None:
-        return None
-    return _expand_plan(graph, keep, k, search, plan)
+    found = _realize(graph, k, 0)
+    return None if found is None else found[1]
 
 
 @lru_cache(maxsize=None)
@@ -220,42 +233,28 @@ def competition_number(graph: Graph) -> tuple[int, Realization]:
     minimal vertex of any acyclic labeling sends no arcs, so a competition
     graph of an acyclic digraph always has an isolated vertex.
     """
-    core, keep = graph.without_isolates()
-    if core.edge_count == 0:
-        witness = certify_realization(graph, Digraph.from_arcs(graph.n, ()), 0)
-        return 0, witness
+    core, _ = graph.without_isolates()
     theta = theta_e(core)
-    lower = max(0, theta - core.n + 2, 1)
     search = _search(core)
-    for k0 in range(lower, theta + 1):
-        plan = search.feasible(k0)
-        if plan is not None:
+    k0 = 0  # an edgeless core needs no isolate; its ascent range is empty
+    for k0 in range(max(0, theta - core.n + 2, 1), theta + 1):
+        if search.feasible(k0):
             break
     else:
-        raise RuntimeError("no realization found up to the cover-size bound")
-    isolates = graph.n - core.n
-    k = max(0, k0 - isolates)
-    if k + isolates != k0:
-        plan = search.feasible(k + isolates)
-    return k, _expand_plan(graph, keep, k, search, plan)
+        if theta:
+            raise RuntimeError("no realization found up to the cover-size bound")
+    k = max(0, k0 - (graph.n - core.n))
+    return k, realizable_with(graph, k)
 
 
 def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     """Maximum number of in-degree-0 vertices over realizations with a
     given isolate count k (not necessarily the competition number), with a
     witness attaining it.  Returns None when no realization exists."""
-    if k < 0:
-        raise ValueError("isolate count must be nonnegative")
-    core, keep = graph.without_isolates()
-    if core.edge_count == 0:
-        witness = certify_realization(graph, Digraph.from_arcs(graph.n + k, ()), k)
-        return graph.n + k, witness
-    search = _search(core)
-    result = search.minimize(k + graph.n - core.n)
-    if result is None:
+    found = _realize(graph, k, 1)
+    if found is None:
         return None
-    m_star, plan = result
-    witness = _expand_plan(graph, keep, k, search, plan)
+    m_star, witness = found
     assert witness.prey_count == m_star
     return graph.n + k - m_star, witness
 
@@ -275,13 +274,3 @@ def min_prey_count(graph: Graph) -> int:
     the competition number; always at least theta_e."""
     p, witness = primary_predator_index(graph)
     return witness.prey_count
-
-
-def realization_json_dict(k: int, p: int, prey: int,
-                          realization: Realization) -> dict:
-    return {
-        "k": k,
-        "p": p,
-        "prey": prey,
-        "witness_arcs": realization.witness_arcs(),
-    }

@@ -111,6 +111,15 @@ def test_bounds_report_worked_example():
     assert payload["union_tail_variant"] == "subset-min variant"
 
 
+def test_bounds_report_union_tail_best_matches_best_union_tail():
+    for n in range(2, 7):
+        for g in enumerate_small_graphs(n):
+            if g.edge_count == 0:
+                continue
+            best = best_union_tail(min_edge_clique_cover(g))
+            assert bounds_report(g).union_tail_best == best
+
+
 def test_bounds_report_planar_case():
     report = bounds_report(C4)
     assert report.census == (4, 0, 0)

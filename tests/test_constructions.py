@@ -212,6 +212,7 @@ def test_verify_effective_cover_non_clique():
         "all cliques maximal": False,
         "isolate count equals competition number": True,
         "competition graph matches": True,
+        "digraph is acyclic": True,
         "prey count equals cover size": False,
         "sinks assigned": False,
     }
@@ -252,6 +253,21 @@ def test_verify_effective_cover_clique_mutations():
         "covers all edges", "cover minimum", "all cliques maximal"]
 
 
+# 2K2 plus one isolate is the competition graph of this digraph, but the
+# digraph has the cycle 2 -> 3 -> 2.
+TWO_K2 = Graph.from_edges(4, [(0, 3), (1, 2)])
+CYCLIC = Digraph.from_arcs(5, [(0, 2), (1, 3), (2, 3), (3, 2)])
+
+
+def test_verify_effective_cover_rejects_a_cycle():
+    assert competition_graph(CYCLIC) == add_isolated(TWO_K2, 1)
+    cover = make_cover(TWO_K2, [(0, 3), (1, 2)])
+    cert = verify_effective_cover(TWO_K2, cover, CYCLIC)
+    assert not cert.valid and cert.failure == "digraph contains a cycle"
+    assert _failed(cert) == ["digraph is acyclic"]
+    assert cert.sink_map is None and cert.realization is None
+
+
 def _failed(cert) -> list[str]:
     return [name for name, ok in cert.checks if not ok]
 
@@ -287,6 +303,12 @@ def test_hall_certificate_rejects_bad_inputs():
     cover = min_edge_clique_cover(C4)
     with pytest.raises(ValueError):
         hall_certificate(C4, cover, Digraph.from_arcs(6, ()))
+
+
+def test_hall_certificate_rejects_a_cycle():
+    cover = make_cover(TWO_K2, [(0, 3), (1, 2)])
+    with pytest.raises(ValueError, match="digraph contains a cycle"):
+        hall_certificate(TWO_K2, cover, CYCLIC)
 
 
 def test_hall_certificate_never_fails_exhaustively():

@@ -16,7 +16,8 @@ from compnum.cli import main
 from compnum.ecc import cover_solver, min_edge_clique_cover
 from compnum.graph import Graph, add_isolated
 from compnum.io import serialize_graph6
-from compnum.realizer import (_Search, competition_number, max_predators_with,
+from compnum.realizer import (_Search, _search, competition_number,
+                              max_predators_with, primary_predator_index,
                               realizable_with)
 
 
@@ -149,3 +150,38 @@ def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     assert k == 5
     assert calls == [4, 5]
     assert len(cover_solver(graph)._size_memo) < 200_000
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_edgeless_witnesses_are_pinned(n):
+    graph = Graph(n, (0,) * n)
+    k, witness = competition_number(graph)
+    assert (k, witness.digraph.n, witness.witness_arcs()) == (0, n, [])
+    for k in range(3):
+        witness = realizable_with(graph, k)
+        assert (witness.k, witness.digraph.n, witness.witness_arcs()) == (k, n + k, [])
+        assert (witness.prey_count, witness.predator_count) == (0, n + k)
+        predators, witness = max_predators_with(graph, k)
+        assert predators == n + k
+        assert (witness.k, witness.digraph.n, witness.witness_arcs()) == (k, n + k, [])
+
+
+def test_core_queries_reuse_the_walks_made_for_the_graph(monkeypatch):
+    # The sweep asks for k and p of a graph and then of its isolate-free
+    # core; the core's walks are the graph's, shifted by its isolates.
+    for cached in (_search, competition_number, primary_predator_index):
+        cached.cache_clear()
+    graph = add_isolated(rg(12, .5, 1), 1)
+    primary_predator_index(graph)
+    calls = []
+    walk = _Search._walk
+
+    def counting(self, *args):
+        calls.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(_Search, "_walk", counting)
+    core, _ = graph.without_isolates()
+    competition_number(core)
+    primary_predator_index(core)
+    assert calls == []

@@ -174,6 +174,35 @@ def test_cli_verify_effective_invalid_exits_nonzero(capsys, fixture_files, tmp_p
     assert code == 1 and not json.loads(out)["valid"]
 
 
+@pytest.fixture
+def cyclic_files(tmp_path):
+    # 2K2 with the cover of its two edges and a digraph whose competition
+    # graph is 2K2 plus one isolate but which has the cycle 2 -> 3 -> 2.
+    paths = {"graph": tmp_path / "g.edges", "cover": tmp_path / "cover.json",
+             "digraph": tmp_path / "d.arcs"}
+    paths["graph"].write_text("4 2\n0 3\n1 2\n")
+    paths["cover"].write_text(json.dumps({"cliques": [[0, 3], [1, 2]]}))
+    paths["digraph"].write_text("5 4\n0 > 2\n3 > 2\n1 > 3\n2 > 3\n")
+    return paths
+
+
+def test_cli_verify_effective_rejects_a_cycle(capsys, cyclic_files):
+    code, out = run_cli(capsys, "verify-effective",
+                        "--graph", str(cyclic_files["graph"]),
+                        "--cover", str(cyclic_files["cover"]),
+                        "--digraph", str(cyclic_files["digraph"]))
+    assert code == 1 and out == "invalid: digraph contains a cycle\n"
+
+
+def test_cli_hall_cert_rejects_a_cycle(capsys, cyclic_files):
+    code = main(["hall-cert", "--graph", str(cyclic_files["graph"]),
+                 "--cover", str(cyclic_files["cover"]),
+                 "--digraph", str(cyclic_files["digraph"])])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_hall_and_bounds(capsys, fixture_files):
     code, out = run_cli(capsys, "hall-cert",
                         "--graph", str(fixture_files["edges"]),
