@@ -68,14 +68,15 @@ def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
     return [tuple(bits(m)) for m in maximal_clique_masks(graph)]
 
 
-def maximal_cliques_in(graph: Graph, subset_mask: int) -> tuple[int, ...]:
-    """Maximal cliques of the subgraph induced by ``subset_mask``,
-    excluding singletons."""
-    rows = tuple(graph.rows[v] & subset_mask if (subset_mask >> v) & 1 else 0
-                 for v in range(graph.n))
+def maximal_cliques_through(graph: Graph, w: int, subset_mask: int) -> tuple[int, ...]:
+    """Maximal cliques of the subgraph induced by ``subset_mask`` and w
+    that contain w, excluding the singleton {w}; in no particular order."""
+    p = subset_mask & graph.rows[w]
+    if not p:
+        return ()
     out: list[int] = []
-    _bron_kerbosch(rows, 0, subset_mask, 0, out)
-    return tuple(sorted((m for m in out if m.bit_count() >= 2), key=_mask_key))
+    _bron_kerbosch(graph.rows, 1 << w, p, 0, out)
+    return tuple(out)
 
 
 def is_diamond_free(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
@@ -166,21 +167,27 @@ def _mcs_order(graph: Graph) -> list[int]:
 
     MCS numbers vertices n down to 1 by repeatedly taking a vertex with the
     most already-numbered neighbours (ties broken by smallest index); the
-    elimination order is that numbering read from position 1 up.
+    elimination order is that numbering read from position 1 up.  The
+    unnumbered vertices are kept in one bitmask per weight.
     """
     n = graph.n
     weight = [0] * n
-    numbered = 0
+    buckets = [0] * (n + 1)
+    unnumbered = buckets[0] = graph.vertex_mask
+    top = 0
     order = [0] * n
     for pos in range(n - 1, -1, -1):
-        pick, best = -1, -1
-        for v in range(n):
-            if not (numbered >> v) & 1 and weight[v] > best:
-                pick, best = v, weight[v]
-        order[pos] = pick
-        numbered |= 1 << pick
-        for u in bits(graph.rows[pick] & ~numbered):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        order[pos] = pick = low.bit_length() - 1
+        buckets[top] ^= low
+        unnumbered ^= low
+        for u in bits(graph.rows[pick] & unnumbered):
+            buckets[weight[u]] ^= 1 << u
             weight[u] += 1
+            buckets[weight[u]] |= 1 << u
+        top += 1  # the most any weight can have grown
     return order
 
 
@@ -282,14 +289,12 @@ def _shortest_path(graph: Graph, src: int, dst: int, allowed: int):
 
 
 def is_induced_cycle(graph: Graph, cycle) -> bool:
+    """Whether the distinct vertices, at least four, form a cycle in the
+    given order with no chord: each one's neighbours among them are
+    exactly the two beside it."""
     m = len(cycle)
     if m < 4 or len(set(cycle)) != m:
         return False
-    for i, u in enumerate(cycle):
-        for j in range(i + 1, m):
-            v = cycle[j]
-            adjacent = graph.has_edge(u, v)
-            consecutive = (j - i == 1) or (i == 0 and j == m - 1)
-            if adjacent != consecutive:
-                return False
-    return True
+    mask = mask_of(cycle)
+    return all(graph.rows[v] & mask == (1 << cycle[i - 1]) | (1 << cycle[(i + 1) % m])
+               for i, v in enumerate(cycle))

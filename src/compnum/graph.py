@@ -195,22 +195,27 @@ def acyclic_labeling(digraph: Digraph) -> AcyclicLabeling | DirectedCycle:
 
     Labels are assigned 1, 2, ... by repeatedly taking the smallest-index
     remaining vertex with no out-arc into the remaining set, so the result
-    is deterministic.  A cycle is a result, not an error.
+    is deterministic.  Those vertices wait in the bitmask ``ready``, which
+    a vertex enters when its last remaining out-neighbour is labeled.  A
+    cycle is a result, not an error.
     """
     n = digraph.n
     remaining = (1 << n) - 1
-    out = list(digraph.out_rows)
+    out_degree = [row.bit_count() for row in digraph.out_rows]
+    ready = mask_of(v for v in range(n) if out_degree[v] == 0)
     labels = [0] * n
     for next_label in range(1, n + 1):
-        pick = -1
-        for v in bits(remaining):
-            if out[v] & remaining == 0:
-                pick = v
-                break
-        if pick < 0:
+        if not ready:
             return _extract_cycle(digraph, remaining)
+        low = ready & -ready
+        pick = low.bit_length() - 1
         labels[pick] = next_label
-        remaining &= ~(1 << pick)
+        remaining ^= low
+        ready ^= low
+        for u in bits(digraph.in_rows[pick]):
+            out_degree[u] -= 1
+            if out_degree[u] == 0:
+                ready |= 1 << u
     return AcyclicLabeling(tuple(labels))
 
 

@@ -21,6 +21,15 @@ bitmask, covered-edge bitmask).  Hosting a clique that is maximal within
 the placed prefix dominates hosting any sub-clique, so only those are
 branched on.
 
+The walk prunes at the parent.  Below a child, the k isolates and the
+n - |placed| - 1 vertices still unplaced can host one clique each, so a
+child whose leftover edges need more cliques than that is never entered.
+Each option's leftover cover size is computed once per node, at its
+first use, and serves the option under every next vertex.  A prefix's
+options come from its parent's: adding w keeps every clique that w does
+not see whole and adds the maximal cliques through w, so no prefix is
+enumerated from scratch.
+
 Every witness comes out of one path, ``_realize(graph, k, cost)``: it
 walks the isolate-free core with the graph's own isolates added to the
 budget of k, builds the plan's digraph, maps it back onto the graph, and
@@ -39,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cliques import maximal_cliques_in
+from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
 from .graph import (AcyclicLabeling, Digraph, Graph, add_isolated,
                     acyclic_labeling, bits, competition_graph)
@@ -97,18 +106,25 @@ class _Search:
         self.all_mask = graph.vertex_mask
         self.solver = cover_solver(graph)
         self.full_edges = self.solver.full_mask
-        self._options: dict[int, tuple] = {}
+        self._options: dict[int, tuple] = {0: ()}
         self._walks: dict[tuple[int, int], tuple | None] = {}
 
-    def _clique_options(self, placed: int):
-        """Cliques maximal within the placed prefix, largest first."""
+    def _clique_options(self, placed: int, w: int):
+        """Cliques maximal within the prefix ``placed``, largest first, as
+        (-size, members, vertex mask, edge mask).  They are derived from
+        the options of the prefix without ``w``, which must be cached:
+        each of those stays maximal unless w sees all of it, and the new
+        ones are the maximal cliques through w."""
         cached = self._options.get(placed)
         if cached is None:
-            opts = []
-            for cm in maximal_cliques_in(self.graph, placed):
+            nb = self.graph.rows[w]
+            opts = [opt for opt in self._options[placed & ~(1 << w)]
+                    if opt[2] & ~nb]
+            for cm in maximal_cliques_through(self.graph, w, placed):
                 members = tuple(bits(cm))
-                opts.append((members, self.solver.edge_mask_of(members)))
-            opts.sort(key=lambda t: (-t[1].bit_count(), t[0]))
+                opts.append((-len(members), members, cm,
+                             self.solver.edge_mask_of(members)))
+            opts.sort()
             cached = tuple(opts)
             self._options[placed] = cached
         return cached
@@ -133,13 +149,15 @@ class _Search:
         plan exists.  With cost 0 the goal is k, which every plan meets,
         so the first plan found ends the walk; with cost 1 the total is
         the prey count and the goal is theta_e, below which none falls."""
-        goal = self.solver.size(self.full_edges) if cost else k
+        size = self.solver.size
+        c = size(self.full_edges)
+        goal = c if cost else k
         best: list = [None, None]
         visited: dict[tuple[int, int], int] = {}
 
-        def rec(placed, covered, used, trail):
+        def rec(placed, covered, c, used, trail):
+            # c is the leftover's cover size, which the caller computed
             rem = self.full_edges & ~covered
-            c = self.solver.size(rem)
             if c <= k:
                 total = used + c
                 if best[0] is None or total < best[0]:
@@ -149,8 +167,6 @@ class _Search:
                         raise _Found
             if placed == self.all_mask:
                 return
-            if c > k + self.n - placed.bit_count():
-                return
             if best[0] is not None and used + c >= best[0]:
                 return
             state = (placed, covered)
@@ -158,23 +174,44 @@ class _Search:
             if seen is not None and seen <= used:
                 return
             visited[state] = used
-            options = self._clique_options(placed)
+            options = (self._clique_options(placed, trail[-1][0]) if trail
+                       else ())
+            # a child whose leftover needs more than room cliques can
+            # neither record a plan (room >= k) nor be finished by the
+            # isolates and the vertices left after it, so it is not entered
+            room = k + self.n - placed.bit_count() - 1
+            fits: list = []
+            children = self._fitting(options, rem, room, fits)
             for w in bits(self.all_mask & ~placed):
                 wbit = 1 << w
-                for members, em in options:
-                    if em & ~covered:
-                        trail.append((w, members))
-                        rec(placed | wbit, covered | em, used + cost, trail)
-                        trail.pop()
-                trail.append((w, None))
-                rec(placed | wbit, covered, used, trail)
-                trail.pop()
+                for members, em, left in children:
+                    trail.append((w, members))
+                    rec(placed | wbit, covered | em, left, used + cost, trail)
+                    trail.pop()
+                children = fits
+                if c <= room:
+                    trail.append((w, None))
+                    rec(placed | wbit, covered, c, used, trail)
+                    trail.pop()
 
         try:
-            rec(0, 0, 0, [])
+            if c <= k + self.n:
+                rec(0, 0, c, 0, [])
         except _Found:
             pass
         return None if best[0] is None else tuple(best)
+
+    def _fitting(self, options, rem: int, room: int, fits: list):
+        """The options that cover some of the uncovered edges ``rem`` and
+        leave at most ``room`` cliques' worth, as (members, edge mask,
+        leftover cover size).  Each is tested when the walk reaches it and
+        is also appended to ``fits``, which later vertices replay."""
+        for _, members, _, em in options:
+            if em & rem:
+                left = self.solver.size(rem & ~em)
+                if left <= room:
+                    fits.append((members, em, left))
+                    yield members, em, left
 
     def build(self, budget: int, plan) -> Digraph:
         """Turn a placement plan into a digraph on n + budget vertices."""

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from compnum.graph import Digraph, Graph, add_isolated, bits
+from compnum.graph import (AcyclicLabeling, Digraph, DirectedCycle, Graph,
+                           add_isolated, bits)
 
 
 def brute_competition_graph(digraph: Digraph) -> Graph:
@@ -36,6 +37,48 @@ def has_directed_cycle(digraph: Digraph) -> bool:
         return False
 
     return any(color[v] == 0 and visit(v) for v in range(digraph.n))
+
+
+def acyclic_labeling_by_scan(digraph: Digraph):
+    """Labels 1, 2, ... by scanning for the smallest-index remaining vertex
+    with no out-arc into the remaining set; at a stall, the cycle found by
+    walking smallest remaining out-neighbours from the smallest remaining
+    vertex, rotated to start at its smallest vertex."""
+    n = digraph.n
+    out = [set(digraph.out_neighbors(v)) for v in range(n)]
+    remaining = set(range(n))
+    labels = [0] * n
+    for label in range(1, n + 1):
+        pick = next((v for v in sorted(remaining) if not out[v] & remaining),
+                    None)
+        if pick is None:
+            path = [min(remaining)]
+            while True:
+                v = min(out[path[-1]] & remaining)
+                if v in path:
+                    cycle = path[path.index(v):]
+                    k = cycle.index(min(cycle))
+                    return DirectedCycle(tuple(cycle[k:] + cycle[:k]))
+                path.append(v)
+        labels[pick] = label
+        remaining.discard(pick)
+    return AcyclicLabeling(tuple(labels))
+
+
+def mcs_order_by_scan(graph: Graph) -> list[int]:
+    """Maximum cardinality search by a full scan per step: number vertices
+    n down to 1, each time the smallest-index unnumbered vertex with the
+    most numbered neighbours; the elimination order reads positions 1..n."""
+    weight = [0] * graph.n
+    unnumbered = set(range(graph.n))
+    order = [0] * graph.n
+    for pos in range(graph.n - 1, -1, -1):
+        pick = min(unnumbered, key=lambda v: (-weight[v], v))
+        order[pos] = pick
+        unnumbered.discard(pick)
+        for u in graph.neighbors(pick):
+            weight[u] += 1
+    return order
 
 
 def find_diamond_by_scan(graph: Graph):

@@ -1,14 +1,16 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
-from conftest import find_diamond_by_scan, find_hole_by_scan, random_graph
+from conftest import (find_diamond_by_scan, find_hole_by_scan, mcs_order_by_scan,
+                      random_graph)
 
-from compnum.cliques import (EliminationOrdering, Hole, _find_hole, chordality,
-                             every_clique_has_occupied_edge,
+from compnum.cliques import (EliminationOrdering, Hole, _find_hole, _mcs_order,
+                             chordality, every_clique_has_occupied_edge,
                              every_vertex_on_occupied_edge, is_diamond_free,
                              is_induced_cycle, maximal_cliques,
-                             occupied_edges, simplicial_vertices,
+                             maximal_cliques_through, occupied_edges,
+                             simplicial_vertices,
                              verify_elimination_ordering)
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
@@ -34,6 +36,25 @@ def test_maximal_cliques_worked_example():
 def test_maximal_cliques_isolated_vertex_is_singleton():
     g = Graph.from_edges(3, [(0, 1)])
     assert maximal_cliques(g) == [(0, 1), (2,)]
+
+
+def test_maximal_cliques_through_a_vertex():
+    rng = random.Random(3)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 8))
+        w = rng.randrange(g.n)
+        subset = [v for v in range(g.n) if v != w and rng.random() < 0.7]
+        induced = sorted(subset + [w])
+        index = {v: i for i, v in enumerate(induced)}
+        sub = Graph.from_edges(len(induced), [(index[u], index[v])
+                                              for u, v in g.edges()
+                                              if u in index and v in index])
+        expected = sorted(tuple(induced[i] for i in c)
+                          for c in maximal_cliques(sub)
+                          if index[w] in c and len(c) >= 2)
+        found = maximal_cliques_through(g, w, sum(1 << v for v in subset))
+        assert sorted(tuple(v for v in range(g.n) if (m >> v) & 1)
+                      for m in found) == expected
 
 
 def test_diamond_free():
@@ -153,6 +174,29 @@ def test_chordality_random_larger_graphs():
             assert find_hole_by_scan(g) is None
         else:
             assert is_induced_cycle(g, res.vertices)
+
+
+def test_mcs_order_matches_the_scan():
+    for n in range(1, 7):
+        for g in enumerate_small_graphs(n):
+            assert _mcs_order(g) == mcs_order_by_scan(g)
+    rng = random.Random(12)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(7, 30))
+        assert _mcs_order(g) == mcs_order_by_scan(g)
+
+
+def test_induced_cycle_matches_the_pair_scan():
+    def by_pairs(g, cycle):
+        m = len(cycle)
+        return m >= 4 and len(set(cycle)) == m and all(
+            g.has_edge(cycle[i], cycle[j]) == (j - i == 1 or (i, j) == (0, m - 1))
+            for i, j in combinations(range(m), 2))
+
+    for g in enumerate_small_graphs(5):
+        for m in range(3, 6):
+            for cycle in permutations(range(5), m):
+                assert is_induced_cycle(g, cycle) == by_pairs(g, cycle)
 
 
 def test_find_hole_beyond_twenty_vertices():

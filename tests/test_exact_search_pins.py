@@ -1,9 +1,10 @@
 """Pinned outputs and work counts of the exact search.
 
-The pins were computed before the cover solver's edge numbering and the
-competition-number ascent were reworked; both changes must leave every
-answer and every witness byte-identical.  The work counts are
-deterministic, so they gate the search's cost without timing anything.
+The pins were computed before the cover solver's edge numbering, the
+competition-number ascent and the placement search's pruning were
+reworked; each change must leave every answer and every witness
+byte-identical.  The work counts are deterministic, so they gate the
+search's cost without timing anything.
 """
 
 import hashlib
@@ -12,8 +13,10 @@ import random
 
 import pytest
 
+from compnum import cliques
 from compnum.cli import main
-from compnum.ecc import cover_solver, min_edge_clique_cover
+from compnum.cliques import maximal_clique_masks
+from compnum.ecc import _CoverSolver, cover_solver, min_edge_clique_cover
 from compnum.graph import Graph, add_isolated
 from compnum.io import serialize_graph6
 from compnum.realizer import (_Search, _search, competition_number,
@@ -26,6 +29,44 @@ def rg(n: int, p: float, seed: int) -> Graph:
     rnd = random.Random(seed)
     return Graph.from_edges(n, [(u, v) for u in range(n)
                                 for v in range(u + 1, n) if rnd.random() < p])
+
+
+def prufer_tree(n: int, seed: int) -> Graph:
+    """The labelled tree whose Pruefer sequence is drawn with
+    random.Random(seed), as the benchmark builds it."""
+    rnd = random.Random(seed)
+    seq = [rnd.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(w for w in range(n) if degree[w] == 1))
+    return Graph.from_edges(n, edges)
+
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1)
+             for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c)
+              for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def sha256(text: str) -> str:
@@ -72,6 +113,24 @@ PINNED_ABOVE_K = {
 }
 
 
+# sha256 of `pindex --json --witness` stdout on the benchmark's sparse
+# graphs, where the placement search, not the cover solver, does the work.
+PINNED_SPARSE = {
+    "P400": (path(400),
+             "68a2bd1fb64f97440e7185182637d75644b2679fde99a12d2d07ba20ea5f4a77"),
+    "C400": (cycle(400),
+             "fc91bf52c0f6a7aeb92b2d4bc802f96da11518e4eb666703a4efc556b92f3fc1"),
+    "L100": (grid(2, 100),
+             "c46c3ad58e0e594d597142762884260c3fc459eaa6dc751a1eccf6f3354353b0"),
+    "K1_200": (star(200),
+               "c9a35edc7df9fcdfc53b67984a1d3ba85309ee99e19cdb17277168078b5eff62"),
+    "grid8x8": (grid(8, 8),
+                "345335cdb2e4f5fc77e4d4cbec8de4000a45eb8781a0e28f1c631d207ec2501b"),
+    "tree-60-0": (prufer_tree(60, 0),
+                  "7b8a5b28d374269483ddcacbb95c616e98f76758897962314ae5fbc145cadb8f"),
+}
+
+
 def pindex_stdout(graph: Graph, tmp_path, capsys) -> str:
     path = tmp_path / "g.g6"
     path.write_text(serialize_graph6(graph) + "\n")
@@ -84,6 +143,12 @@ def pindex_stdout(graph: Graph, tmp_path, capsys) -> str:
 def test_pindex_stdout_is_pinned(n, seed, tmp_path, capsys):
     stdout = pindex_stdout(rg(n, .5, seed), tmp_path, capsys)
     assert sha256(stdout) == PINNED[n, seed][0]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPARSE))
+def test_sparse_pindex_stdout_is_pinned(name, tmp_path, capsys):
+    graph, expected = PINNED_SPARSE[name]
+    assert sha256(pindex_stdout(graph, tmp_path, capsys)) == expected
 
 
 @pytest.mark.parametrize("n,seed", sorted(PINNED))
@@ -185,3 +250,42 @@ def test_core_queries_reuse_the_walks_made_for_the_graph(monkeypatch):
     competition_number(core)
     primary_predator_index(core)
     assert calls == []
+
+
+def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
+    """Calls of the cover solver's size and of Bron-Kerbosch made by
+    primary_predator_index on the graph, from empty caches."""
+    for cached in (_search, competition_number, primary_predator_index,
+                   cover_solver, maximal_clique_masks):
+        cached.cache_clear()
+    calls = {"size": 0, "bron_kerbosch": 0}
+    size, bron_kerbosch = _CoverSolver.size, cliques._bron_kerbosch
+
+    def counting_size(self, uncovered):
+        calls["size"] += 1
+        return size(self, uncovered)
+
+    def counting_bron_kerbosch(*args):
+        calls["bron_kerbosch"] += 1
+        return bron_kerbosch(*args)
+
+    monkeypatch.setattr(_CoverSolver, "size", counting_size)
+    monkeypatch.setattr(cliques, "_bron_kerbosch", counting_bron_kerbosch)
+    primary_predator_index(graph)
+    monkeypatch.undo()
+    return calls
+
+
+def test_placement_search_work_counts(monkeypatch):
+    # Children whose leftover cannot fit are skipped at the parent, and
+    # each prefix's clique options come from its parent's.  Before that,
+    # the tree took 67,399 size and 27,220 Bron-Kerbosch calls, P400
+    # 159,604 Bron-Kerbosch calls, and the dense graph's cover memo held
+    # 132,642 entries.
+    tree = pindex_work(prufer_tree(60, 0), monkeypatch)
+    assert tree["size"] < 5_000
+    assert tree["bron_kerbosch"] < 1_500
+    assert pindex_work(path(400), monkeypatch)["bron_kerbosch"] < 2_000
+    dense = rg(16, .5, 53)
+    pindex_work(dense, monkeypatch)
+    assert len(cover_solver(dense)._size_memo) <= 132_642

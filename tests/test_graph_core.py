@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from conftest import brute_competition_graph, has_directed_cycle, random_digraph, random_graph
+from conftest import (acyclic_labeling_by_scan, brute_competition_graph,
+                      has_directed_cycle, random_digraph, random_graph)
 
 from compnum.fixtures import effective_cover_example_digraph, effective_cover_example_graph
 from compnum.graph import (AcyclicLabeling, Digraph, DirectedCycle, Graph,
@@ -92,6 +93,27 @@ def test_acyclic_labeling_agrees_with_cycle_search():
         else:
             assert isinstance(res, AcyclicLabeling)
             assert res.validates(d)
+
+
+def test_acyclic_labeling_matches_the_scan():
+    # Arcs go down a shuffled order, so ready vertices tie; a cycle, when
+    # the extra arc closes one, is found after a prefix is labeled.
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        p = rng.choice((0.05, 0.15, 0.4))
+        arcs = [(u, v) for u in range(n) for v in range(n)
+                if rank[u] > rank[v] and rng.random() < p]
+        if n >= 2 and rng.random() < 0.5:
+            # one arc up the order, which may close a cycle
+            arcs.append(tuple(sorted(rng.sample(range(n), 2), key=rank.__getitem__)))
+        d = Digraph.from_arcs(n, set(arcs))
+        assert acyclic_labeling(d) == acyclic_labeling_by_scan(d)
+    for _ in range(300):
+        d = random_digraph(rng, rng.randint(1, 12), p=rng.choice((0.1, 0.3)))
+        assert acyclic_labeling(d) == acyclic_labeling_by_scan(d)
 
 
 def test_add_isolated():

@@ -1,10 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
-from conftest import dag_oracle, raw_dag_oracle
+from conftest import dag_oracle, random_graph, raw_dag_oracle
 
 from compnum.ecc import theta_e
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph, add_isolated, competition_graph
-from compnum.realizer import (competition_number, max_predators_with,
+from compnum.realizer import (_Search, competition_number, max_predators_with,
                               min_prey_count, primary_predator_index,
                               realizable_with)
 from compnum.smallgraphs import enumerate_small_graphs
@@ -13,6 +16,27 @@ K2 = Graph.from_edges(2, [(0, 1)])
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def test_clique_options_are_the_prefix_maximal_cliques():
+    # Each prefix's options are derived from its parent's; they must be
+    # the maximal cliques of the prefix, as a subset scan lists them.
+    rng = random.Random(4)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 8))
+        search = _Search(g)
+        prefix = []
+        for w in rng.sample(range(g.n), g.n):
+            prefix.append(w)
+            cliques = [c for size in range(2, len(prefix) + 1)
+                       for c in combinations(sorted(prefix), size)
+                       if g.is_clique(c)]
+            maximal = [c for c in cliques
+                       if not any(set(c) < set(d) for d in cliques)]
+            placed = sum(1 << v for v in prefix)
+            options = search._clique_options(placed, w)
+            assert [members for _, members, _, _ in options] == sorted(
+                maximal, key=lambda c: (-len(c), c))
 
 
 def test_realizable_with_k2():
