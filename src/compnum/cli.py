@@ -21,7 +21,7 @@ from .ecc import make_cover, min_edge_clique_cover, theta_e
 from .graph import Digraph, Graph, competition_graph
 from .io import (FormatError, parse_edge_list, parse_graph6,
                  parse_graph6_lines, serialize_edge_list, serialize_graph6)
-from .realizer import (certify_realization, competition_number,
+from .realizer import (RealizationError, certify_realization, competition_number,
                        max_predators_with, primary_predator_index)
 from .smallgraphs import enumerate_small_graphs
 from .sweep import ALL_CHECKS, sweep
@@ -232,7 +232,10 @@ def _cmd_rebuild_star(args) -> int:
     graph = _load_graph(args.infile, args.format)
     if args.digraph:
         digraph = _load_digraph(args.digraph, "arcs")
-        base = certify_realization(graph, digraph, digraph.n - graph.n)
+        try:
+            base = certify_realization(graph, digraph, digraph.n - graph.n)
+        except RealizationError as exc:
+            raise CliError(str(exc)) from None
     else:
         _, base = competition_number(graph)
     rebuilt = rebuild_star(graph, base)

@@ -10,6 +10,7 @@ trust, not the recognizer.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -110,25 +111,31 @@ def is_diamond_free(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return True, None
 
 
+def edge_clique_counts(graph: Graph) -> Counter:
+    """For each edge (u, v), u < v, the number of maximal cliques that
+    contain it.  The one clique containing an edge of count 1 occupies it."""
+    return Counter(pair for c in maximal_clique_masks(graph)
+                   for pair in combinations(bits(c), 2))
+
+
+def occupied_pairs(counts: Counter, members) -> list[tuple[int, int]]:
+    """The pairs of ascending ``members`` whose clique count is 1."""
+    return [pair for pair in combinations(members, 2) if counts[pair] == 1]
+
+
 def occupied_edges(graph: Graph, clique) -> list[tuple[int, int]]:
     """Edges inside the maximal clique that no other maximal clique covers."""
     members = tuple(sorted(clique))
-    mask = mask_of(members)
-    if mask not in maximal_clique_masks(graph):
+    if mask_of(members) not in maximal_clique_masks(graph):
         raise ValueError(f"{members} is not a maximal clique")
-    others = [c for c in maximal_clique_masks(graph) if c != mask]
-    out = []
-    for u, v in combinations(members, 2):
-        pair = (1 << u) | (1 << v)
-        if not any(c & pair == pair for c in others):
-            out.append((u, v))
-    return out
+    return occupied_pairs(edge_clique_counts(graph), members)
 
 
 def every_clique_has_occupied_edge(graph: Graph) -> bool:
     """Each maximal clique (of size >= 2) covers at least one edge that no
     other maximal clique covers."""
-    return all(occupied_edges(graph, tuple(bits(c)))
+    counts = edge_clique_counts(graph)
+    return all(occupied_pairs(counts, tuple(bits(c)))
                for c in maximal_clique_masks(graph) if c.bit_count() >= 2)
 
 
@@ -136,18 +143,12 @@ def every_vertex_on_occupied_edge(graph: Graph) -> tuple[bool, tuple | None]:
     """Stronger condition: in each maximal clique, every vertex is an
     endpoint of an edge occupied by that clique.  Returns (ok, witness)
     where the witness names the offending (clique, vertex) pair."""
+    counts = edge_clique_counts(graph)
     for c in maximal_clique_masks(graph):
-        if c.bit_count() < 2:
-            continue
         members = tuple(bits(c))
-        occ = occupied_edges(graph, members)
-        covered = set()
-        for u, v in occ:
-            covered.add(u)
-            covered.add(v)
-        for v in members:
-            if v not in covered:
-                return False, (members, v)
+        bare = c & ~mask_of(chain.from_iterable(occupied_pairs(counts, members)))
+        if c.bit_count() >= 2 and bare:
+            return False, (members, next(bits(bare)))
     return True, None
 
 
@@ -191,20 +192,25 @@ def _mcs_order(graph: Graph) -> list[int]:
     return order
 
 
+def _elimination_gaps(graph: Graph, order):
+    """Every way ``order`` fails to be a perfect elimination ordering, from
+    its last vertex back: (v, u, w) for each later neighbour u of v that
+    misses another later neighbour of v, the least of which is w."""
+    later = 0
+    for v in reversed(order):
+        group = graph.rows[v] & later
+        for u in bits(group):
+            gap = group & ~(1 << u) & ~graph.rows[u]
+            if gap:
+                yield v, u, (gap & -gap).bit_length() - 1
+        later |= 1 << v
+
+
 def verify_elimination_ordering(graph: Graph, order) -> bool:
     """Check the defining property: each vertex's later neighbours form a
     clique."""
-    if sorted(order) != list(range(graph.n)):
-        return False
-    later = 0
-    for i in range(graph.n - 1, -1, -1):
-        v = order[i]
-        group = graph.rows[v] & later
-        for u in bits(group):
-            if group & ~(1 << u) & ~graph.rows[u]:
-                return False
-        later |= 1 << v
-    return True
+    return (sorted(order) == list(range(graph.n))
+            and next(_elimination_gaps(graph, order), None) is None)
 
 
 def chordality(graph: Graph) -> EliminationOrdering | Hole:
@@ -231,20 +237,11 @@ def _find_hole(graph: Graph, order) -> Hole | None:
     chordless, none of its inner vertices sees v, and so v closes it into a
     hole.  In any hole C, C - v is such a path between v's two cycle
     neighbours, so trying every candidate finds a hole whenever one exists.
-    The candidate on which ``order`` fails to be a perfect elimination
+    The last candidate on which ``order`` fails to be a perfect elimination
     ordering is tried first, then all candidates in ascending order.
     """
-    later = 0
-    first = []
-    for i in range(graph.n - 1, -1, -1):
-        v = order[i]
-        group = graph.rows[v] & later
-        for u in bits(group):
-            gap = group & ~(1 << u) & ~graph.rows[u]
-            if gap:
-                first = [(v, u, next(bits(gap)))]
-        later |= 1 << v
-    for v, u, w in chain(first, _hole_candidates(graph)):
+    last_gap = deque(_elimination_gaps(graph, order), maxlen=1)
+    for v, u, w in chain(last_gap, _hole_candidates(graph)):
         allowed = graph.vertex_mask & ~(graph.rows[v] & ~(1 << u) & ~(1 << w))
         allowed &= ~(1 << v)
         path = _shortest_path(graph, u, w, allowed)

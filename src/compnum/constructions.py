@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliques import (EliminationOrdering, chordality, every_vertex_on_occupied_edge,
-                      maximal_clique_masks, occupied_edges, simplicial_vertices)
+from .cliques import (EliminationOrdering, chordality, edge_clique_counts,
+                      every_vertex_on_occupied_edge, maximal_clique_masks,
+                      occupied_pairs, simplicial_vertices)
 from .ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
 from .graph import (AcyclicLabeling, Digraph, Graph, acyclic_labeling,
-                    add_isolated, bits, competition_graph, mask_of)
+                    add_isolated, bits, clique_union, competition_graph, mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
                        competition_number)
 
@@ -179,11 +180,12 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
             "occupied-edge hypothesis")
     labels = realization.labeling.labels
     digraph = realization.digraph
+    counts = edge_clique_counts(graph)
     arcs = []
     sink_map = []
     for idx, clique in enumerate(cliques):
         candidates = set()
-        for u, v in occupied_edges(graph, clique):
+        for u, v in occupied_pairs(counts, clique):
             candidates.update(bits(digraph.out_rows[u] & digraph.out_rows[v]))
         if not candidates:
             raise RealizationError(
@@ -239,12 +241,7 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
             f"family must have theta_e - k + 1 = {theta - k + 1} members, "
             f"got {len(family)}")
 
-    rows = [0] * graph.n
-    for i in family:
-        mask = mask_of(cover.cliques[i])
-        for a in cover.cliques[i]:
-            rows[a] |= mask & ~(1 << a)
-    edge_graph = Graph(graph.n, tuple(rows))
+    edge_graph = clique_union(graph.n, (mask_of(cover.cliques[i]) for i in family))
     simplicial = {v for v in simplicial_vertices(edge_graph) if edge_graph.rows[v]}
     if len(simplicial) < theta - k:
         raise ValueError(
@@ -330,8 +327,8 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
     record("isolate count equals competition number", iso_ok)
     comp_ok = iso_ok and competition_graph(digraph) == add_isolated(graph, k)
     record("competition graph matches", comp_ok)
-    record("digraph is acyclic",
-           isinstance(acyclic_labeling(digraph), AcyclicLabeling))
+    labeling = acyclic_labeling(digraph)
+    record("digraph is acyclic", isinstance(labeling, AcyclicLabeling))
 
     prey = [v for v in range(digraph.n) if digraph.in_rows[v]]
     prey_ok = len(prey) == cover.theta
@@ -352,8 +349,10 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
             failure = _FAILURES[name]
             break
     if valid:
+        # these checks imply certify_realization's, as prey = theta_e
         sink_map = tuple((i, w) for i, w in enumerate(match))
-        realization = certify_realization(graph, digraph, k, sink_map)
+        realization = Realization(digraph, k, labeling, len(prey),
+                                  digraph.n - len(prey), sink_map)
     return EffectiveCoverCertificate(cover, digraph, tuple(checks), valid,
                                      failure, sink_map, realization)
 
@@ -366,11 +365,10 @@ def hall_certificate(graph: Graph, cover: CliqueCover,
     genuine realization, so a missing matching aborts loudly."""
     if not (cover.covers_all_edges and cover.all_maximal and cover.is_minimum):
         raise ValueError("cover must be a minimum cover of maximal cliques")
-    k = digraph.n - graph.n
-    if k < 0 or competition_graph(digraph) != add_isolated(graph, k):
-        raise ValueError("digraph does not realize the graph plus isolates")
-    if not isinstance(acyclic_labeling(digraph), AcyclicLabeling):
-        raise ValueError("digraph contains a cycle")
+    try:
+        certify_realization(graph, digraph, digraph.n - graph.n)
+    except RealizationError as exc:
+        raise ValueError(str(exc)) from None
     sets = []
     for c in cover.cliques:
         mask = mask_of(c)

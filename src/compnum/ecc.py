@@ -14,13 +14,11 @@ them) is returned, so fixtures are stable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .cliques import maximal_clique_masks
-from .graph import Graph, bits, mask_of
+from .cliques import edge_clique_counts, maximal_clique_masks
+from .graph import Graph, bits, clique_union, mask_of
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,7 @@ class _CoverSolver:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.clique_masks = [c for c in maximal_clique_masks(graph) if c.bit_count() >= 2]
-        hits = Counter(pair for c in self.clique_masks
-                       for pair in combinations(bits(c), 2))
+        hits = edge_clique_counts(graph)
         self.edges = sorted(graph.edges(), key=lambda e: (hits[e], e))
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.full_mask = (1 << len(self.edges)) - 1
@@ -143,12 +140,7 @@ def make_cover(graph: Graph, cliques) -> CliqueCover:
             raise ValueError("empty clique in cover")
         if len(set(c)) != len(c) or not graph.is_clique(c):
             raise ValueError(f"{c} is not a clique")
-    covered = set()
-    for c in cliques:
-        for i, u in enumerate(c):
-            for v in c[i + 1:]:
-                covered.add((u, v))
-    covers_all = covered == set(graph.edges())
+    covers_all = clique_union(graph.n, map(mask_of, cliques)) == graph
     maximal_set = set(maximal_clique_masks(graph))
     all_maximal = all(mask_of(c) in maximal_set for c in cliques)
     is_minimum = covers_all and len(cliques) == theta_e(graph)

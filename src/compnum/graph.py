@@ -237,20 +237,19 @@ def _extract_cycle(digraph: Digraph, remaining: int) -> DirectedCycle:
         path.append(v)
 
 
-def competition_graph(digraph: Digraph) -> Graph:
-    """Graph on V(D) with an edge xy whenever x and y share an out-neighbour.
-
-    Equivalently the union, over all vertices z, of the complete graph on
-    the in-neighbourhood of z.
-    """
-    n = digraph.n
+def clique_union(n: int, masks, labels=None) -> Graph:
+    """Graph on n vertices spanned by a family of vertex masks: each mask
+    is made a clique, and no other pair is adjacent."""
     rows = [0] * n
-    for z in range(n):
-        group = digraph.in_rows[z]
-        if group.bit_count() >= 2:
-            for u in bits(group):
-                rows[u] |= group & ~(1 << u)
-    return Graph(n, tuple(rows), digraph.labels)
+    for mask in masks:
+        for u in bits(mask):
+            rows[u] |= mask ^ (1 << u)
+    return Graph(n, tuple(rows), labels)
+
+
+def competition_graph(digraph: Digraph) -> Graph:
+    """Graph on V(D) with an edge xy whenever x and y share an out-neighbour."""
+    return clique_union(digraph.n, digraph.in_rows, digraph.labels)
 
 
 def add_isolated(graph: Graph, k: int) -> Graph:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .graph import Graph
+from .graph import Graph, bits
 
 MAX_BUILTIN_N = 6
 
@@ -25,20 +25,21 @@ def _pair_weights(n: int) -> dict[tuple[int, int], int]:
     return {p: 1 << (nbits - 1 - i) for i, p in enumerate(pairs)}
 
 
+def _permutation_tables(n: int):
+    """For each vertex permutation, a table whose entry b is the weight of
+    the image of the pair of weight 2**b; a mask's image is the sum of the
+    entries at its set bits."""
+    weights = _pair_weights(n)
+    either = {**weights, **{(v, u): w for (u, v), w in weights.items()}}
+    low_first = list(weights)[::-1]
+    for perm in permutations(range(n)):
+        yield [either[perm[u], perm[v]] for u, v in low_first]
+
+
 def canonical_mask(n: int, mask: int) -> int:
     """Least adjacency mask over all vertex permutations."""
-    weights = _pair_weights(n)
-    pairs = list(weights)
-    best = mask
-    for perm in permutations(range(n)):
-        img = 0
-        for (u, v) in pairs:
-            if mask & weights[(u, v)]:
-                a, b = perm[u], perm[v]
-                img |= weights[(a, b) if a < b else (b, a)]
-        if img < best:
-            best = img
-    return best
+    on = list(bits(mask))
+    return min(sum(map(t.__getitem__, on)) for t in _permutation_tables(n))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -67,26 +68,14 @@ def enumerate_small_graphs(n: int, connected_only: bool = False):
     if n == 0:
         yield Graph(0, ())
         return
-    weights = _pair_weights(n)
-    pairs = list(weights)
-    perm_tables = []
-    for perm in permutations(range(n)):
-        table = []
-        for (u, v) in pairs:
-            a, b = perm[u], perm[v]
-            table.append((weights[(u, v)], weights[(a, b) if a < b else (b, a)]))
-        perm_tables.append(table)
-    nbits = len(pairs)
-    seen = bytearray(1 << nbits)
-    for mask in range(1 << nbits):
+    tables = list(_permutation_tables(n))
+    seen = bytearray(1 << len(tables[0]))
+    for mask in range(len(seen)):
         if seen[mask]:
             continue
-        for table in perm_tables:
-            img = 0
-            for src, dst in table:
-                if mask & src:
-                    img |= dst
-            seen[img] = 1
+        on = list(bits(mask))
+        for t in tables:
+            seen[sum(map(t.__getitem__, on))] = 1
         graph = graph_from_mask(n, mask)
         if connected_only and not graph.is_connected():
             continue

@@ -44,12 +44,16 @@ class SweepReport:
 
     @property
     def violations(self) -> list[dict]:
-        return [r for r in self.records
-                if r.get("error") or not all(r["checks"].values())]
+        return [r for r in self.records if _violates(r)]
 
     @property
     def counterexamples(self) -> list[dict]:
         return self.summary.get("conjecture", {}).get("counterexamples", [])
+
+
+def _violates(record: dict) -> bool:
+    """Whether a record failed a theorem check or raised an error."""
+    return bool(record.get("error")) or not all(record["checks"].values())
 
 
 def graph_record(args) -> dict:
@@ -151,13 +155,11 @@ def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
         for name, ok in record["checks"].items():
             passed, total = check_totals.setdefault(name, [0, 0])
             check_totals[name] = [passed + (1 if ok else 0), total + 1]
-    violations = [r["graph6"] for r in records
-                  if r["error"] or not all(r["checks"].values())]
     summary: dict = {
         "graphs": len(records),
         "checks": {name: {"passed": v[0], "total": v[1]}
                    for name, v in sorted(check_totals.items())},
-        "violations": violations,
+        "violations": [r["graph6"] for r in records if _violates(r)],
     }
     if "conjecture" in checks:
         counterexamples = [r for r in records

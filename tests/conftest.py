@@ -117,6 +117,18 @@ def _connected_subset(graph: Graph, sub) -> bool:
     return seen == sub
 
 
+def occupied_edges_by_scan(graph: Graph, clique) -> list[tuple[int, int]]:
+    """Pairs of the maximal clique that no other maximal clique contains,
+    found by testing every pair against every other clique (the cliques
+    themselves come from ``maximal_cliques``)."""
+    from compnum.cliques import maximal_cliques
+
+    members = tuple(sorted(clique))
+    others = [set(c) for c in maximal_cliques(graph) if c != members]
+    return [(u, v) for u, v in combinations(members, 2)
+            if not any(u in c and v in c for c in others)]
+
+
 def naive_min_cover(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """First minimum-size set of maximal cliques covering every edge.
 

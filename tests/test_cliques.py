@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
 import pytest
 from conftest import (find_diamond_by_scan, find_hole_by_scan, mcs_order_by_scan,
-                      random_graph)
+                      occupied_edges_by_scan, random_graph)
 
 from compnum.cliques import (EliminationOrdering, Hole, _find_hole, _mcs_order,
                              chordality, every_clique_has_occupied_edge,
@@ -12,6 +13,7 @@ from compnum.cliques import (EliminationOrdering, Hole, _find_hole, _mcs_order,
                              maximal_cliques_through, occupied_edges,
                              simplicial_vertices,
                              verify_elimination_ordering)
+from compnum.ecc import make_cover
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
 from compnum.smallgraphs import enumerate_small_graphs
@@ -214,3 +216,39 @@ def test_simplicial_vertices():
     assert simplicial_vertices(K3) == (0, 1, 2)
     assert simplicial_vertices(C4) == ()
     assert simplicial_vertices(P3) == (0, 2)
+
+
+def _pinned_graphs():
+    """Every graph with n <= 6, then G(n, p) for n = 8..20 drawn from
+    random.Random(31), three per n with p = .2, .35, .5."""
+    for n in range(7):
+        yield from enumerate_small_graphs(n)
+    rng = random.Random(31)
+    for n in range(8, 21):
+        for p in (.2, .35, .5):
+            yield Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                       if rng.random() < p])
+
+
+def test_occupied_edges_and_chordality_are_pinned():
+    # the hash was taken before the per-edge clique count replaced the
+    # occupied-edge scan and one generator replaced the two elimination
+    # ordering scans
+    reprs = []
+    for g in _pinned_graphs():
+        cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
+        occupied = [occupied_edges_by_scan(g, c) for c in cliques]
+        assert [occupied_edges(g, c) for c in cliques] == occupied
+        assert every_clique_has_occupied_edge(g) == all(occupied)
+        witness = next(((c, v) for c, occ in zip(cliques, occupied) for v in c
+                        if not any(v in e for e in occ)), None)
+        assert every_vertex_on_occupied_edge(g) == (witness is None, witness)
+        for cover in (cliques, cliques[:-1], g.edges()):
+            made = make_cover(g, cover)
+            pairs = {e for c in cover for e in combinations(c, 2)}
+            assert made.covers_all_edges == (pairs == set(g.edges()))
+            assert made.all_maximal == all(c in cliques for c in cover)
+        reprs.append(repr(chordality(g)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == ("3543ca78facedc178d56c1e76791f47f"
+                      "7266f617cac1db5c11fd5e551707e4c7")

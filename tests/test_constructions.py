@@ -1,7 +1,9 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from compnum import constructions, realizer
 from compnum.cliques import (EliminationOrdering, chordality,
                              every_vertex_on_occupied_edge)
 from compnum.constructions import (NotChordalError, chordal_realizer,
@@ -185,6 +187,27 @@ def test_verify_effective_cover_worked_example():
     assert cert.valid and cert.failure is None
     assert tuple(w for _, w in cert.sink_map) == EXPECTED_SINKS
     assert cert.realization.prey_count == 6
+
+
+def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
+    g = effective_cover_example_graph()
+    d = effective_cover_example_digraph()
+    cover = effective_cover_example_cover()
+    competition_number(g)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (constructions, realizer):
+        for name in ("competition_graph", "acyclic_labeling"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cert = verify_effective_cover(g, cover, d)
+    assert cert.valid and cert.realization.labeling.validates(d)
+    assert calls == {"competition_graph": 1, "acyclic_labeling": 1}
 
 
 def test_verify_effective_cover_non_minimum():

@@ -153,6 +153,18 @@ def test_cli_constructions(capsys, tmp_path):
     assert code == 0 and payload["prey"] == 4 and payload["predators"] == 2
 
 
+def test_cli_rebuild_star_rejects_a_digraph_that_does_not_realize(capsys, tmp_path):
+    # 0 > 4, 1 > 4 gives only the edge 01, not the path 0-1-2-3
+    graph = tmp_path / "p4.edges"
+    graph.write_text("4 3\n0 1\n1 2\n2 3\n")
+    digraph = tmp_path / "d.arcs"
+    digraph.write_text("5 2\n0 > 4\n1 > 4\n")
+    code = main(["rebuild-star", "--in", str(graph), "--digraph", str(digraph)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: competition graph mismatch\n"
+
+
 def test_cli_verify_effective(capsys, fixture_files):
     code, out = run_cli(capsys, "verify-effective",
                         "--graph", str(fixture_files["edges"]),
