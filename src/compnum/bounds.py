@@ -40,27 +40,17 @@ def union_tail_bound(cover: CliqueCover, k: int) -> int:
     t = cover.theta
     if not 1 <= k <= t:
         raise ValueError(f"index k must lie in 1..{t}")
-    size = t - k + 1
-    best = None
-    for subset in combinations(cover.cliques, size):
-        union = set()
-        for c in subset:
-            union.update(c)
-        if best is None or len(union) < best:
-            best = len(union)
+    best = min(len(set().union(*subset))
+               for subset in combinations(cover.cliques, t - k + 1))
     return best - t + k
 
 
 def best_union_tail(cover: CliqueCover) -> tuple[int, int]:
     """The index k maximizing the union-tail bound (smallest k on ties)."""
-    best = None
-    for k in range(1, cover.theta + 1):
-        value = union_tail_bound(cover, k)
-        if best is None or value > best[1]:
-            best = (k, value)
-    if best is None:
+    if cover.theta == 0:
         raise ValueError("empty cover has no union-tail bound")
-    return best
+    return max(((k, union_tail_bound(cover, k))
+                for k in range(1, cover.theta + 1)), key=lambda kv: kv[1])
 
 
 def clique_census(graph: Graph) -> tuple[int, int, int]:

@@ -5,30 +5,16 @@ JSON is emitted with sorted keys and no timestamps, and every underlying
 computation is deterministic.  Exit codes: 0 all checks pass, 2 a theorem
 check failed (a library bug either way, so it must surface), 3 the sweep
 found a counterexample to the concluding equality (reported as a finding,
-not a failure), 1 for usage errors or a failed verification.
+not a failure), 1 for usage errors, a failed verification or a closed
+stdout.  Each command imports the library modules it calls, so a process
+loads only the modules of its own command.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import sys
 
-from .bounds import bounds_report, planar_formula_check
-from .constructions import (chordal_realizer, hall_certificate, rebuild_star,
-                            verify_effective_cover)
-from .ecc import make_cover, min_edge_clique_cover, theta_e
-from .graph import Digraph, Graph, competition_graph
-from .io import (FormatError, parse_edge_list, parse_graph6,
-                 parse_graph6_lines, serialize_edge_list, serialize_graph6)
-from .realizer import (RealizationError, certify_realization, competition_number,
-                       max_predators_with, primary_predator_index)
-from .smallgraphs import enumerate_small_graphs
-from .sweep import ALL_CHECKS, sweep
-
-
-class CliError(Exception):
-    pass
+from . import ALL_CHECKS
 
 
 def _read(path: str) -> str:
@@ -38,39 +24,41 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _load_graph(path: str, fmt: str):
+    from .graph import Graph
+    from .io import parse_edge_list, parse_graph6
     text = _read(path)
     if fmt == "g6":
         return parse_graph6(text)
     value = parse_edge_list(text)
     if not isinstance(value, Graph):
-        raise CliError("expected an undirected edge list, found arcs")
+        raise ValueError("expected an undirected edge list, found arcs")
     return value
 
 
-def _load_digraph(path: str, fmt: str) -> Digraph:
+def _load_digraph(path: str, fmt: str):
+    from .graph import Digraph
+    from .io import parse_edge_list
     if fmt == "g6":
-        raise CliError("graph6 encodes undirected graphs; use the arc-list "
-                       "format for digraph input")
+        raise ValueError("graph6 encodes undirected graphs; use the arc-list "
+                         "format for digraph input")
     value = parse_edge_list(_read(path))
     if not isinstance(value, Digraph):
-        raise CliError("expected an arc list (lines 'u > v')")
+        raise ValueError("expected an arc list (lines 'u > v')")
     return value
 
 
-def _load_cover(graph: Graph, path: str):
+def _load_cover(graph, path: str):
+    from .ecc import make_cover
     data = json.loads(_read(path))
     if not isinstance(data, dict) or "cliques" not in data:
-        raise CliError(f"{path}: cover JSON needs a 'cliques' list")
+        raise ValueError(f"{path}: cover JSON needs a 'cliques' list")
     return make_cover(graph, data["cliques"])
 
 
 def _emit(payload, as_json: bool, text: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text if text is not None else
-              json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True)
+          if as_json or text is None else text)
 
 
 def _add_input_flags(sub, formats=("g6", "edges", "arcs")) -> None:
@@ -152,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compete(args) -> int:
+    from .graph import competition_graph
+    from .io import serialize_edge_list, serialize_graph6
     digraph = _load_digraph(args.infile, args.format)
     graph = competition_graph(digraph)
     payload = {"n": graph.n, "edges": [[u, v] for u, v in graph.edges()],
@@ -161,6 +151,7 @@ def _cmd_compete(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from .ecc import min_edge_clique_cover, theta_e
     graph = _load_graph(args.infile, args.format)
     payload = {"theta_e": theta_e(graph)}
     if args.witness:
@@ -170,6 +161,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    from .ecc import min_edge_clique_cover
     graph = _load_graph(args.infile, args.format)
     cover = min_edge_clique_cover(graph)
     _emit(cover.to_json_dict(), args.json,
@@ -178,6 +170,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_knumber(args) -> int:
+    from .realizer import primary_predator_index
     graph = _load_graph(args.infile, args.format)
     p, witness = primary_predator_index(graph)
     payload = {"k": witness.k, "p": p, "prey": witness.prey_count}
@@ -189,9 +182,10 @@ def _cmd_knumber(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .realizer import max_predators_with
     graph = _load_graph(args.infile, args.format)
     if args.k < 0:
-        raise CliError("--k must be nonnegative")
+        raise ValueError("--k must be nonnegative")
     result = max_predators_with(graph, args.k)
     if result is None:
         _emit({"realizable": False, "k": args.k}, args.json,
@@ -222,6 +216,7 @@ def _realization_payload(realization, cover=None) -> dict:
 
 
 def _cmd_chordal_build(args) -> int:
+    from .constructions import chordal_realizer
     graph = _load_graph(args.infile, args.format)
     realization, cover = chordal_realizer(graph)
     _emit(_realization_payload(realization, cover), args.json)
@@ -229,13 +224,16 @@ def _cmd_chordal_build(args) -> int:
 
 
 def _cmd_rebuild_star(args) -> int:
+    from .constructions import rebuild_star
+    from .realizer import (RealizationError, certify_realization,
+                           competition_number)
     graph = _load_graph(args.infile, args.format)
     if args.digraph:
         digraph = _load_digraph(args.digraph, "arcs")
         try:
             base = certify_realization(graph, digraph, digraph.n - graph.n)
         except RealizationError as exc:
-            raise CliError(str(exc)) from None
+            raise ValueError(str(exc)) from None
     else:
         _, base = competition_number(graph)
     rebuilt = rebuild_star(graph, base)
@@ -244,6 +242,7 @@ def _cmd_rebuild_star(args) -> int:
 
 
 def _cmd_verify_effective(args) -> int:
+    from .constructions import verify_effective_cover
     graph = _load_graph(args.graph, args.format)
     cover = _load_cover(graph, args.cover)
     digraph = _load_digraph(args.digraph, "arcs")
@@ -254,6 +253,9 @@ def _cmd_verify_effective(args) -> int:
 
 
 def _cmd_hall_cert(args) -> int:
+    from .constructions import hall_certificate
+    from .ecc import min_edge_clique_cover
+    from .realizer import competition_number
     graph = _load_graph(args.graph, args.format)
     cover = (_load_cover(graph, args.cover) if args.cover
              else min_edge_clique_cover(graph))
@@ -268,12 +270,15 @@ def _cmd_hall_cert(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import bounds_report
     graph = _load_graph(args.infile, args.format)
     _emit(bounds_report(graph).to_json_dict(), args.json)
     return 0
 
 
 def _cmd_planar_check(args) -> int:
+    from .bounds import planar_formula_check
+    from .realizer import primary_predator_index
     graph = _load_graph(args.infile, args.format)
     p, _ = primary_predator_index(graph)
     result = planar_formula_check(graph, p)
@@ -286,8 +291,11 @@ def _cmd_planar_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .io import parse_graph6_lines
+    from .smallgraphs import enumerate_small_graphs
+    from .sweep import sweep
     if (args.n is None) == (args.infile is None):
-        raise CliError("give exactly one of --n or --in")
+        raise ValueError("give exactly one of --n or --in")
     if args.infile is not None:
         graphs = parse_graph6_lines(_read(args.infile))
         if args.connected:
@@ -301,11 +309,7 @@ def _cmd_sweep(args) -> int:
             handle.write(report.to_json())
             handle.write("\n")
     print(json.dumps(report.summary, indent=2, sort_keys=True))
-    if report.violations:
-        return 2
-    if report.counterexamples:
-        return 3
-    return 0
+    return 2 if report.violations else 3 if report.counterexamples else 0
 
 
 _HANDLERS = {
@@ -326,12 +330,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (CliError, FormatError, ValueError) as exc:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader has gone; devnull takes what the exit flushes
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -342,12 +342,8 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
     sinks_ok = cliques_ok and all(w is not None for w in match)
     record("sinks assigned", sinks_ok)
 
-    valid = all(ok for _, ok in checks)
-    failure = None
-    for name, ok in checks:
-        if not ok:
-            failure = _FAILURES[name]
-            break
+    failure = next((_FAILURES[name] for name, ok in checks if not ok), None)
+    valid = failure is None
     if valid:
         # these checks imply certify_realization's, as prey = theta_e
         sink_map = tuple((i, w) for i, w in enumerate(match))

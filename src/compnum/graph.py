@@ -103,8 +103,7 @@ class Graph:
         return Graph(len(keep), rows), keep
 
     def is_clique(self, members) -> bool:
-        mem = list(members)
-        return all(self.has_edge(u, v) for u, v in combinations(mem, 2))
+        return all(self.has_edge(u, v) for u, v in combinations(members, 2))
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -32,20 +32,16 @@ def _decode_g6_size(data: str) -> tuple[int, int]:
         raise FormatError(f"graph6 character out of range: {data[0]!r}")
     if c != 126:
         return c - 63, 1
-    if len(data) >= 4 and ord(data[1]) != 126:
-        vals = [ord(ch) - 63 for ch in data[1:4]]
-        if any(not 0 <= v <= 63 for v in vals):
+    # 18 bits after one "~", 36 bits after two
+    start, end = (2, 8) if data[1:2] == "~" else (1, 4)
+    if len(data) < end:
+        raise FormatError("truncated graph6 size field")
+    n = 0
+    for ch in data[start:end]:
+        if not 63 <= ord(ch) <= 126:
             raise FormatError("graph6 size characters out of range")
-        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
-    if len(data) >= 8 and ord(data[1]) == 126:
-        vals = [ord(ch) - 63 for ch in data[2:8]]
-        if any(not 0 <= v <= 63 for v in vals):
-            raise FormatError("graph6 size characters out of range")
-        n = 0
-        for v in vals:
-            n = (n << 6) | v
-        return n, 8
-    raise FormatError("truncated graph6 size field")
+        n = (n << 6) | (ord(ch) - 63)
+    return n, end
 
 
 def _encode_g6_size(n: int) -> str:
@@ -100,17 +96,14 @@ def parse_graph6(text: str) -> Graph:
 def serialize_graph6(graph: Graph, header: bool = False) -> str:
     out = _encode_g6_size(graph.n)
     bitstream = 0
-    nbits = 0
     for j in range(1, graph.n):
         for i in range(j):
-            bitstream = (bitstream << 1) | (1 if graph.has_edge(i, j) else 0)
-            nbits += 1
-    pad = (6 - nbits % 6) % 6
-    bitstream <<= pad
-    chars = []
-    for k in range((nbits + pad) // 6 - 1, -1, -1):
-        chars.append(chr(((bitstream >> (6 * k)) & 63) + 63))
-    text = out + "".join(chars)
+            bitstream = (bitstream << 1) | graph.has_edge(i, j)
+    nbits = graph.n * (graph.n - 1) // 2
+    nchars = (nbits + 5) // 6
+    bitstream <<= 6 * nchars - nbits
+    text = out + "".join(chr(((bitstream >> (6 * k)) & 63) + 63)
+                         for k in range(nchars - 1, -1, -1))
     return GRAPH6_HEADER + text if header else text
 
 

@@ -17,6 +17,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from . import ALL_CHECKS
 from .bounds import opsut_bound, planar_formula_check, predator_bound
 from .cliques import (chordality, EliminationOrdering,
                       every_vertex_on_occupied_edge, is_diamond_free)
@@ -25,8 +26,6 @@ from .ecc import min_edge_clique_cover, theta_e
 from .io import serialize_graph6
 from .realizer import competition_number, primary_predator_index
 from .smallgraphs import enumerate_small_graphs
-
-ALL_CHECKS = ("floors", "effective", "planar", "conjecture")
 
 ENV_THREADS = "COMPNUM_THREADS"
 
@@ -130,7 +129,11 @@ def _worker_count(threads: int | None, jobs: int) -> int:
     cpus = os.cpu_count() or 1
     if threads is None:
         env = os.environ.get(ENV_THREADS)
-        threads = int(env) if env else cpus
+        try:
+            threads = int(env) if env else cpus
+        except ValueError:
+            raise ValueError(f"{ENV_THREADS} must be an integer, "
+                             f"not {env!r}") from None
     return max(1, min(threads, jobs, cpus))
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from compnum.fixtures import effective_cover_example_digraph, effective_cover_example_graph
 from compnum.graph import Digraph, Graph
-from compnum.io import (FormatError, parse_edge_list, parse_graph6,
-                        serialize_edge_list, serialize_graph6)
+from compnum.io import (FormatError, _decode_g6_size, _encode_g6_size,
+                        parse_edge_list, parse_graph6, serialize_edge_list,
+                        serialize_graph6)
 
 
 def test_graph6_smallest_cases():
@@ -54,6 +55,20 @@ def test_graph6_errors():
 def test_graph6_long_size_field():
     g = Graph(70, (0,) * 70)
     assert parse_graph6(serialize_graph6(g)) == g
+
+
+def test_graph6_size_field_forms_and_errors():
+    for n in (0, 62, 63, 4096, 258047, 258048, 2 ** 36 - 1):
+        field = _encode_g6_size(n)
+        assert len(field) == (1 if n <= 62 else 4 if n <= 258047 else 8)
+        assert _decode_g6_size(field + "?") == (n, len(field))
+    for data, message in (("~", "truncated"), ("~??", "truncated"),
+                          ("~~?????", "truncated"), ("~" + chr(127) + "??",
+                                                     "out of range"),
+                          ("~~????" + chr(62) + "?", "out of range"),
+                          (chr(127), "out of range")):
+        with pytest.raises(FormatError, match=message):
+            _decode_g6_size(data)
 
 
 def test_edge_list_basics():

@@ -1,0 +1,172 @@
+"""The package namespace, the CLI help texts and the modules each CLI
+command loads."""
+
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import compnum
+from compnum.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+HOMES = {
+    "bounds": ("BoundsReport", "best_union_tail", "bounds_report",
+               "clique_census", "opsut_bound", "planar_formula_check",
+               "predator_bound", "union_tail_bound"),
+    "cliques": ("EliminationOrdering", "Hole", "chordality",
+                "every_clique_has_occupied_edge",
+                "every_vertex_on_occupied_edge", "is_diamond_free",
+                "maximal_cliques", "occupied_edges", "simplicial_vertices"),
+    "constructions": ("EffectiveCoverCertificate", "HallCertificate",
+                      "NotChordalError", "chordal_realizer",
+                      "hall_certificate", "rebuild_star",
+                      "simplicial_family_realizer", "verify_effective_cover"),
+    "ecc": ("CliqueCover", "expand_to_maximal", "make_cover",
+            "min_edge_clique_cover", "theta_e"),
+    "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",
+              "acyclic_labeling", "add_isolated", "competition_graph"),
+    "io": ("FormatError", "parse_edge_list", "parse_graph6",
+           "parse_graph6_lines", "serialize_edge_list", "serialize_graph6"),
+    "realizer": ("Realization", "RealizationError", "competition_number",
+                 "max_predators_with", "min_prey_count",
+                 "primary_predator_index", "realizable_with"),
+    "smallgraphs": ("canonical_graph", "enumerate_small_graphs"),
+    "sweep": ("SweepReport", "sweep", "sweep_small"),
+}
+
+# sha256 of `compnum [COMMAND] --help` at 80 columns
+HELP_SHA256 = {
+    "": "1b91a08e36e2b81363136b0a00b1bef5eb0b06d3a479a16772532b59f72bed8a",
+    "compete": "fa7b2af16f927ea5fa88eadf58ab00b1ac4ce1b0df28be3f80b7a1e0c9ca4305",
+    "theta": "611e88659f6eaf15337d2d0214bc8cf36348db26696f0d8c433206f294d9d682",
+    "knumber": "e0163da5d176e8f08d5db29061835c846c1b8497d5211b7c5062dd0a9f50a221",
+    "pindex": "3d69e31fa80714d1d90d5d0866103bab12ff055709efccaf67eba2ac1903e228",
+    "cover": "4554f2a49e04dda1faaec103558a56630dfe6c2a95f220f4c0191e807159070a",
+    "realize": "7eba88358e1efd3efa048c02987ec6a17da72d528761cb867f47748977d3435c",
+    "chordal-build":
+        "416cc38f9b12a9b6497c1c65f4f01d015c5e6b3cef01e1bfc35c49f61c279946",
+    "rebuild-star":
+        "7c17690ae9d2a5b79116a7c2f4e449d873200581e51f79c6f6c20ac11c2d7fd7",
+    "verify-effective":
+        "2e5b76d72f067df02b077fc98c3093abfb4aeedd7b7656e7391959bc311b830c",
+    "hall-cert":
+        "3af515394c56731685444b46f597a3960b7f6a0ad37c51a8e4c3d45ef1c602b0",
+    "bounds": "3d3bd5ff9a219a62cf5f66e95a17a03433f624c1d74d4598fe07ddfddd7e63ff",
+    "planar-check":
+        "2b2e57fea325a24e95476b40c9d73b92cdc1aef30de31273f026ef72c65b90e7",
+    "sweep": "d03c8572b3e236bc50a85c8b43d67fa68023024e9da9dcbf1feb29d24122bef5",
+}
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_all_is_unchanged():
+    assert sorted(compnum.__all__) == sorted(
+        name for names in HOMES.values() for name in names)
+
+
+def test_every_public_name_is_its_home_module_attribute():
+    for home, names in HOMES.items():
+        module = importlib.import_module(f"compnum.{home}")
+        for name in names:
+            assert getattr(compnum, name) is getattr(module, name), name
+
+
+def test_sweep_stays_the_function_and_star_binds_every_name():
+    done = run_python("""
+        import types
+        import compnum.sweep
+        import compnum.sweep as m
+        from compnum import sweep
+        from compnum.sweep import ALL_CHECKS, sweep as fn
+        assert sweep is fn and m is fn and compnum.sweep is fn
+        assert not isinstance(sweep, types.ModuleType)
+        assert ALL_CHECKS == ("floors", "effective", "planar", "conjecture")
+        names = {}
+        exec("from compnum import *", names)
+        missing = sorted(set(compnum.__all__) - set(names))
+        assert not missing, missing
+        print("ok")
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256),
+                         ids=lambda command: command or "compnum")
+def test_help_text_is_unchanged(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        main(([command] if command else []) + ["--help"])
+    assert exit_.value.code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == HELP_SHA256[command]
+
+
+QUERY_MODULES = ["compnum", "compnum.cli", "compnum.cliques", "compnum.ecc",
+                 "compnum.graph", "compnum.io", "compnum.realizer"]
+ALL_MODULES = sorted(QUERY_MODULES + ["compnum.bounds", "compnum.constructions",
+                                      "compnum.smallgraphs", "compnum.sweep"])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["--help"], ["compnum", "compnum.cli"]),
+    (["pindex", "--in", "K4.g6", "--format", "g6"], QUERY_MODULES),
+    (["theta", "--in", "K4.g6", "--format", "g6"],
+     ["compnum", "compnum.cli", "compnum.cliques", "compnum.ecc",
+      "compnum.graph", "compnum.io"]),
+    (["sweep", "--n", "3", "--threads", "1"], ALL_MODULES),
+], ids=["help", "pindex", "theta", "sweep"])
+def test_cli_loads_only_its_commands_modules(tmp_path, argv, modules):
+    (tmp_path / "K4.g6").write_text("C~\n")
+    done = run_python("""
+        import json, os, sys
+        os.chdir(sys.argv[1])
+        from compnum.cli import main
+        try:
+            code = main(sys.argv[2:])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, code
+        print(json.dumps(sorted(name for name in sys.modules
+                                if name.split(".")[0] == "compnum")))
+    """, str(tmp_path), *argv)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == modules
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, unbuffered):
+    (tmp_path / "K4.g6").write_text("C~\n")
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from compnum.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "theta", "--in",
+             str(tmp_path / "K4.g6"), "--format", "g6"],
+            env=env, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Exception" not in done.stderr

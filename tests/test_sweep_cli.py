@@ -278,3 +278,10 @@ def test_cli_thread_env_cap(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COMPNUM_THREADS", "1")
     code, out = run_cli(capsys, "sweep", "--n", "3", "--checks", "floors")
     assert code == 0 and json.loads(out)["graphs"] == 4
+
+
+def test_cli_thread_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("COMPNUM_THREADS", "x")
+    assert main(["sweep", "--n", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: COMPNUM_THREADS must be an integer, not 'x'\n")
