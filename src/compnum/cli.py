@@ -51,7 +51,7 @@ def _load_digraph(path: str, fmt: str):
 def _load_cover(graph, path: str):
     from .ecc import make_cover
     data = json.loads(_read(path))
-    if not isinstance(data, dict) or "cliques" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("cliques"), list):
         raise ValueError(f"{path}: cover JSON needs a 'cliques' list")
     return make_cover(graph, data["cliques"])
 
@@ -330,8 +330,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            sys.stdout.flush()  # argparse exits right after printing --help
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code

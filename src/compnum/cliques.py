@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .graph import Graph, bits, mask_of
+from .graph import QUERY_GRAPHS, Graph, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _bron_kerbosch(rows, r: int, p: int, x: int, out: list[int]) -> None:
         x |= bit
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUERY_GRAPHS)
 def maximal_clique_masks(graph: Graph) -> tuple[int, ...]:
     """All inclusion-maximal cliques as bitmasks, canonically sorted."""
     if graph.n == 0:

@@ -313,11 +313,11 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
         checks.append((name, ok))
         return ok
 
-    cliques_ok = all(c and graph.is_clique(c) and len(set(c)) == len(c)
-                     for c in cover.cliques)
+    try:
+        made, cliques_ok = make_cover(graph, cover.cliques), True
+    except ValueError:
+        made, cliques_ok = CliqueCover((), False, False, False), False
     record("cliques are cliques", cliques_ok)
-    made = (make_cover(graph, cover.cliques) if cliques_ok
-            else CliqueCover((), False, False, False))
     record("covers all edges", made.covers_all_edges)
     record("cover minimum", made.is_minimum)
     record("all cliques maximal", made.all_maximal)
@@ -335,7 +335,7 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
     record("prey count equals cover size", prey_ok)
 
     adjacency = []
-    for c in cover.cliques:
+    for c in made.cliques:
         mask = mask_of(c)
         adjacency.append([w for w in prey if digraph.in_rows[w] & mask == mask])
     match = _max_bipartite_matching(adjacency)

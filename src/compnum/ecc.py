@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cliques import edge_clique_counts, maximal_clique_masks
-from .graph import Graph, bits, clique_union, mask_of
+from .graph import QUERY_GRAPHS, Graph, bits, clique_union, mask_of
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,10 @@ class CliqueCover:
 
 
 class _CoverSolver:
-    """Per-graph exact set-cover engine over maximal cliques."""
+    """Exact set-cover engine over the maximal cliques of an isolate-free graph."""
 
     def __init__(self, graph: Graph):
-        self.graph = graph
-        self.clique_masks = [c for c in maximal_clique_masks(graph) if c.bit_count() >= 2]
+        self.clique_masks = maximal_clique_masks(graph)
         hits = edge_clique_counts(graph)
         self.edges = sorted(graph.edges(), key=lambda e: (hits[e], e))
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
@@ -109,31 +108,34 @@ class _CoverSolver:
                 raise RuntimeError("cover extraction failed")
         return tuple(chosen)
 
-    def clique_tuple(self, idx: int) -> tuple[int, ...]:
-        return tuple(bits(self.clique_masks[idx]))
 
-
-@lru_cache(maxsize=None)
-def cover_solver(graph: Graph) -> _CoverSolver:
-    return _CoverSolver(graph)
+@lru_cache(maxsize=QUERY_GRAPHS)
+def cover_solver(core: Graph) -> _CoverSolver:
+    return _CoverSolver(core)
 
 
 def theta_e(graph: Graph) -> int:
     """Minimum size of an edge clique cover (0 for an edgeless graph)."""
-    solver = cover_solver(graph)
+    solver = cover_solver(graph.without_isolates()[0])
     return solver.size(solver.full_mask)
 
 
 def min_edge_clique_cover(graph: Graph) -> CliqueCover:
     """A minimum edge clique cover consisting of maximal cliques."""
-    solver = cover_solver(graph)
+    core, keep = graph.without_isolates()
+    solver = cover_solver(core)
     indices = solver.lex_min_cover(solver.full_mask)
-    cliques = tuple(solver.clique_tuple(i) for i in indices)
+    cliques = tuple(tuple(keep[v] for v in bits(solver.clique_masks[i])) for i in indices)
     return CliqueCover(cliques, True, True, True)
 
 
 def make_cover(graph: Graph, cliques) -> CliqueCover:
-    """Wrap explicit cliques in a CliqueCover, computing its certificates."""
+    """Wrap explicit cliques in a CliqueCover, computing its certificates.
+    Each clique is a list or tuple of vertices, ints in 0..n-1 (no bools)."""
+    for c in cliques:
+        if not (isinstance(c, (list, tuple))
+                and all(type(v) is int and 0 <= v < graph.n for v in c)):
+            raise ValueError(f"{c!r} is not a list of vertices 0..{graph.n - 1}")
     cliques = tuple(tuple(sorted(c)) for c in cliques)
     for c in cliques:
         if not c:

@@ -30,6 +30,10 @@ def mask_of(members) -> int:
     return mask
 
 
+# per-graph cache size: a query touches its graph and that graph's core only
+QUERY_GRAPHS = 2
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -95,9 +99,11 @@ class Graph:
         return tuple(v for v in range(self.n) if self.rows[v] == 0)
 
     def without_isolates(self) -> tuple["Graph", tuple[int, ...]]:
-        """The subgraph on the non-isolated vertices, renumbered in
-        ascending order, and the original index of each of its vertices."""
+        """The subgraph on the non-isolated vertices in ascending order (the
+        graph itself if none is isolated) and each one's original index."""
         keep = tuple(v for v in range(self.n) if self.rows[v])
+        if len(keep) == self.n:
+            return self, keep
         index = {v: i for i, v in enumerate(keep)}
         rows = tuple(sum(1 << index[u] for u in bits(self.rows[v])) for v in keep)
         return Graph(len(keep), rows), keep

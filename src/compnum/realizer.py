@@ -50,8 +50,8 @@ from functools import lru_cache
 
 from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
-from .graph import (AcyclicLabeling, Digraph, Graph, add_isolated,
-                    acyclic_labeling, bits, competition_graph)
+from .graph import (QUERY_GRAPHS, AcyclicLabeling, Digraph, Graph,
+                    add_isolated, acyclic_labeling, bits, competition_graph)
 
 
 class RealizationError(RuntimeError):
@@ -224,11 +224,11 @@ class _Search:
         if len(leftover) > budget:
             raise RealizationError("isolate budget exceeded by plan")
         for j, idx in enumerate(leftover):
-            arcs.extend((v, self.n + j) for v in self.solver.clique_tuple(idx))
+            arcs.extend((v, self.n + j) for v in bits(self.solver.clique_masks[idx]))
         return Digraph.from_arcs(self.n + budget, arcs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUERY_GRAPHS)
 def _search(graph: Graph) -> _Search:
     return _Search(graph)
 
@@ -260,7 +260,7 @@ def realizable_with(graph: Graph, k: int) -> Realization | None:
     return None if found is None else found[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUERY_GRAPHS)
 def competition_number(graph: Graph) -> tuple[int, Realization]:
     """The least k for which the graph plus k isolates is the competition
     graph of an acyclic digraph, with a verified witness.
@@ -296,7 +296,7 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     return graph.n + k - m_star, witness
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=QUERY_GRAPHS)
 def primary_predator_index(graph: Graph) -> tuple[int, Realization]:
     """Maximum number of in-degree-0 vertices over all acyclic digraphs
     whose competition graph is the graph plus k(G) isolates."""

@@ -152,9 +152,18 @@ def test_cli_loads_only_its_commands_modules(tmp_path, argv, modules):
     assert json.loads(done.stdout.splitlines()[-1]) == modules
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""],
-                         ids=["unbuffered", "buffered"])
-def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, unbuffered):
+THETA_K4 = ["theta", "--in", "K4.g6", "--format", "g6"]
+
+
+@pytest.mark.parametrize("unbuffered, argv, code", [
+    pytest.param("1", THETA_K4, 1, id="unbuffered"),
+    pytest.param("", THETA_K4, 1, id="buffered"),
+    # argparse itself swallows the failed write of an unbuffered --help
+    pytest.param("1", ["--help"], 0, id="help-unbuffered"),
+    pytest.param("", ["--help"], 1, id="help-buffered"),
+])
+def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, unbuffered,
+                                                      argv, code):
     (tmp_path / "K4.g6").write_text("C~\n")
     env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
     read_end, write_end = os.pipe()
@@ -162,11 +171,10 @@ def test_closed_stdout_pipe_exits_1_without_traceback(tmp_path, unbuffered):
     try:
         done = subprocess.run(
             [sys.executable, "-c", "import sys; from compnum.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "theta", "--in",
-             str(tmp_path / "K4.g6"), "--format", "g6"],
-            env=env, stdout=write_end,
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            cwd=tmp_path, env=env, stdout=write_end,
             stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write_end)
-    assert done.returncode == 1
+    assert done.returncode == code
     assert "Traceback" not in done.stderr and "Exception" not in done.stderr

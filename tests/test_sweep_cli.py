@@ -5,9 +5,12 @@ import os
 import pytest
 
 from compnum.cli import main
+from compnum.constructions import verify_effective_cover
+from compnum.ecc import CliqueCover
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
+from compnum.graph import Digraph, Graph
 from compnum.io import serialize_edge_list, serialize_graph6
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import ENV_THREADS, _worker_count, sweep, sweep_small
@@ -184,6 +187,33 @@ def test_cli_verify_effective_invalid_exits_nonzero(capsys, fixture_files, tmp_p
                         "--cover", str(bad_path),
                         "--digraph", str(fixture_files["arcs"]), "--json")
     assert code == 1 and not json.loads(out)["valid"]
+
+
+@pytest.mark.parametrize("cliques", [
+    [["a", "b"]], [0], [[-1, 0]], [[True, 2], [0, 1], [0, 2]], [[0, 3]], 5,
+], ids=["strings", "bare-int", "negative", "bool", "out-of-range", "not-a-list"])
+def test_cli_rejects_malformed_cover_json(capsys, tmp_path, cliques):
+    # K3 with the realization 0, 1, 2 -> 3
+    paths = {"graph": tmp_path / "k3.edges", "cover": tmp_path / "cover.json",
+             "digraph": tmp_path / "d.arcs"}
+    paths["graph"].write_text("3 3\n0 1\n0 2\n1 2\n")
+    paths["cover"].write_text(json.dumps({"cliques": cliques}))
+    paths["digraph"].write_text("4 3\n0 > 3\n1 > 3\n2 > 3\n")
+    for command in ("verify-effective", "hall-cert"):
+        code = main([command] + [f"--{name}={path}"
+                                 for name, path in paths.items()])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+    if isinstance(cliques, list):
+        assert repr(cliques[0]) in captured.err
+        graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        digraph = Digraph.from_arcs(4, [(0, 3), (1, 3), (2, 3)])
+        cover = CliqueCover(tuple(cliques), False, False, False)
+        cert = verify_effective_cover(graph, cover, digraph)
+        assert dict(cert.checks)["cliques are cliques"] is False
+        assert cert.failure == "cover contains a non-clique"
 
 
 @pytest.fixture
