@@ -78,12 +78,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.rows[v]))
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.rows[u]) if u < v]
 

@@ -32,11 +32,12 @@ enumerated from scratch.
 
 Every witness comes out of one path, ``_realize(graph, k, cost)``: it
 walks the isolate-free core with the graph's own isolates added to the
-budget of k, builds the plan's digraph, maps it back onto the graph, and
+budget of k, builds the plan's digraph in the graph's own numbering, and
 certifies it: re-checks it against the competition-graph definition and
-gives it an acyclic labeling.  Each core's search keeps every walk's
-result keyed by (isolate budget, cost), so the ascent's last step, the
-witness built from it and later queries on the core itself share a walk.
+gives it an acyclic labeling.  The competition number's ascent asks for
+the witness at each k, so its last step is the witness.  Each core's
+search keeps every walk's result keyed by (isolate budget, cost), which
+later queries on the core reuse; a walk's own state dies with the walk.
 
 The number of prey (vertices of nonzero in-degree) of an optimal witness is
 the minimum possible, and the predator count n + k minus prey is the
@@ -77,6 +78,9 @@ class Realization:
 def certify_realization(graph: Graph, digraph: Digraph, k: int,
                         sink_map=None) -> Realization:
     """Check a claimed realization and package it; never trust, verify."""
+    if digraph.n < graph.n:
+        raise RealizationError(f"digraph has {digraph.n} vertices, fewer "
+                               f"than the graph's {graph.n}")
     if digraph.n != graph.n + k:
         raise RealizationError(
             f"digraph has {digraph.n} vertices, expected {graph.n + k}")
@@ -128,11 +132,6 @@ class _Search:
             cached = tuple(opts)
             self._options[placed] = cached
         return cached
-
-    def feasible(self, k: int) -> bool:
-        """Decision: is G plus k isolates realizable?  One step of the
-        competition-number ascent."""
-        return self.best(k, 0) is not None
 
     def best(self, budget: int, cost: int):
         """``_walk(budget, cost)``, walked once per (budget, cost)."""
@@ -199,6 +198,8 @@ class _Search:
                 rec(0, 0, c, 0, [])
         except _Found:
             pass
+        # rec refers to itself; unbinding it frees the walk's state at once
+        del rec
         return None if best[0] is None else tuple(best)
 
     def _fitting(self, options, rem: int, room: int, fits: list):
@@ -213,19 +214,19 @@ class _Search:
                     fits.append((members, em, left))
                     yield members, em, left
 
-    def build(self, budget: int, plan) -> Digraph:
-        """Turn a placement plan into a digraph on n + budget vertices."""
+    def build(self, plan, mapping) -> Digraph:
+        """Turn a placement plan into a digraph whose vertex mapping[i] is
+        the plan's vertex i: the n placed ones, then the budget's isolates."""
         placements, rem = plan
-        arcs = []
-        for w, members in placements:
-            if members is not None:
-                arcs.extend((v, w) for v in members)
+        arcs = [(v, w) for w, members in placements if members is not None
+                for v in members]
         leftover = self.solver.lex_min_cover(rem)
-        if len(leftover) > budget:
+        if len(leftover) > len(mapping) - self.n:
             raise RealizationError("isolate budget exceeded by plan")
-        for j, idx in enumerate(leftover):
-            arcs.extend((v, self.n + j) for v in bits(self.solver.clique_masks[idx]))
-        return Digraph.from_arcs(self.n + budget, arcs)
+        for j, idx in enumerate(leftover, self.n):
+            arcs.extend((v, j) for v in bits(self.solver.clique_masks[idx]))
+        return Digraph.from_arcs(len(mapping),
+                                 [(mapping[u], mapping[v]) for u, v in arcs])
 
 
 @lru_cache(maxsize=QUERY_GRAPHS)
@@ -243,15 +244,12 @@ def _realize(graph: Graph, k: int, cost: int) -> tuple[int, Realization] | None:
     core, keep = graph.without_isolates()
     search = _search(core)
     isolates = graph.isolated_vertices()
-    budget = k + len(isolates)
-    found = search.best(budget, cost)
+    found = search.best(k + len(isolates), cost)
     if found is None:
         return None
     total, plan = found
-    digraph = search.build(budget, plan)
     mapping = keep + isolates + tuple(range(graph.n, graph.n + k))
-    arcs = [(mapping[u], mapping[v]) for u, v in digraph.arcs]
-    return total, certify_realization(graph, Digraph.from_arcs(graph.n + k, arcs), k)
+    return total, certify_realization(graph, search.build(plan, mapping), k)
 
 
 def realizable_with(graph: Graph, k: int) -> Realization | None:
@@ -265,23 +263,20 @@ def competition_number(graph: Graph) -> tuple[int, Realization]:
     """The least k for which the graph plus k isolates is the competition
     graph of an acyclic digraph, with a verified witness.
 
-    The ascent starts from the classical floor max(0, theta_e - n + 2),
-    raised to 1 when the graph has an edge but no isolated vertex: the
-    minimal vertex of any acyclic labeling sends no arcs, so a competition
-    graph of an acyclic digraph always has an isolated vertex.
+    The ascent asks for a witness at k = floor, floor + 1, ... and returns
+    the first.  The floor is 0 for an edgeless graph, else Opsut's bound
+    theta_e - n + 2, raised to 1 when no vertex is isolated: the minimal
+    vertex of any acyclic labeling sends no arcs, so a competition graph
+    of an acyclic digraph always has an isolated vertex.
     """
-    core, _ = graph.without_isolates()
-    theta = theta_e(core)
-    search = _search(core)
-    k0 = 0  # an edgeless core needs no isolate; its ascent range is empty
-    for k0 in range(max(0, theta - core.n + 2, 1), theta + 1):
-        if search.feasible(k0):
-            break
-    else:
-        if theta:
-            raise RuntimeError("no realization found up to the cover-size bound")
-    k = max(0, k0 - (graph.n - core.n))
-    return k, realizable_with(graph, k)
+    theta = theta_e(graph)
+    floor = (max(theta - graph.n + 2, 0 if graph.isolated_vertices() else 1)
+             if theta else 0)
+    for k in range(floor, theta + 1):
+        witness = realizable_with(graph, k)
+        if witness is not None:
+            return k, witness
+    raise RuntimeError("no realization found up to the cover-size bound")
 
 
 def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:

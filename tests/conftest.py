@@ -76,7 +76,7 @@ def mcs_order_by_scan(graph: Graph) -> list[int]:
         pick = min(unnumbered, key=lambda v: (-weight[v], v))
         order[pos] = pick
         unnumbered.discard(pick)
-        for u in graph.neighbors(pick):
+        for u in bits(graph.rows[pick]):
             weight[u] += 1
     return order
 
@@ -110,7 +110,7 @@ def _connected_subset(graph: Graph, sub) -> bool:
     frontier = list(seen)
     while frontier:
         v = frontier.pop()
-        for u in graph.neighbors(v):
+        for u in bits(graph.rows[v]):
             if u in sub and u not in seen:
                 seen.add(u)
                 frontier.append(u)

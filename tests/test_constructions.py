@@ -14,7 +14,8 @@ from compnum.ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
 from compnum.fixtures import (EXPECTED_SINKS, effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
-from compnum.graph import Digraph, Graph, add_isolated, competition_graph
+from compnum.graph import (Digraph, Graph, add_isolated, bits,
+                           competition_graph)
 from compnum.realizer import competition_number, primary_predator_index
 from compnum.smallgraphs import enumerate_small_graphs
 
@@ -28,7 +29,7 @@ BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 def _strip(graph):
     keep = [v for v in range(graph.n) if graph.rows[v]]
     index = {v: i for i, v in enumerate(keep)}
-    rows = tuple(sum(1 << index[u] for u in graph.neighbors(v)) for v in keep)
+    rows = tuple(sum(1 << index[u] for u in bits(graph.rows[v])) for v in keep)
     return Graph(len(keep), rows)
 
 

@@ -7,6 +7,7 @@ byte-identical.  The work counts are deterministic, so they gate the
 search's cost without timing anything.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -178,8 +179,8 @@ def test_witnesses_above_the_competition_number_are_pinned(seed):
 
 
 def test_graph_isolates_outnumbering_the_ascent_answer(tmp_path, capsys):
-    # The core's ascent stops at k0, but the graph's own isolates exceed
-    # it, so the witness is built for a larger isolate budget than k0.
+    # The graph's own isolates outnumber those its core needs, so k = 0
+    # and the witness is walked with the graph's isolates as its budget.
     k, witness = competition_number(K4_PLUS_3)
     assert k == 0
     assert witness.witness_arcs() == [[0, 4], [1, 4], [2, 4], [3, 4]]
@@ -197,24 +198,58 @@ def test_graph_isolates_outnumbering_the_ascent_answer(tmp_path, capsys):
         "d4c403c08c3fa4adab11a65dd20489618ab9fb8d511b9d01d5e89bceb0d4e21f")
 
 
-def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
-    # rg(16, .5, 53) has theta_e = 18 and k = 5, so the ascent tries k0 = 4
-    # (the floor 18 - 16 + 2) and 5.  The plan found at k0 = 5 is the witness's plan; no third
-    # search rebuilds it.  The memo bound reads a private attribute until
-    # the search exposes its work counters.
+def count_walks(monkeypatch) -> list:
+    """The (budget, cost) of every placement walk from here on, with the
+    walks of earlier queries forgotten."""
+    _search.cache_clear()
     calls = []
-    feasible = _Search.feasible
+    walk = _Search._walk
 
-    def counting(self, k):
-        calls.append(k)
-        return feasible(self, k)
+    def counting(self, *args):
+        calls.append(args)
+        return walk(self, *args)
 
-    monkeypatch.setattr(_Search, "feasible", counting)
+    monkeypatch.setattr(_Search, "_walk", counting)
+    return calls
+
+
+def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
+    # rg(16, .5, 53) has theta_e = 18 and k = 5, so the ascent tries k = 4
+    # (the floor 18 - 16 + 2) and 5.  The walk at k = 5 is the witness's;
+    # no third search rebuilds it.  The memo bound reads a private
+    # attribute until the search exposes its work counters.
+    calls = count_walks(monkeypatch)
     graph = rg(16, .5, 53)
     k, _ = competition_number.__wrapped__(graph)
     assert k == 5
-    assert calls == [4, 5]
+    assert [budget for budget, _ in calls] == [4, 5]
     assert len(cover_solver(graph)._size_memo) < 200_000
+
+
+@pytest.mark.parametrize("graph,isolates", [
+    (K4_PLUS_3, 3), (add_isolated(rg(12, .5, 4), 4), 4)], ids=["K4+3", "rg12-4+4"])
+def test_ascent_starts_from_the_bound_on_the_graph_itself(graph, isolates,
+                                                          monkeypatch):
+    # Opsut's bound on the graph is below 0 here and the graph has an
+    # isolate, so k = 0 is the first step: one walk whose budget is the
+    # graph's own isolates, and no step below it on the core.
+    calls = count_walks(monkeypatch)
+    assert competition_number.__wrapped__(graph)[0] == 0
+    assert calls == [(isolates, 0)]
+
+
+def test_walks_leave_no_cyclic_garbage():
+    # A walk's recursive closure must not keep its state alive until the
+    # cyclic collector runs.
+    search = _Search(rg(12, .5, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        for budget, cost in ((2, 0), (3, 0), (3, 1)):
+            search._walk(budget, cost)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", [0, 3])

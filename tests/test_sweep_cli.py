@@ -156,16 +156,23 @@ def test_cli_constructions(capsys, tmp_path):
     assert code == 0 and payload["prey"] == 4 and payload["predators"] == 2
 
 
-def test_cli_rebuild_star_rejects_a_digraph_that_does_not_realize(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["rebuild-star", "hall-cert"])
+@pytest.mark.parametrize("arcs,error", [
     # 0 > 4, 1 > 4 gives only the edge 01, not the path 0-1-2-3
+    ("5 2\n0 > 4\n1 > 4\n", "competition graph mismatch"),
+    ("3 2\n0 > 2\n1 > 2\n", "digraph has 3 vertices, fewer than the graph's 4"),
+], ids=["mismatch", "too-few-vertices"])
+def test_cli_rebuild_star_rejects_a_digraph_that_does_not_realize(
+        capsys, tmp_path, command, arcs, error):
     graph = tmp_path / "p4.edges"
     graph.write_text("4 3\n0 1\n1 2\n2 3\n")
     digraph = tmp_path / "d.arcs"
-    digraph.write_text("5 2\n0 > 4\n1 > 4\n")
-    code = main(["rebuild-star", "--in", str(graph), "--digraph", str(digraph)])
+    digraph.write_text(arcs)
+    flag = "--in" if command == "rebuild-star" else "--graph"
+    code = main([command, flag, str(graph), "--digraph", str(digraph)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "error: competition graph mismatch\n"
+    assert captured.err == f"error: {error}\n"
 
 
 def test_cli_verify_effective(capsys, fixture_files):
