@@ -38,8 +38,6 @@ class NotChordalError(ValueError):
 class EffectiveCoverCertificate:
     """Outcome of checking a (graph, cover, digraph) triple."""
 
-    cover: CliqueCover
-    digraph: Digraph
     checks: tuple[tuple[str, bool], ...]
     valid: bool
     failure: str | None
@@ -93,6 +91,26 @@ def _max_bipartite_matching(adjacency) -> list:
     return match_left
 
 
+def _check_buildable(graph: Graph) -> None:
+    if graph.edge_count == 0:
+        raise ValueError("graph must have at least one edge")
+    if graph.isolated_vertices():
+        raise ValueError("strip isolated vertices before building")
+
+
+def _effective(graph: Graph, cover: CliqueCover, sinks, n: int,
+               name: str) -> Realization:
+    """Verify the digraph on n vertices in which cover clique i feeds
+    sinks[i], and return its realization; a failed check, or a sink map
+    other than the intended one, raises."""
+    arcs = [(v, w) for clique, w in zip(cover.cliques, sinks) for v in clique]
+    cert = verify_effective_cover(graph, cover, Digraph.from_arcs(n, arcs))
+    if not cert.valid or cert.sink_map != tuple(enumerate(sinks)):
+        raise RealizationError(f"{name} construction failed: "
+                               f"{cert.failure or 'sink map differs'}")
+    return cert.realization
+
+
 # ---------------------------------------------------------------------------
 # chordal graphs
 
@@ -108,10 +126,7 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
     The result realizes the graph with one added isolate and exactly
     theta_e prey.
     """
-    if graph.edge_count == 0:
-        raise ValueError("graph must have at least one edge")
-    if graph.isolated_vertices():
-        raise ValueError("strip isolated vertices before building")
+    _check_buildable(graph)
     peo = chordality(graph)
     if not isinstance(peo, EliminationOrdering):
         raise NotChordalError(peo)
@@ -123,32 +138,23 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
     cover = CliqueCover(tuple(keyed), True, True, True)
 
     n = graph.n
-    arcs = []
-    sink_map = []
+    sinks = []
     suffix = [0] * (n + 2)
     mask = 0
     for i in range(n, 0, -1):
         mask |= 1 << order[i - 1]
         suffix[i] = mask
-    for idx, clique in enumerate(cover.cliques):
+    for clique in cover.cliques:
         nk = min(pos[v] for v in clique)
         head = order[nk - 1]
         closed = ((1 << head) | graph.rows[head]) & suffix[nk]
         if closed != mask_of(clique):
             raise RealizationError(
                 f"cover clique {clique} is not a closed later neighbourhood")
-        if idx == 0 and nk != 1:
+        if not sinks and nk != 1:
             raise RealizationError("first cover clique misses the first vertex")
-        sink = n if nk == 1 else order[nk - 2]
-        sink_map.append((idx, sink))
-        arcs.extend((v, sink) for v in clique)
-
-    digraph = Digraph.from_arcs(n + 1, arcs)
-    cert = verify_effective_cover(graph, cover, digraph)
-    if not cert.valid or cert.sink_map != tuple(sink_map):
-        raise RealizationError("chordal construction failed: "
-                               f"{cert.failure or 'sink map differs'}")
-    return cert.realization, cover
+        sinks.append(n if nk == 1 else order[nk - 2])
+    return _effective(graph, cover, sinks, n + 1, "chordal"), cover
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +231,7 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
     drawn from the earlier family cliques.  The result is verified and
     rejected with a diagnostic rather than trusted.
     """
-    if graph.edge_count == 0:
-        raise ValueError("graph must have at least one edge")
-    if graph.isolated_vertices():
-        raise ValueError("strip isolated vertices before building")
+    _check_buildable(graph)
     if not (cover.covers_all_edges and cover.all_maximal and cover.is_minimum):
         raise ValueError("cover must be a minimum cover of maximal cliques")
     family = sorted(set(family))
@@ -254,12 +257,9 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
     rest_sorted = sorted(i for i in range(theta) if i not in set(family))
     ordered = rest_sorted + fam_sorted
 
-    arcs = []
-    host_of: dict[int, int] = {}
+    sinks = [0] * theta
     for slot in range(k):
-        host = graph.n + slot
-        host_of[ordered[slot]] = host
-        arcs.extend((v, host) for v in cover.cliques[ordered[slot]])
+        sinks[ordered[slot]] = graph.n + slot
     used: set[int] = set()
     reachable: set[int] = set(cover.cliques[ordered[k - 1]]) if k >= 1 else set()
     for j in range(k, theta):
@@ -268,20 +268,10 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
             raise RealizationError(
                 "ran out of fresh simplicial vertices; construction "
                 "preconditions too weak for this input")
-        sink = pool[0]
-        used.add(sink)
-        host_of[ordered[j]] = sink
-        arcs.extend((v, sink) for v in cover.cliques[ordered[j]])
+        used.add(pool[0])
+        sinks[ordered[j]] = pool[0]
         reachable |= set(cover.cliques[ordered[j]])
-
-    digraph = Digraph.from_arcs(graph.n + k, arcs)
-    sink_map = tuple((i, host_of[i]) for i in range(theta))
-    cert = verify_effective_cover(graph, cover, digraph)
-    if not cert.valid or cert.sink_map != sink_map:
-        raise RealizationError(
-            f"simplicial-family construction failed verification: "
-            f"{cert.failure or 'sink map differs'}")
-    return cert.realization
+    return _effective(graph, cover, sinks, graph.n + k, "simplicial-family")
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +339,8 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
         sink_map = tuple((i, w) for i, w in enumerate(match))
         realization = Realization(digraph, k, labeling, len(prey),
                                   digraph.n - len(prey), sink_map)
-    return EffectiveCoverCertificate(cover, digraph, tuple(checks), valid,
-                                     failure, sink_map, realization)
+    return EffectiveCoverCertificate(tuple(checks), valid, failure, sink_map,
+                                     realization)
 
 
 def hall_certificate(graph: Graph, cover: CliqueCover,

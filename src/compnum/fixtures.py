@@ -2,17 +2,14 @@
 
 The graph has 16 edges and exactly six maximal cliques, its competition
 number is one, and the accompanying digraph below points each cover clique
-at its own sink, so the cover is effective.  Vertex labels v1..v9 sit at
-indices 0..8; the digraph appends the added isolate v0 at index 9.
+at its own sink, so the cover is effective.  The paper's vertices v1..v9
+sit at indices 0..8; the digraph appends the added isolate v0 at index 9.
 """
 
 from __future__ import annotations
 
 from .ecc import CliqueCover
 from .graph import Digraph, Graph
-
-_GRAPH_LABELS = tuple(f"v{i}" for i in range(1, 10))
-_DIGRAPH_LABELS = _GRAPH_LABELS + ("v0",)
 
 _EDGES = [
     (8, 7), (7, 6), (6, 5), (8, 5), (8, 4), (8, 3), (5, 4), (5, 3),
@@ -41,11 +38,11 @@ EXPECTED_SINKS = (6, 5, 4, 2, 1, 9)
 
 
 def effective_cover_example_graph() -> Graph:
-    return Graph.from_edges(9, _EDGES, labels=_GRAPH_LABELS)
+    return Graph.from_edges(9, _EDGES)
 
 
 def effective_cover_example_digraph() -> Digraph:
-    return Digraph.from_arcs(10, _ARCS, labels=_DIGRAPH_LABELS)
+    return Digraph.from_arcs(10, _ARCS)
 
 
 def effective_cover_example_cover() -> CliqueCover:

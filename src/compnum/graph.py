@@ -2,14 +2,14 @@
 
 Undirected graphs store one adjacency bitmask per vertex, so neighbourhood,
 clique and subset tests are single integer operations.  Vertices are dense
-indices 0..n-1; optional display labels ride along but never take part in
-equality or hashing.  All values are immutable after construction and safe
+indices 0..n-1.  All values are immutable after construction and safe
 to share across threads or processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -40,7 +40,6 @@ class Graph:
 
     n: int
     rows: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -56,11 +55,9 @@ class Graph:
             for v in bits(self.rows[u]):
                 if not (self.rows[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at {u},{v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels do not match vertex count")
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "Graph":
+    def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -71,7 +68,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows), None if labels is None else tuple(labels))
+        return cls(n, tuple(rows))
 
     # -- basic queries -----------------------------------------------------
 
@@ -125,7 +122,6 @@ class Digraph:
 
     n: int
     arcs: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -141,13 +137,10 @@ class Digraph:
             seen.add((u, v))
         if self.arcs != tuple(sorted(self.arcs)):
             raise ValueError("arcs must be sorted; use Digraph.from_arcs")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels do not match vertex count")
 
     @classmethod
-    def from_arcs(cls, n: int, arcs, labels=None) -> "Digraph":
-        return cls(n, tuple(sorted(set(map(tuple, arcs)))),
-                   None if labels is None else tuple(labels))
+    def from_arcs(cls, n: int, arcs) -> "Digraph":
+        return cls(n, tuple(sorted(set(map(tuple, arcs)))))
 
     @cached_property
     def in_rows(self) -> tuple[int, ...]:
@@ -162,9 +155,6 @@ class Digraph:
         for u, v in self.arcs:
             rows[u] |= 1 << v
         return tuple(rows)
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.out_rows[v]))
 
 
 @dataclass(frozen=True)
@@ -194,33 +184,30 @@ def acyclic_labeling(digraph: Digraph) -> AcyclicLabeling | DirectedCycle:
 
     Labels are assigned 1, 2, ... by repeatedly taking the smallest-index
     remaining vertex with no out-arc into the remaining set, so the result
-    is deterministic.  Those vertices wait in the bitmask ``ready``, which
+    is deterministic.  Those vertices wait in the min-heap ``ready``, which
     a vertex enters when its last remaining out-neighbour is labeled.  A
     cycle is a result, not an error.
     """
     n = digraph.n
-    remaining = (1 << n) - 1
     out_degree = [row.bit_count() for row in digraph.out_rows]
-    ready = mask_of(v for v in range(n) if out_degree[v] == 0)
+    ready = [v for v in range(n) if out_degree[v] == 0]  # ascending: a heap
     labels = [0] * n
     for next_label in range(1, n + 1):
         if not ready:
-            return _extract_cycle(digraph, remaining)
-        low = ready & -ready
-        pick = low.bit_length() - 1
+            return _extract_cycle(digraph, labels)
+        pick = heapq.heappop(ready)
         labels[pick] = next_label
-        remaining ^= low
-        ready ^= low
         for u in bits(digraph.in_rows[pick]):
             out_degree[u] -= 1
             if out_degree[u] == 0:
-                ready |= 1 << u
+                heapq.heappush(ready, u)
     return AcyclicLabeling(tuple(labels))
 
 
-def _extract_cycle(digraph: Digraph, remaining: int) -> DirectedCycle:
-    # every remaining vertex has an out-arc into the remaining set, so
-    # following smallest out-neighbours must revisit a vertex
+def _extract_cycle(digraph: Digraph, labels) -> DirectedCycle:
+    # every unlabeled vertex has an out-arc to another unlabeled one, so
+    # following smallest such out-neighbours must revisit a vertex
+    remaining = mask_of(v for v in range(digraph.n) if not labels[v])
     start = next(bits(remaining))
     path = [start]
     index = {start: 0}
@@ -236,19 +223,19 @@ def _extract_cycle(digraph: Digraph, remaining: int) -> DirectedCycle:
         path.append(v)
 
 
-def clique_union(n: int, masks, labels=None) -> Graph:
+def clique_union(n: int, masks) -> Graph:
     """Graph on n vertices spanned by a family of vertex masks: each mask
     is made a clique, and no other pair is adjacent."""
     rows = [0] * n
     for mask in masks:
         for u in bits(mask):
             rows[u] |= mask ^ (1 << u)
-    return Graph(n, tuple(rows), labels)
+    return Graph(n, tuple(rows))
 
 
 def competition_graph(digraph: Digraph) -> Graph:
     """Graph on V(D) with an edge xy whenever x and y share an out-neighbour."""
-    return clique_union(digraph.n, digraph.in_rows, digraph.labels)
+    return clique_union(digraph.n, digraph.in_rows)
 
 
 def add_isolated(graph: Graph, k: int) -> Graph:
@@ -257,7 +244,4 @@ def add_isolated(graph: Graph, k: int) -> Graph:
         raise ValueError("isolate count must be nonnegative")
     if k == 0:
         return graph
-    labels = None
-    if graph.labels is not None:
-        labels = graph.labels + tuple(f"i{j + 1}" for j in range(k))
-    return Graph(graph.n + k, graph.rows + (0,) * k, labels)
+    return Graph(graph.n + k, graph.rows + (0,) * k)

@@ -93,7 +93,7 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def serialize_graph6(graph: Graph, header: bool = False) -> str:
+def serialize_graph6(graph: Graph) -> str:
     out = _encode_g6_size(graph.n)
     bitstream = 0
     for j in range(1, graph.n):
@@ -102,9 +102,8 @@ def serialize_graph6(graph: Graph, header: bool = False) -> str:
     nbits = graph.n * (graph.n - 1) // 2
     nchars = (nbits + 5) // 6
     bitstream <<= 6 * nchars - nbits
-    text = out + "".join(chr(((bitstream >> (6 * k)) & 63) + 63)
+    return out + "".join(chr(((bitstream >> (6 * k)) & 63) + 63)
                          for k in range(nchars - 1, -1, -1))
-    return GRAPH6_HEADER + text if header else text
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:

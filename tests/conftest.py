@@ -30,7 +30,7 @@ def has_directed_cycle(digraph: Digraph) -> bool:
 
     def visit(v) -> bool:
         color[v] = 1
-        for w in digraph.out_neighbors(v):
+        for w in bits(digraph.out_rows[v]):
             if color[w] == 1 or (color[w] == 0 and visit(w)):
                 return True
         color[v] = 2
@@ -45,7 +45,7 @@ def acyclic_labeling_by_scan(digraph: Digraph):
     walking smallest remaining out-neighbours from the smallest remaining
     vertex, rotated to start at its smallest vertex."""
     n = digraph.n
-    out = [set(digraph.out_neighbors(v)) for v in range(n)]
+    out = [set(bits(digraph.out_rows[v])) for v in range(n)]
     remaining = set(range(n))
     labels = [0] * n
     for label in range(1, n + 1):

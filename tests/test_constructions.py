@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,8 @@ from compnum.fixtures import (EXPECTED_SINKS, effective_cover_example_cover,
                               effective_cover_example_graph)
 from compnum.graph import (Digraph, Graph, add_isolated, bits,
                            competition_graph)
-from compnum.realizer import competition_number, primary_predator_index
+from compnum.realizer import (RealizationError, competition_number,
+                              primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -175,6 +177,25 @@ def test_simplicial_family_rejects_simplicial_shortage():
     assert (theta_e(c5), k) == (5, 2)
     with pytest.raises(ValueError, match="simplicial"):
         simplicial_family_realizer(c5, cover, [0, 1, 2, 3])
+
+
+BULL = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chordal_realizer(BULL),
+    lambda: simplicial_family_realizer(C4, min_edge_clique_cover(C4), [0, 2, 3]),
+], ids=["chordal", "simplicial-family"])
+def test_builders_refuse_a_sink_map_other_than_their_own(monkeypatch, build):
+    def shifted(graph, cover, digraph):
+        cert = verify_effective_cover(graph, cover, digraph)
+        sinks = [w for _, w in cert.sink_map]
+        rotated = tuple(enumerate(sinks[1:] + sinks[:1]))
+        return replace(cert, sink_map=rotated)
+
+    monkeypatch.setattr(constructions, "verify_effective_cover", shifted)
+    with pytest.raises(RealizationError, match="construction failed"):
+        build()
 
 
 # ------------------------------------------------------------ verification

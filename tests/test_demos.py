@@ -1,5 +1,7 @@
-"""Every demo runs to completion against the library in src/."""
+"""Every demo runs to completion against the library in src/ and prints
+exactly the stdout pinned below."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +12,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ARGS = {"05_exhaustive_sweep.py": ["4"]}
+STDOUT_SHA256 = {
+    "01_competition_basics.py":
+        "7ab6247335a4ec9afcfff7b5e6036ec67955309c7282266ac5f60a000aeec0e5",
+    "02_exact_invariants.py":
+        "1ab6995cd19887dec93ca5eb84de8cf41bf8ef659f098647c4bbf429f70499da",
+    "03_effective_covers.py":
+        "eecf28cc039d512ca3ad506ac0d8355b62b633e67ac1e609d03ef5819ae2770a",
+    "04_bounds_and_plane_formula.py":
+        "74daa518657546e2de9a257ffd9f2dd6fa58dcfb032b9a6eb4a8ef9d68908f6b",
+    "05_exhaustive_sweep.py":
+        "92419680d509518d6d95520024abed6aa65d2fe3f97d9a3c5d4df58efb51d844",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -19,4 +33,5 @@ def test_demo_runs(demo):
                             env=env, cwd=ROOT, capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == \
+        STDOUT_SHA256[demo.name]

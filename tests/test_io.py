@@ -29,7 +29,7 @@ def test_graph6_known_encodings():
 
 def test_graph6_header_roundtrip():
     g = effective_cover_example_graph()
-    encoded = serialize_graph6(g, header=True)
+    encoded = ">>graph6<<" + serialize_graph6(g)
     assert encoded.startswith(">>graph6<<")
     assert parse_graph6(encoded) == Graph(g.n, g.rows)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -137,6 +138,17 @@ def test_cli_cover_and_realize(capsys, fixture_files):
                         "--k", "1", "--json", "--witness")
     payload = json.loads(out)
     assert payload["realizable"] and payload["max_predators"] == 4
+
+
+def test_cli_realize_with_many_isolates_is_pinned(capsys, tmp_path):
+    # 100,000 isolates all become ready at once in the acyclic labeling
+    path = tmp_path / "k3.edges"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    code, out = run_cli(capsys, "realize", "--in", str(path), "--k", "100000",
+                        "--json", "--witness")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e521f06e486c953718e131100496f84e7291181517257ae0c84e3eb8a5cdc020")
 
 
 def test_cli_constructions(capsys, tmp_path):
