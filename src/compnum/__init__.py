@@ -23,13 +23,12 @@ _HOMES = {
     "cliques": ("EliminationOrdering", "Hole", "chordality",
                 "every_clique_has_occupied_edge",
                 "every_vertex_on_occupied_edge", "is_diamond_free",
-                "maximal_cliques", "occupied_edges", "simplicial_vertices"),
+                "maximal_cliques", "simplicial_vertices"),
     "constructions": ("EffectiveCoverCertificate", "HallCertificate",
                       "NotChordalError", "chordal_realizer",
                       "hall_certificate", "rebuild_star",
                       "simplicial_family_realizer", "verify_effective_cover"),
-    "ecc": ("CliqueCover", "expand_to_maximal", "make_cover",
-            "min_edge_clique_cover", "theta_e"),
+    "ecc": ("CliqueCover", "make_cover", "min_edge_clique_cover", "theta_e"),
     "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",
               "acyclic_labeling", "add_isolated", "competition_graph"),
     "io": ("FormatError", "parse_edge_list", "parse_graph6",
@@ -37,8 +36,8 @@ _HOMES = {
     "realizer": ("Realization", "RealizationError", "competition_number",
                  "max_predators_with", "min_prey_count",
                  "primary_predator_index", "realizable_with"),
-    "smallgraphs": ("canonical_graph", "enumerate_small_graphs"),
-    "sweep": ("SweepReport", "sweep", "sweep_small"),
+    "smallgraphs": ("enumerate_small_graphs",),
+    "sweep": ("SweepReport", "sweep"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

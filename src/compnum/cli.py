@@ -5,9 +5,10 @@ JSON is emitted with sorted keys and no timestamps, and every underlying
 computation is deterministic.  Exit codes: 0 all checks pass, 2 a theorem
 check failed (a library bug either way, so it must surface), 3 the sweep
 found a counterexample to the concluding equality (reported as a finding,
-not a failure), 1 for usage errors, a failed verification or a closed
-stdout.  Each command imports the library modules it calls, so a process
-loads only the modules of its own command.
+not a failure), 1 for usage errors, a file that cannot be read or written,
+a failed verification or a closed stdout.  Each command imports the
+library modules it calls, so a process loads only the modules of its own
+command.
 """
 
 import argparse
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
         # stdout's reader has gone; devnull takes what the exit flushes
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # a missing input or an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -123,14 +123,6 @@ def occupied_pairs(counts: Counter, members) -> list[tuple[int, int]]:
     return [pair for pair in combinations(members, 2) if counts[pair] == 1]
 
 
-def occupied_edges(graph: Graph, clique) -> list[tuple[int, int]]:
-    """Edges inside the maximal clique that no other maximal clique covers."""
-    members = tuple(sorted(clique))
-    if mask_of(members) not in maximal_clique_masks(graph):
-        raise ValueError(f"{members} is not a maximal clique")
-    return occupied_pairs(edge_clique_counts(graph), members)
-
-
 def every_clique_has_occupied_edge(graph: Graph) -> bool:
     """Each maximal clique (of size >= 2) covers at least one edge that no
     other maximal clique covers."""

@@ -148,28 +148,3 @@ def make_cover(graph: Graph, cliques) -> CliqueCover:
     is_minimum = covers_all and len(cliques) == theta_e(graph)
     return CliqueCover(cliques, covers_all, all_maximal, is_minimum)
 
-
-def expand_to_maximal(graph: Graph, cover: CliqueCover, dedup: bool = False) -> CliqueCover:
-    """Expand every clique of a cover to a maximal clique.
-
-    Expansion greedily adds the smallest-index vertex adjacent to the whole
-    clique, so it is deterministic.  Cardinality is preserved unless
-    ``dedup`` is set, in which case repeated expanded cliques collapse.
-    """
-    if not cover.covers_all_edges:
-        raise ValueError("input does not cover all edges")
-    expanded = []
-    for c in cover.cliques:
-        mask = mask_of(c)
-        while True:
-            common = graph.vertex_mask & ~mask
-            for v in bits(mask):
-                common &= graph.rows[v]
-            if common == 0:
-                break
-            mask |= common & -common
-        expanded.append(tuple(bits(mask)))
-    if dedup:
-        expanded = sorted(set(expanded))
-    return CliqueCover(tuple(expanded), True, True,
-                       len(expanded) == theta_e(graph))

@@ -2,10 +2,10 @@
 
 The canonical form of a graph is the lexicographically least adjacency
 bitstring over all vertex permutations, the bitstring reading the upper
-triangle pairs (0,1), (0,2), (1,2), (0,3), ... left to right.  Bit weights
-are chosen so that integer order on masks equals lexicographic order on
-bitstrings; enumeration then walks masks in ascending order and each mask
-not yet claimed by an earlier orbit is its orbit's canonical
+triangle pairs (0,1), (0,2), ..., (0,n-1), (1,2), ... left to right.  Bit
+weights are chosen so that integer order on masks equals lexicographic
+order on bitstrings; enumeration then walks masks in ascending order and
+each mask not yet claimed by an earlier orbit is its orbit's canonical
 representative.  Built-in enumeration stops at six vertices; larger sweeps
 consume an external graph6 stream instead.
 """
@@ -36,24 +36,9 @@ def _permutation_tables(n: int):
         yield [either[perm[u], perm[v]] for u, v in low_first]
 
 
-def canonical_mask(n: int, mask: int) -> int:
-    """Least adjacency mask over all vertex permutations."""
-    on = list(bits(mask))
-    return min(sum(map(t.__getitem__, on)) for t in _permutation_tables(n))
-
-
 def graph_from_mask(n: int, mask: int) -> Graph:
     weights = _pair_weights(n)
     return Graph.from_edges(n, [p for p, w in weights.items() if mask & w])
-
-
-def mask_from_graph(graph: Graph) -> int:
-    weights = _pair_weights(graph.n)
-    return sum(w for p, w in weights.items() if graph.has_edge(*p))
-
-
-def canonical_graph(graph: Graph) -> Graph:
-    return graph_from_mask(graph.n, canonical_mask(graph.n, mask_from_graph(graph)))
 
 
 def enumerate_small_graphs(n: int, connected_only: bool = False):

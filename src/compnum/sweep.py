@@ -6,7 +6,7 @@ pass on every graph; the concluding-equality probe k = theta_e - n + p is
 only tallied, and any counterexample is reported verbatim in the summary
 instead of failing the sweep.
 
-The sweep may fan out across processes (`COMPNUM_THREADS` caps the worker
+The sweep may fan out across processes (`--threads` caps the worker
 count); records are merged in enumeration order, so parallel and serial
 runs produce identical reports.
 """
@@ -25,9 +25,6 @@ from .constructions import chordal_realizer, hall_certificate, rebuild_star
 from .ecc import min_edge_clique_cover, theta_e
 from .io import serialize_graph6
 from .realizer import competition_number, primary_predator_index
-from .smallgraphs import enumerate_small_graphs
-
-ENV_THREADS = "COMPNUM_THREADS"
 
 
 @dataclass(frozen=True)
@@ -123,18 +120,10 @@ def graph_record(args) -> dict:
 
 
 def _worker_count(threads: int | None, jobs: int) -> int:
-    """Processes for a sweep: the requested count (``--threads``, else
-    ``COMPNUM_THREADS``, else one per CPU), never more than the jobs or
-    the CPUs, and at least one."""
+    """Processes for a sweep: the requested count (``--threads``, else one
+    per CPU), never more than the jobs or the CPUs, and at least one."""
     cpus = os.cpu_count() or 1
-    if threads is None:
-        env = os.environ.get(ENV_THREADS)
-        try:
-            threads = int(env) if env else cpus
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} must be an integer, "
-                             f"not {env!r}") from None
-    return max(1, min(threads, jobs, cpus))
+    return max(1, min(cpus if threads is None else threads, jobs, cpus))
 
 
 def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
@@ -174,7 +163,3 @@ def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
         }
     return SweepReport(tuple(records), summary)
 
-
-def sweep_small(n: int, connected_only: bool = False, checks=ALL_CHECKS,
-                threads: int | None = None) -> SweepReport:
-    return sweep(enumerate_small_graphs(n, connected_only), checks, threads)

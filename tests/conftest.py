@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from compnum.graph import (AcyclicLabeling, Digraph, DirectedCycle, Graph,
                            add_isolated, bits)
@@ -127,6 +127,24 @@ def occupied_edges_by_scan(graph: Graph, clique) -> list[tuple[int, int]]:
     others = [set(c) for c in maximal_cliques(graph) if c != members]
     return [(u, v) for u, v in combinations(members, 2)
             if not any(u in c and v in c for c in others)]
+
+
+def adjacency_mask_by_scan(graph: Graph, perm=None) -> int:
+    """The adjacency bitstring of the graph relabelled by ``perm`` (vertex v
+    becomes perm[v]; the identity when omitted), read as a binary number:
+    one bit per pair (0,1), (0,2), ..., (n-2,n-1) in that order, the first
+    pair most significant."""
+    perm = perm or range(graph.n)
+    image = {frozenset((perm[u], perm[v])) for u, v in graph.edges()}
+    digits = "".join("1" if frozenset(pair) in image else "0"
+                     for pair in combinations(range(graph.n), 2))
+    return int(digits or "0", 2)
+
+
+def canonical_mask_by_scan(graph: Graph) -> int:
+    """Least adjacency mask over every vertex permutation; n! work."""
+    return min(adjacency_mask_by_scan(graph, perm)
+               for perm in permutations(range(graph.n)))
 
 
 def naive_min_cover(graph: Graph) -> tuple[tuple[int, ...], ...]:

@@ -2,15 +2,15 @@ import hashlib
 import random
 from itertools import combinations, permutations
 
-import pytest
 from conftest import (find_diamond_by_scan, find_hole_by_scan, mcs_order_by_scan,
                       occupied_edges_by_scan, random_graph)
 
 from compnum.cliques import (EliminationOrdering, Hole, _find_hole, _mcs_order,
-                             chordality, every_clique_has_occupied_edge,
+                             chordality, edge_clique_counts,
+                             every_clique_has_occupied_edge,
                              every_vertex_on_occupied_edge, is_diamond_free,
                              is_induced_cycle, maximal_cliques,
-                             maximal_cliques_through, occupied_edges,
+                             maximal_cliques_through, occupied_pairs,
                              simplicial_vertices,
                              verify_elimination_ordering)
 from compnum.ecc import make_cover
@@ -99,13 +99,20 @@ def test_diamond_witness_is_least_induced_diamond():
             assert is_diamond_free(g) == find_diamond_by_scan(g)
 
 
+def occupied_edges(graph, clique):
+    """The occupied edges of a maximal clique along the library's own path,
+    the one rebuild_star and both occupied-edge predicates take."""
+    return occupied_pairs(edge_clique_counts(graph), tuple(sorted(clique)))
+
+
 def test_occupied_edges():
     assert occupied_edges(K3, (0, 1, 2)) == [(0, 1), (0, 2), (1, 2)]
     assert occupied_edges(DIAMOND, (0, 1, 2)) == [(0, 2), (1, 2)]
     for edge in [(0, 1), (1, 2), (2, 3)]:
         assert occupied_edges(C4, edge) == [edge]
-    with pytest.raises(ValueError):
-        occupied_edges(DIAMOND, (0, 1))
+    for g in (K3, DIAMOND, C4, P3):
+        for c in maximal_cliques(g):
+            assert occupied_edges(g, c) == occupied_edges_by_scan(g, c)
 
 
 def test_occupied_union_covers_diamond_free_graphs():

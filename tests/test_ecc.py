@@ -3,8 +3,7 @@ import random
 import pytest
 from conftest import naive_min_cover, naive_theta_e
 
-from compnum.ecc import (expand_to_maximal, make_cover, min_edge_clique_cover,
-                         theta_e)
+from compnum.ecc import make_cover, min_edge_clique_cover, theta_e
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
 from compnum.smallgraphs import enumerate_small_graphs
@@ -12,7 +11,6 @@ from compnum.smallgraphs import enumerate_small_graphs
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
 def test_complete_graphs_need_one_clique():
@@ -79,33 +77,6 @@ def random_graph_with_edges(rng):
         g = random_graph(rng, rng.randint(2, 6))
         if g.edge_count:
             return g
-
-
-def test_expand_to_maximal_k3_edges():
-    cover = make_cover(K3, [(0, 1), (0, 2), (1, 2)])
-    expanded = expand_to_maximal(K3, cover)
-    assert expanded.cliques == ((0, 1, 2),) * 3
-    assert expanded.all_maximal and not expanded.is_minimum
-    assert expand_to_maximal(K3, cover, dedup=True).cliques == ((0, 1, 2),)
-
-
-def test_expand_to_maximal_identity_on_path():
-    cover = make_cover(P3, [(0, 1), (1, 2)])
-    assert expand_to_maximal(P3, cover).cliques == ((0, 1), (1, 2))
-
-
-def test_expand_to_maximal_diamond_edges():
-    cover = make_cover(DIAMOND, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 1)])
-    expanded = expand_to_maximal(DIAMOND, cover)
-    triangles = {(0, 1, 2), (0, 1, 3)}
-    assert all(c in triangles for c in expanded.cliques)
-    assert len(expanded.cliques) == 5 and expanded.covers_all_edges
-
-
-def test_expand_rejects_non_cover():
-    partial = make_cover(C4, [(0, 1)])
-    with pytest.raises(ValueError):
-        expand_to_maximal(C4, partial)
 
 
 def test_make_cover_rejects_non_clique():

@@ -2,11 +2,13 @@
 command loads."""
 
 import contextlib
+import glob
 import hashlib
 import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,8 +18,8 @@ import pytest
 import compnum
 from compnum.cli import main
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 HOMES = {
     "bounds": ("BoundsReport", "best_union_tail", "bounds_report",
@@ -26,13 +28,12 @@ HOMES = {
     "cliques": ("EliminationOrdering", "Hole", "chordality",
                 "every_clique_has_occupied_edge",
                 "every_vertex_on_occupied_edge", "is_diamond_free",
-                "maximal_cliques", "occupied_edges", "simplicial_vertices"),
+                "maximal_cliques", "simplicial_vertices"),
     "constructions": ("EffectiveCoverCertificate", "HallCertificate",
                       "NotChordalError", "chordal_realizer",
                       "hall_certificate", "rebuild_star",
                       "simplicial_family_realizer", "verify_effective_cover"),
-    "ecc": ("CliqueCover", "expand_to_maximal", "make_cover",
-            "min_edge_clique_cover", "theta_e"),
+    "ecc": ("CliqueCover", "make_cover", "min_edge_clique_cover", "theta_e"),
     "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",
               "acyclic_labeling", "add_isolated", "competition_graph"),
     "io": ("FormatError", "parse_edge_list", "parse_graph6",
@@ -40,8 +41,8 @@ HOMES = {
     "realizer": ("Realization", "RealizationError", "competition_number",
                  "max_predators_with", "min_prey_count",
                  "primary_predator_index", "realizable_with"),
-    "smallgraphs": ("canonical_graph", "enumerate_small_graphs"),
-    "sweep": ("SweepReport", "sweep", "sweep_small"),
+    "smallgraphs": ("enumerate_small_graphs",),
+    "sweep": ("SweepReport", "sweep"),
 }
 
 # sha256 of `compnum [COMMAND] --help` at 80 columns
@@ -79,6 +80,23 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
 def test_all_is_unchanged():
     assert sorted(compnum.__all__) == sorted(
         name for names in HOMES.values() for name in names)
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a name only the tests call is a test oracle and belongs in tests/
+    paths = [path for path in glob.glob(os.path.join(SRC, "compnum", "*.py"))
+             if os.path.basename(path) != "__init__.py"]
+    for folder in ("demos", "bench"):
+        paths += glob.glob(os.path.join(ROOT, folder, "*.py"))
+    lines = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            lines += handle.read().splitlines()
+    uncalled = [name for name in compnum.__all__
+                if not any(re.search(rf"\b{name}\b", line)
+                           and not re.match(rf"\s*(def|class) {name}\b", line)
+                           for line in lines)]
+    assert uncalled == []
 
 
 def test_every_public_name_is_its_home_module_attribute():

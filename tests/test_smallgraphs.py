@@ -1,11 +1,10 @@
 import random
 
 import pytest
+from conftest import adjacency_mask_by_scan, canonical_mask_by_scan
 
 from compnum.graph import Graph
-from compnum.smallgraphs import (canonical_graph, canonical_mask,
-                                 enumerate_small_graphs, graph_from_mask,
-                                 mask_from_graph)
+from compnum.smallgraphs import enumerate_small_graphs, graph_from_mask
 
 KNOWN_COUNTS = {1: (1, 1), 2: (2, 1), 3: (4, 2), 4: (11, 6),
                 5: (34, 21), 6: (156, 112)}
@@ -19,14 +18,19 @@ def test_class_counts(n):
 
 
 def test_representatives_are_canonical_and_ordered():
-    masks = [mask_from_graph(g) for g in enumerate_small_graphs(4)]
-    assert masks == sorted(masks)
-    for g in enumerate_small_graphs(4):
-        m = mask_from_graph(g)
-        assert canonical_mask(4, m) == m
+    for n in range(1, 6):
+        masks = [adjacency_mask_by_scan(g) for g in enumerate_small_graphs(n)]
+        assert masks == sorted(masks)
+        for g, m in zip(enumerate_small_graphs(n), masks):
+            assert canonical_mask_by_scan(g) == m
 
 
 def test_canonical_graph_invariant_under_relabeling():
+    # a graph and any relabelling of it share the one representative
+    # enumeration yields for their class
+    representatives = {n: {adjacency_mask_by_scan(g)
+                           for g in enumerate_small_graphs(n)}
+                       for n in range(1, 7)}
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -37,7 +41,9 @@ def test_canonical_graph_invariant_under_relabeling():
         relabeled = Graph.from_edges(
             n, [(min(perm[u], perm[v]), max(perm[u], perm[v]))
                 for u, v in g.edges()])
-        assert canonical_graph(g) == canonical_graph(relabeled)
+        canonical = canonical_mask_by_scan(g)
+        assert canonical == canonical_mask_by_scan(relabeled)
+        assert canonical in representatives[n]
 
 
 def test_enumeration_cap():

@@ -14,7 +14,7 @@ from compnum.fixtures import (effective_cover_example_cover,
 from compnum.graph import Digraph, Graph
 from compnum.io import serialize_edge_list, serialize_graph6
 from compnum.smallgraphs import enumerate_small_graphs
-from compnum.sweep import ENV_THREADS, _worker_count, sweep, sweep_small
+from compnum.sweep import _worker_count, sweep
 
 
 @pytest.fixture
@@ -51,15 +51,11 @@ def test_sweep_serial_equals_parallel():
 
 def test_worker_count_is_clamped_to_jobs_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv(ENV_THREADS, raising=False)
     assert _worker_count(5000, 100) == 4
     assert _worker_count(5000, 3) == 3
     assert _worker_count(None, 100) == 4
     assert _worker_count(0, 100) == 1
     assert _worker_count(2, 0) == 1
-    monkeypatch.setenv(ENV_THREADS, "5000")
-    assert _worker_count(None, 100) == 4
-    assert _worker_count(None, 2) == 2
 
 
 def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
@@ -88,7 +84,7 @@ def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
 
 
 def test_sweep_small_n4_clean():
-    report = sweep_small(4, connected_only=True, threads=1)
+    report = sweep(enumerate_small_graphs(4, True), threads=1)
     assert not report.violations
     assert report.summary["conjecture"]["counterexamples"] == []
     assert report.summary["graphs"] == 6
@@ -235,6 +231,23 @@ def test_cli_rejects_malformed_cover_json(capsys, tmp_path, cliques):
         assert cert.failure == "cover contains a non-clique"
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "--in", "{tmp}/nope.g6"],
+    ["verify-effective", "--graph", "{edges}", "--cover", "{tmp}/nope.json",
+     "--digraph", "{arcs}"],
+    ["sweep", "--n", "3", "--threads", "1", "--out", "{tmp}/no-dir/x.json"],
+], ids=["missing-input", "missing-cover", "unwritable-out"])
+def test_cli_file_errors_exit_1_without_traceback(capsys, fixture_files,
+                                                  tmp_path, argv):
+    names = {"tmp": tmp_path, "edges": fixture_files["edges"],
+             "arcs": fixture_files["arcs"]}
+    code = main([arg.format(**names) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def cyclic_files(tmp_path):
     # 2K2 with the cover of its two edges and a digraph whose competition
@@ -323,14 +336,3 @@ def test_cli_outputs_are_reproducible(capsys, fixture_files):
     assert first == second
 
 
-def test_cli_thread_env_cap(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("COMPNUM_THREADS", "1")
-    code, out = run_cli(capsys, "sweep", "--n", "3", "--checks", "floors")
-    assert code == 0 and json.loads(out)["graphs"] == 4
-
-
-def test_cli_thread_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("COMPNUM_THREADS", "x")
-    assert main(["sweep", "--n", "3"]) == 1
-    assert capsys.readouterr().err == (
-        "error: COMPNUM_THREADS must be an integer, not 'x'\n")
