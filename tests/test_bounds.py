@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from compnum.bounds import (best_union_tail, bounds_report, clique_census,
                             opsut_bound, planar_formula_check, predator_bound,
                             union_tail_bound)
 from compnum.cliques import chordality, EliminationOrdering, is_diamond_free
+from compnum.constructions import hall_certificate
 from compnum.ecc import min_edge_clique_cover, theta_e
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
@@ -149,3 +153,28 @@ def test_bound_ordering_invariants():
             k, _ = competition_number(g)
             assert predator_bound(g, p) >= opsut_bound(g)
             assert predator_bound(g, p) <= k
+
+
+def test_report_records_are_pinned():
+    graphs = [g for n in range(6) for g in enumerate_small_graphs(n)]
+    graphs.append(effective_cover_example_graph())
+    assert len(graphs) == 54
+    rows = []
+    for g in graphs:
+        p, p_witness = primary_predator_index(g)
+        _, k_witness = competition_number(g)
+        try:
+            r = planar_formula_check(g, p)
+            planar = {"faces": r.faces, "k_formula": r.k_formula,
+                      "theta_from_census": r.theta_from_census,
+                      "k_exact": r.k_exact, "consistent": r.consistent}
+        except ValueError as exc:
+            planar = str(exc)
+        cover = min_edge_clique_cover(g)
+        rows.append([
+            bounds_report(g).to_json_dict(), planar,
+            hall_certificate(g, cover, k_witness.digraph).to_json_dict(),
+            hall_certificate(g, cover, p_witness.digraph).to_json_dict()])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "cd1a1799e43c1f552297aadebf351f68b1341f7ce4116a4a872ceea51fdbd243")
