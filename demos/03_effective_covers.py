@@ -27,7 +27,7 @@ for i, w in cert.sink_map:
     print(f"  clique {clique:<18} -> sink {name[w]}")
 
 hall = hall_certificate(g, cover, d)
-print("Hall matching (clique index -> prey):", hall.matching)
+print("Hall matching (clique index -> prey):", hall["matching"])
 
 print()
 print("=" * 64)

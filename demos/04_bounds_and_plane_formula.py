@@ -46,14 +46,14 @@ cases = {
 for name, graph in cases.items():
     p, _ = primary_predator_index(graph)
     result = planar_formula_check(graph, p)
-    print(f"{name:<8} census {clique_census(graph)} faces {result.faces} "
-          f"formula k {result.k_formula} exact k {result.k_exact} "
-          f"consistent {result.consistent}")
+    print(f"{name:<8} census {clique_census(graph)} faces {result['faces']} "
+          f"formula k {result['k_formula']} exact k {result['k_exact']} "
+          f"consistent {result['consistent']}")
 
 print()
 print("=" * 64)
 print("4. The full bounds report as JSON")
 print("=" * 64)
 
-print(json.dumps(bounds_report(cases["house"]).to_json_dict(),
+print(json.dumps(bounds_report(cases["house"]),
                  indent=2, sort_keys=True))

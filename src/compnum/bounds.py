@@ -10,7 +10,6 @@ cardinality, so it is sound without knowing any accompanying digraph
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cliques import every_clique_has_occupied_edge, is_diamond_free, maximal_cliques
@@ -68,23 +67,15 @@ def clique_census(graph: Graph) -> tuple[int, int, int]:
     return counts[2], counts[3], counts[4]
 
 
-@dataclass(frozen=True)
-class PlanarFormulaResult:
-    faces: int
-    k_formula: int
-    theta_from_census: int
-    k_exact: int
-    consistent: bool
-
-
-def planar_formula_check(graph: Graph, p: int) -> PlanarFormulaResult:
+def planar_formula_check(graph: Graph, p: int) -> dict:
     """Evaluate the face-count formula for a connected diamond-free plane
     graph: k = f + p - 2*c3 - 5*c4 - 2 with f = |E| - n + 2.
 
     Planarity itself is the caller's assertion; only the edge-count sanity
-    check |E| <= 3n - 6 (for n >= 3) guards it.  ``consistent`` requires
-    both that the formula reproduces the exact competition number and that
-    theta_e equals |E| - 2*c3 - 5*c4.
+    check |E| <= 3n - 6 (for n >= 3) guards it.  Returns the record
+    {faces, k_formula, theta_from_census, k_exact, consistent}; ``consistent``
+    requires both that the formula reproduces the exact competition number
+    and that theta_e equals |E| - 2*c3 - 5*c4.
     """
     if graph.n == 0:
         raise ValueError("graph must have at least one vertex")
@@ -100,78 +91,29 @@ def planar_formula_check(graph: Graph, p: int) -> PlanarFormulaResult:
     k_formula = faces + p - 2 * c3 - 5 * c4 - 2
     theta_census = graph.edge_count - 2 * c3 - 5 * c4
     k_exact, _ = competition_number(graph)
-    consistent = (k_formula == k_exact) and (theta_census == theta_e(graph))
-    return PlanarFormulaResult(faces, k_formula, theta_census, k_exact,
-                               consistent)
+    return {"faces": faces, "k_formula": k_formula,
+            "theta_from_census": theta_census, "k_exact": k_exact,
+            "consistent": k_formula == k_exact and theta_census == theta_e(graph)}
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """All bounds for one graph, with the exact values they hang off."""
-
-    n: int
-    edge_count: int
-    theta_e: int
-    k: int
-    p: int
-    opsut: int
-    predator_bound: int
-    union_tail: tuple[tuple[int, int], ...]
-    union_tail_best: tuple[int, int] | None
-    census: tuple[int, int, int] | None
-    faces: int | None
-    planar_formula_k: int | None
-    planar_consistent: bool | None
-    occupied_equality: bool | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "edges": self.edge_count,
-            "theta_e": self.theta_e,
-            "k": self.k,
-            "p": self.p,
-            "opsut": self.opsut,
-            "opsut_usable": max(self.opsut, 0),
-            "predator_bound": self.predator_bound,
-            "predator_bound_usable": max(self.predator_bound, 0),
-            "union_tail": {str(k): v for k, v in self.union_tail},
-            "union_tail_best": None if self.union_tail_best is None
-            else list(self.union_tail_best),
-            "union_tail_variant": "subset-min variant",
-            "census": None if self.census is None else list(self.census),
-            "faces": self.faces,
-            "planar_formula_k": self.planar_formula_k,
-            "planar_consistent": self.planar_consistent,
-            "occupied_equality": self.occupied_equality,
-        }
-
-
-def bounds_report(graph: Graph) -> BoundsReport:
-    """Compute every applicable bound for a graph, using exact k and p."""
+def bounds_report(graph: Graph) -> dict:
+    """Every applicable bound for a graph, using exact k and p, as the JSON
+    record the CLI prints; ``*_usable`` keys clamp a bound at zero."""
     k, _ = competition_number(graph)
     p, _ = primary_predator_index(graph)
     theta = theta_e(graph)
-    union_tail: tuple[tuple[int, int], ...] = ()
-    union_best = None
+    tail = []
     if theta > 0:
         cover = min_edge_clique_cover(graph)
-        union_tail = tuple((i, union_tail_bound(cover, i))
-                           for i in range(1, theta + 1))
-        union_best = max(union_tail, key=lambda item: item[1])
-    census = faces = formula_k = consistent = None
+        tail = [(i, union_tail_bound(cover, i)) for i in range(1, theta + 1)]
     try:
-        census = clique_census(graph)
+        census = list(clique_census(graph))
     except ValueError:
-        pass
+        census = None
     try:
-        result = planar_formula_check(graph, p)
+        planar = planar_formula_check(graph, p)
     except ValueError:
-        pass
-    else:
-        faces = result.faces
-        formula_k = result.k_formula
-        consistent = result.consistent
+        planar = {}
     occupied = None
     if graph.edge_count > 0:
         occupied = every_clique_has_occupied_edge(graph)
@@ -179,7 +121,24 @@ def bounds_report(graph: Graph) -> BoundsReport:
             raise RuntimeError(
                 "every maximal clique owns an occupied edge but the exact "
                 "equality k = theta_e - n + p fails; library bug")
-    return BoundsReport(graph.n, graph.edge_count, theta, k, p,
-                        opsut_bound(graph), predator_bound(graph, p),
-                        union_tail, union_best, census, faces, formula_k,
-                        consistent, occupied)
+    opsut, predator = opsut_bound(graph), predator_bound(graph, p)
+    return {
+        "n": graph.n,
+        "edges": graph.edge_count,
+        "theta_e": theta,
+        "k": k,
+        "p": p,
+        "opsut": opsut,
+        "opsut_usable": max(opsut, 0),
+        "predator_bound": predator,
+        "predator_bound_usable": max(predator, 0),
+        "union_tail": {str(i): bound for i, bound in tail},
+        "union_tail_best": list(max(tail, key=lambda kv: kv[1]))
+        if tail else None,
+        "union_tail_variant": "subset-min variant",
+        "census": census,
+        "faces": planar.get("faces"),
+        "planar_formula_k": planar.get("k_formula"),
+        "planar_consistent": planar.get("consistent"),
+        "occupied_equality": occupied,
+    }

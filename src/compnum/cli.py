@@ -3,12 +3,12 @@
 Outputs are byte-identical across runs for identical inputs and flags:
 JSON is emitted with sorted keys and no timestamps, and every underlying
 computation is deterministic.  Exit codes: 0 all checks pass, 2 a theorem
-check failed (a library bug either way, so it must surface), 3 the sweep
-found a counterexample to the concluding equality (reported as a finding,
-not a failure), 1 for usage errors, a file that cannot be read or written,
-a failed verification or a closed stdout.  Each command imports the
-library modules it calls, so a process loads only the modules of its own
-command.
+check failed (a library bug either way, so it must surface, as one error
+line), 3 the sweep found a counterexample to the concluding equality
+(reported as a finding, not a failure), 1 for usage errors, a file that
+cannot be read or written, a failed verification or a closed stdout.  Each
+command imports the library modules it calls, so a process loads only the
+modules of its own command.
 """
 
 import argparse
@@ -265,15 +265,14 @@ def _cmd_hall_cert(args) -> int:
     else:
         _, witness = competition_number(graph)
         digraph = witness.digraph
-    cert = hall_certificate(graph, cover, digraph)
-    _emit(cert.to_json_dict(), args.json)
+    _emit(hall_certificate(graph, cover, digraph), args.json)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     from .bounds import bounds_report
     graph = _load_graph(args.infile, args.format)
-    _emit(bounds_report(graph).to_json_dict(), args.json)
+    _emit(bounds_report(graph), args.json)
     return 0
 
 
@@ -283,12 +282,8 @@ def _cmd_planar_check(args) -> int:
     graph = _load_graph(args.infile, args.format)
     p, _ = primary_predator_index(graph)
     result = planar_formula_check(graph, p)
-    payload = {"faces": result.faces, "p": p,
-               "k_formula": result.k_formula, "k_exact": result.k_exact,
-               "theta_from_census": result.theta_from_census,
-               "consistent": result.consistent}
-    _emit(payload, args.json)
-    return 0 if result.consistent else 2
+    _emit({**result, "p": p}, args.json)
+    return 0 if result["consistent"] else 2
 
 
 def _cmd_sweep(args) -> int:
@@ -342,6 +337,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        raise  # a RuntimeError, but a limit of the input, not a failed check
+    except (RuntimeError, AssertionError) as exc:  # a failed self-check
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout's reader has gone; devnull takes what the exit flushes
         import os

@@ -54,21 +54,6 @@ class EffectiveCoverCertificate:
         }
 
 
-@dataclass(frozen=True)
-class HallCertificate:
-    """Common-out-neighbour sets per cover clique and a matching that
-    saturates the cover with pairwise distinct prey."""
-
-    sets: tuple[tuple[int, ...], ...]
-    matching: tuple[tuple[int, int], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sets": [list(s) for s in self.sets],
-            "matching": [[i, w] for i, w in self.matching],
-        }
-
-
 def _max_bipartite_matching(adjacency) -> list:
     """Kuhn augmenting paths; deterministic given the adjacency order."""
     match_right: dict[int, int] = {}
@@ -203,11 +188,10 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
     sinks = [w for _, w in sink_map]
     if len(set(sinks)) != len(sinks):
         raise RealizationError("rebuilt sinks are not pairwise distinct")
-    for u, v in arcs:
-        if labels[u] <= labels[v]:
-            raise RealizationError(
-                "input labeling is no longer acyclic on the rebuilt digraph")
     star = Digraph.from_arcs(digraph.n, arcs)
+    if not realization.labeling.validates(star):
+        raise RealizationError(
+            "input labeling is no longer acyclic on the rebuilt digraph")
     rebuilt = certify_realization(graph, star, realization.k, sink_map)
     if rebuilt.prey_count != theta_e(graph):
         raise RealizationError("rebuilt digraph does not have theta_e prey")
@@ -278,77 +262,62 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
 # verification
 
 
-_FAILURES = {
-    "cliques are cliques": "cover contains a non-clique",
-    "covers all edges": "cover does not cover all edges",
-    "cover minimum": "cover not minimum",
-    "all cliques maximal": "cover contains a non-maximal clique",
-    "isolate count equals competition number": "isolate count differs from k",
-    "competition graph matches": "competition graph mismatch",
-    "digraph is acyclic": "digraph contains a cycle",
-    "prey count equals cover size": "prey count differs from cover size",
-    "sinks assigned": "no distinct sink assignment covers the cliques",
-}
-
-
 def verify_effective_cover(graph: Graph, cover: CliqueCover,
                            digraph: Digraph) -> EffectiveCoverCertificate:
     """Check whether a cover plus digraph witnesses an effective
     competition cover; every failed condition is named individually."""
-    checks: list[tuple[str, bool]] = []
-    sink_map = None
-    realization = None
-
-    def record(name: str, ok: bool) -> bool:
-        checks.append((name, ok))
-        return ok
-
     try:
         made, cliques_ok = make_cover(graph, cover.cliques), True
     except ValueError:
         made, cliques_ok = CliqueCover((), False, False, False), False
-    record("cliques are cliques", cliques_ok)
-    record("covers all edges", made.covers_all_edges)
-    record("cover minimum", made.is_minimum)
-    record("all cliques maximal", made.all_maximal)
-
     k, _ = competition_number(graph)
     iso_ok = digraph.n == graph.n + k
-    record("isolate count equals competition number", iso_ok)
-    comp_ok = iso_ok and competition_graph(digraph) == add_isolated(graph, k)
-    record("competition graph matches", comp_ok)
     labeling = acyclic_labeling(digraph)
-    record("digraph is acyclic", isinstance(labeling, AcyclicLabeling))
-
     prey = [v for v in range(digraph.n) if digraph.in_rows[v]]
-    prey_ok = len(prey) == cover.theta
-    record("prey count equals cover size", prey_ok)
-
     adjacency = []
     for c in made.cliques:
         mask = mask_of(c)
         adjacency.append([w for w in prey if digraph.in_rows[w] & mask == mask])
     match = _max_bipartite_matching(adjacency)
-    sinks_ok = cliques_ok and all(w is not None for w in match)
-    record("sinks assigned", sinks_ok)
 
-    failure = next((_FAILURES[name] for name, ok in checks if not ok), None)
-    valid = failure is None
-    if valid:
+    table = (  # (check name, result, failure message), in reporting order
+        ("cliques are cliques", cliques_ok, "cover contains a non-clique"),
+        ("covers all edges", made.covers_all_edges,
+         "cover does not cover all edges"),
+        ("cover minimum", made.is_minimum, "cover not minimum"),
+        ("all cliques maximal", made.all_maximal,
+         "cover contains a non-maximal clique"),
+        ("isolate count equals competition number", iso_ok,
+         "isolate count differs from k"),
+        ("competition graph matches",
+         iso_ok and competition_graph(digraph) == add_isolated(graph, k),
+         "competition graph mismatch"),
+        ("digraph is acyclic", isinstance(labeling, AcyclicLabeling),
+         "digraph contains a cycle"),
+        ("prey count equals cover size", len(prey) == cover.theta,
+         "prey count differs from cover size"),
+        ("sinks assigned", cliques_ok and all(w is not None for w in match),
+         "no distinct sink assignment covers the cliques"),
+    )
+    failure = next((message for _, ok, message in table if not ok), None)
+    sink_map = realization = None
+    if failure is None:
         # these checks imply certify_realization's, as prey = theta_e
-        sink_map = tuple((i, w) for i, w in enumerate(match))
+        sink_map = tuple(enumerate(match))
         realization = Realization(digraph, k, labeling, len(prey),
                                   digraph.n - len(prey), sink_map)
-    return EffectiveCoverCertificate(tuple(checks), valid, failure, sink_map,
-                                     realization)
+    return EffectiveCoverCertificate(
+        tuple((name, ok) for name, ok, _ in table), failure is None, failure,
+        sink_map, realization)
 
 
 def hall_certificate(graph: Graph, cover: CliqueCover,
-                     digraph: Digraph) -> HallCertificate:
+                     digraph: Digraph) -> dict:
     """Match every cover clique to a distinct prey that two of its members
-    feed.  The sets A_i collect, per clique, the common out-neighbours of
-    pairs inside it; a matching saturating the cover always exists for a
-    genuine realization, so a missing matching aborts loudly."""
+    feed, as the record {sets, matching}.  The sets A_i collect, per clique,
+    the common out-neighbours of pairs inside it; the matching pairs each
+    clique index with its prey.  A matching saturating the cover always
+    exists for a genuine realization, so a missing matching aborts loudly."""
     if not (cover.covers_all_edges and cover.all_maximal and cover.is_minimum):
         raise ValueError("cover must be a minimum cover of maximal cliques")
     try:
@@ -368,5 +337,4 @@ def hall_certificate(graph: Graph, cover: CliqueCover,
         raise RuntimeError(
             "no matching saturates the cover cliques; this contradicts a "
             "proven guarantee and indicates a library bug")
-    matching = tuple((i, w) for i, w in enumerate(match))
-    return HallCertificate(tuple(sets), matching)
+    return {"sets": tuple(sets), "matching": tuple(enumerate(match))}

@@ -110,7 +110,7 @@ def graph_record(args) -> dict:
             except ValueError:
                 pass
             else:
-                out["planar_formula"] = result.consistent
+                out["planar_formula"] = result["consistent"]
 
         if "conjecture" in checks:
             record["conjecture_equal"] = k == theta - graph.n + p

@@ -199,7 +199,8 @@ def test_criterion_5_plane_graph_formula():
             failures.append((name, "search size"))
             continue
         result = planar_formula_check(g, p)
-        if result.k_formula != k or result.theta_from_census != theta_e(g):
+        if (result["k_formula"] != k
+                or result["theta_from_census"] != theta_e(g)):
             failures.append((name, "formula"))
     elapsed = time.time() - start
     ok = not failures and tree_count == 25

@@ -81,13 +81,13 @@ def test_clique_census():
 def test_planar_formula_examples():
     single = Graph(1, (0,))
     res = planar_formula_check(single, 1)
-    assert (res.faces, res.k_formula, res.consistent) == (1, 0, True)
+    assert (res["faces"], res["k_formula"], res["consistent"]) == (1, 0, True)
     res = planar_formula_check(C4, 2)
-    assert (res.faces, res.k_formula, res.k_exact) == (2, 2, 2)
-    assert res.consistent
+    assert (res["faces"], res["k_formula"], res["k_exact"]) == (2, 2, 2)
+    assert res["consistent"]
     res = planar_formula_check(P4, 2)
-    assert (res.faces, res.k_formula, res.k_exact) == (1, 1, 1)
-    assert res.consistent
+    assert (res["faces"], res["k_formula"], res["k_exact"]) == (1, 1, 1)
+    assert res["consistent"]
 
 
 def test_planar_formula_rejections():
@@ -105,14 +105,13 @@ def test_planar_formula_rejections():
 
 def test_bounds_report_worked_example():
     report = bounds_report(effective_cover_example_graph())
-    assert (report.theta_e, report.k, report.p) == (6, 1, 4)
-    assert report.opsut == -1 and report.predator_bound == 1
-    assert report.census == (3, 1, 2)
-    assert report.faces is None           # has a diamond, formula inapplicable
-    payload = report.to_json_dict()
-    assert payload["opsut_usable"] == 0
-    assert payload["predator_bound_usable"] == 1
-    assert payload["union_tail_variant"] == "subset-min variant"
+    assert (report["theta_e"], report["k"], report["p"]) == (6, 1, 4)
+    assert report["opsut"] == -1 and report["predator_bound"] == 1
+    assert report["census"] == [3, 1, 2]
+    assert report["faces"] is None        # has a diamond, formula inapplicable
+    assert report["opsut_usable"] == 0
+    assert report["predator_bound_usable"] == 1
+    assert report["union_tail_variant"] == "subset-min variant"
 
 
 def test_bounds_report_union_tail_best_matches_best_union_tail():
@@ -121,15 +120,15 @@ def test_bounds_report_union_tail_best_matches_best_union_tail():
             if g.edge_count == 0:
                 continue
             best = best_union_tail(min_edge_clique_cover(g))
-            assert bounds_report(g).union_tail_best == best
+            assert bounds_report(g)["union_tail_best"] == list(best)
 
 
 def test_bounds_report_planar_case():
     report = bounds_report(C4)
-    assert report.census == (4, 0, 0)
-    assert report.faces == 2 and report.planar_formula_k == 2
-    assert report.planar_consistent
-    assert report.occupied_equality
+    assert report["census"] == [4, 0, 0]
+    assert report["faces"] == 2 and report["planar_formula_k"] == 2
+    assert report["planar_consistent"]
+    assert report["occupied_equality"]
 
 
 def test_census_sum_equals_theta_on_planar_diamond_free():
@@ -164,17 +163,14 @@ def test_report_records_are_pinned():
         p, p_witness = primary_predator_index(g)
         _, k_witness = competition_number(g)
         try:
-            r = planar_formula_check(g, p)
-            planar = {"faces": r.faces, "k_formula": r.k_formula,
-                      "theta_from_census": r.theta_from_census,
-                      "k_exact": r.k_exact, "consistent": r.consistent}
+            planar = planar_formula_check(g, p)
         except ValueError as exc:
             planar = str(exc)
         cover = min_edge_clique_cover(g)
         rows.append([
-            bounds_report(g).to_json_dict(), planar,
-            hall_certificate(g, cover, k_witness.digraph).to_json_dict(),
-            hall_certificate(g, cover, p_witness.digraph).to_json_dict()])
+            bounds_report(g), planar,
+            hall_certificate(g, cover, k_witness.digraph),
+            hall_certificate(g, cover, p_witness.digraph)])
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
     assert digest.hexdigest() == (
         "cd1a1799e43c1f552297aadebf351f68b1341f7ce4116a4a872ceea51fdbd243")

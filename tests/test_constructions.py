@@ -325,20 +325,20 @@ def test_hall_certificate_worked_example():
     d = effective_cover_example_digraph()
     cover = effective_cover_example_cover()
     cert = hall_certificate(g, cover, d)
-    sinks = [w for _, w in cert.matching]
+    sinks = [w for _, w in cert["matching"]]
     assert len(sinks) == 6 and len(set(sinks)) == 6
-    for (i, w), members in zip(cert.matching, cert.sets):
+    for (i, w), members in zip(cert["matching"], cert["sets"]):
         assert w in members
 
 
 def test_hall_certificate_k3_and_c4():
     k, witness = competition_number(K3)
     cert = hall_certificate(K3, min_edge_clique_cover(K3), witness.digraph)
-    assert len(cert.matching) == 1
-    assert cert.sets[0] == (3,)
+    assert len(cert["matching"]) == 1
+    assert cert["sets"][0] == (3,)
     k, witness = competition_number(C4)
     cert = hall_certificate(C4, min_edge_clique_cover(C4), witness.digraph)
-    assert len(cert.matching) == 4
+    assert len(cert["matching"]) == 4
 
 
 def test_hall_certificate_rejects_bad_inputs():
@@ -365,4 +365,4 @@ def test_hall_certificate_never_fails_exhaustively():
             for witness in (competition_number(g)[1],
                             primary_predator_index(g)[1]):
                 cert = hall_certificate(g, cover, witness.digraph)
-                assert len(cert.matching) == cover.theta
+                assert len(cert["matching"]) == cover.theta

@@ -22,16 +22,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 HOMES = {
-    "bounds": ("BoundsReport", "best_union_tail", "bounds_report",
-               "clique_census", "opsut_bound", "planar_formula_check",
-               "predator_bound", "union_tail_bound"),
+    "bounds": ("best_union_tail", "bounds_report", "clique_census",
+               "opsut_bound", "planar_formula_check", "predator_bound",
+               "union_tail_bound"),
     "cliques": ("EliminationOrdering", "Hole", "chordality",
                 "every_clique_has_occupied_edge",
                 "every_vertex_on_occupied_edge", "is_diamond_free",
                 "maximal_cliques", "simplicial_vertices"),
-    "constructions": ("EffectiveCoverCertificate", "HallCertificate",
-                      "NotChordalError", "chordal_realizer",
-                      "hall_certificate", "rebuild_star",
+    "constructions": ("EffectiveCoverCertificate", "NotChordalError",
+                      "chordal_realizer", "hall_certificate", "rebuild_star",
                       "simplicial_family_realizer", "verify_effective_cover"),
     "ecc": ("CliqueCover", "make_cover", "min_edge_clique_cover", "theta_e"),
     "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",

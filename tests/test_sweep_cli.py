@@ -249,6 +249,43 @@ def test_cli_file_errors_exit_1_without_traceback(capsys, fixture_files,
 
 
 @pytest.fixture
+def c4_file(tmp_path):
+    path = tmp_path / "c4.edges"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    return str(path)
+
+
+def test_cli_failed_self_check_exits_2_with_one_error_line(
+        capsys, monkeypatch, c4_file):
+    import compnum.bounds
+    exact = compnum.bounds.competition_number
+
+    def off_by_one(graph):
+        k, witness = exact(graph)
+        return k + 1, witness
+
+    # every C4 clique owns an occupied edge, so bounds asserts k = theta-n+p
+    monkeypatch.setattr(compnum.bounds, "competition_number", off_by_one)
+    code = main(["bounds", "--in", c4_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "library bug" in captured.err
+
+
+def test_cli_lets_a_recursion_error_propagate(monkeypatch, c4_file):
+    import compnum.bounds
+
+    def too_deep(graph):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(compnum.bounds, "competition_number", too_deep)
+    with pytest.raises(RecursionError):
+        main(["bounds", "--in", c4_file])
+
+
+@pytest.fixture
 def cyclic_files(tmp_path):
     # 2K2 with the cover of its two edges and a digraph whose competition
     # graph is 2K2 plus one isolate but which has the cycle 2 -> 3 -> 2.
