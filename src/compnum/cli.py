@@ -6,9 +6,9 @@ computation is deterministic.  Exit codes: 0 all checks pass, 2 a theorem
 check failed (a library bug either way, so it must surface, as one error
 line), 3 the sweep found a counterexample to the concluding equality
 (reported as a finding, not a failure), 1 for usage errors, a file that
-cannot be read or written, a failed verification or a closed stdout.  Each
-command imports the library modules it calls, so a process loads only the
-modules of its own command.
+cannot be read or written, a failed verification, a dead sweep worker or a
+closed stdout.  Each command imports the library modules it calls, so a
+process loads only the modules of its own command.
 """
 
 import argparse
@@ -288,7 +288,6 @@ def _cmd_planar_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .io import parse_graph6_lines
-    from .smallgraphs import enumerate_small_graphs
     from .sweep import sweep
     if (args.n is None) == (args.infile is None):
         raise ValueError("give exactly one of --n or --in")
@@ -297,6 +296,7 @@ def _cmd_sweep(args) -> int:
         if args.connected:
             graphs = [g for g in graphs if g.is_connected()]
     else:
+        from .smallgraphs import enumerate_small_graphs
         graphs = list(enumerate_small_graphs(args.n, args.connected))
     checks = ALL_CHECKS if args.checks == "all" else (args.checks,)
     report = sweep(graphs, checks, threads=args.threads)
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:  # a missing input or an unwritable --out
+    except OSError as exc:  # missing input, unwritable --out, dead worker
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

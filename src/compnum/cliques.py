@@ -111,9 +111,10 @@ def is_diamond_free(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return True, None
 
 
+@lru_cache(maxsize=QUERY_GRAPHS)
 def edge_clique_counts(graph: Graph) -> Counter:
-    """For each edge (u, v), u < v, the number of maximal cliques that
-    contain it.  The one clique containing an edge of count 1 occupies it."""
+    """Per edge (u, v), u < v, the number of maximal cliques containing it,
+    shared by all callers.  An edge of count 1 is occupied by its clique."""
     return Counter(pair for c in maximal_clique_masks(graph)
                    for pair in combinations(bits(c), 2))
 

@@ -192,7 +192,7 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
     if not realization.labeling.validates(star):
         raise RealizationError(
             "input labeling is no longer acyclic on the rebuilt digraph")
-    rebuilt = certify_realization(graph, star, realization.k, sink_map)
+    rebuilt = certify_realization(graph, star, realization.k, tuple(sink_map))
     if rebuilt.prey_count != theta_e(graph):
         raise RealizationError("rebuilt digraph does not have theta_e prey")
     return rebuilt

@@ -92,9 +92,14 @@ class Graph:
     def without_isolates(self) -> tuple["Graph", tuple[int, ...]]:
         """The subgraph on the non-isolated vertices in ascending order (the
         graph itself if none is isolated) and each one's original index."""
+        return self._core or (self, tuple(range(self.n)))
+
+    @cached_property
+    def _core(self) -> tuple["Graph", tuple[int, ...]] | None:
+        # built once; None when no vertex is isolated, so no graph keeps itself
         keep = tuple(v for v in range(self.n) if self.rows[v])
         if len(keep) == self.n:
-            return self, keep
+            return None
         index = {v: i for i, v in enumerate(keep)}
         rows = tuple(sum(1 << index[u] for u in bits(self.rows[v])) for v in keep)
         return Graph(len(keep), rows), keep

@@ -75,9 +75,11 @@ class Realization:
         return [[u, v] for u, v in self.digraph.arcs]
 
 
+@lru_cache(maxsize=2 * QUERY_GRAPHS)
 def certify_realization(graph: Graph, digraph: Digraph, k: int,
                         sink_map=None) -> Realization:
-    """Check a claimed realization and package it; never trust, verify."""
+    """Check a claimed realization and package it; never trust, verify.
+    Recent results are kept, so a witness checked again costs a lookup."""
     if digraph.n < graph.n:
         raise RealizationError(f"digraph has {digraph.n} vertices, fewer "
                                f"than the graph's {graph.n}")
@@ -93,8 +95,7 @@ def certify_realization(graph: Graph, digraph: Digraph, k: int,
     prey = sum(1 for v in range(digraph.n) if digraph.in_rows[v])
     if graph.edge_count > 0 and prey < theta_e(graph):
         raise RealizationError("fewer prey than the edge clique cover number")
-    return Realization(digraph, k, labeling, prey, digraph.n - prey,
-                       None if sink_map is None else tuple(sink_map))
+    return Realization(digraph, k, labeling, prey, digraph.n - prey, sink_map)
 
 
 class _Found(Exception):

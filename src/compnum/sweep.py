@@ -6,14 +6,15 @@ pass on every graph; the concluding-equality probe k = theta_e - n + p is
 only tallied, and any counterexample is reported verbatim in the summary
 instead of failing the sweep.
 
-The sweep may fan out across processes (`--threads` caps the worker
-count); records are merged in enumeration order, so parallel and serial
-runs produce identical reports.
+The sweep may fan out across processes (`--threads` caps their count, this
+one included), each computing one interleaved slice of the stream; records
+are merged in stream order, so parallel and serial runs match exactly.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -32,11 +33,9 @@ class SweepReport:
     records: tuple[dict, ...]
     summary: dict
 
-    def to_json_dict(self) -> dict:
-        return {"records": list(self.records), "summary": self.summary}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps({"records": list(self.records),
+                           "summary": self.summary}, indent=2, sort_keys=True)
 
     @property
     def violations(self) -> list[dict]:
@@ -120,10 +119,41 @@ def graph_record(args) -> dict:
 
 
 def _worker_count(threads: int | None, jobs: int) -> int:
-    """Processes for a sweep: the requested count (``--threads``, else one
-    per CPU), never more than the jobs or the CPUs, and at least one."""
+    """Processes for a sweep, this one included: ``--threads`` (else one per
+    CPU), never more than the jobs or the CPUs, and at least one."""
     cpus = os.cpu_count() or 1
     return max(1, min(cpus if threads is None else threads, jobs, cpus))
+
+
+def _send_records(jobs, conn) -> None:
+    conn.send([graph_record(job) for job in jobs])
+
+
+def _fan_out(jobs, workers: int) -> list[dict]:
+    """The records in stream order: this process computes jobs[0::workers],
+    child i computes and sends jobs[i::workers]; a dead child is an error."""
+    records: list = [None] * len(jobs)
+    children = []
+    try:
+        for i in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_records,
+                                            args=(jobs[i::workers], send))
+            child.start()
+            send.close()  # so that the child's death reads as EOF here
+            children.append((child, recv))
+        records[0::workers] = [graph_record(job) for job in jobs[0::workers]]
+        for i, (_, recv) in enumerate(children, 1):
+            records[i::workers] = recv.recv()
+    except EOFError:  # graph_record turns its own errors into records
+        raise ChildProcessError("a sweep worker process died before sending "
+                                "its records") from None
+    finally:
+        for child, recv in children:
+            child.terminate()  # its records are read, or no longer wanted
+            child.join()
+            recv.close()
+    return records
 
 
 def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
@@ -133,14 +163,7 @@ def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     jobs = [(graph, checks) for graph in graphs]
-    workers = _worker_count(threads, len(jobs))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            records = pool.map(graph_record, jobs, chunksize=1)
-    else:
-        records = [graph_record(job) for job in jobs]
+    records = _fan_out(jobs, _worker_count(threads, len(jobs)))
 
     check_totals: dict[str, list[int]] = {}
     for record in records:

@@ -150,7 +150,9 @@ ALL_MODULES = sorted(QUERY_MODULES + ["compnum.bounds", "compnum.constructions",
      ["compnum", "compnum.cli", "compnum.cliques", "compnum.ecc",
       "compnum.graph", "compnum.io"]),
     (["sweep", "--n", "3", "--threads", "1"], ALL_MODULES),
-], ids=["help", "pindex", "theta", "sweep"])
+    (["sweep", "--in", "K4.g6", "--threads", "1"],
+     [name for name in ALL_MODULES if name != "compnum.smallgraphs"]),
+], ids=["help", "pindex", "theta", "sweep", "sweep-in"])
 def test_cli_loads_only_its_commands_modules(tmp_path, argv, modules):
     (tmp_path / "K4.g6").write_text("C~\n")
     done = run_python("""

@@ -12,16 +12,18 @@ from itertools import combinations
 import pytest
 
 from compnum import ALL_CHECKS
-from compnum.cliques import maximal_clique_masks
+from compnum.cliques import edge_clique_counts, maximal_clique_masks
 from compnum.ecc import _CoverSolver, cover_solver, min_edge_clique_cover, theta_e
 from compnum.graph import Graph
 from compnum.io import serialize_graph6
-from compnum.realizer import _search, competition_number, primary_predator_index
+from compnum.realizer import (_search, certify_realization, competition_number,
+                              primary_predator_index)
+from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import graph_record
 from test_exact_search_pins import rg
 
 CACHES = (maximal_clique_masks, cover_solver, _search, competition_number,
-          primary_predator_index)
+          primary_predator_index, edge_clique_counts)
 
 # a query's graph and its isolate-free core
 QUERY_GRAPHS = 2
@@ -107,11 +109,24 @@ def test_sweep_record_builds_one_solver_for_a_graph_with_isolates(built_solvers)
     assert built_solvers == [graph.without_isolates()[0]]
 
 
+def test_sweep_records_certify_each_witness_once():
+    # a cache hit returns the result of the same check on equal inputs;
+    # each miss runs the check
+    for cached in CACHES + (certify_realization,):
+        cached.cache_clear()
+    for graph in enumerate_small_graphs(6):
+        assert graph_record((graph, ALL_CHECKS))["error"] is None
+    info = certify_realization.cache_info()
+    assert (info.hits + info.misses, info.misses) == (944, 367)
+
+
 def test_caches_hold_one_query_only():
     for seed in range(20):
         primary_predator_index(rg(10, .5, seed))
     for cached in CACHES:
         assert cached.cache_info().currsize <= QUERY_GRAPHS, cached.__name__
+    # a k and a p witness per graph
+    assert certify_realization.cache_info().currsize <= 2 * QUERY_GRAPHS
     gc.collect()
     alive = sum(isinstance(obj, _CoverSolver) for obj in gc.get_objects())
     assert alive <= QUERY_GRAPHS

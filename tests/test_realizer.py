@@ -6,8 +6,9 @@ from conftest import dag_oracle, random_graph, raw_dag_oracle
 
 from compnum.ecc import theta_e
 from compnum.fixtures import effective_cover_example_graph
-from compnum.graph import Graph, add_isolated, competition_graph
-from compnum.realizer import (_Search, competition_number, max_predators_with,
+from compnum.graph import Digraph, Graph, add_isolated, competition_graph
+from compnum.realizer import (RealizationError, _Search, certify_realization,
+                              competition_number, max_predators_with,
                               min_prey_count, primary_predator_index,
                               realizable_with)
 from compnum.smallgraphs import enumerate_small_graphs
@@ -53,6 +54,23 @@ def test_realizable_witnesses_verify():
             assert competition_graph(witness.digraph) == add_isolated(g, k)
             assert witness.labeling.validates(witness.digraph)
             assert witness.prey_count + witness.predator_count == g.n + k
+
+
+def test_certification_cache_never_vouches_for_another_digraph():
+    k, witness = competition_number(C4)
+    assert certify_realization(C4, witness.digraph, k) == witness
+    # 0 -> 5 makes 0 compete with 2, which C4 does not join to 0
+    arcs = witness.digraph.arcs
+    assert (0, 4) in arcs and (0, 5) not in arcs
+    moved = Digraph.from_arcs(6, [(0, 5) if a == (0, 4) else a for a in arcs])
+    before = certify_realization.cache_info()
+    for _ in range(2):
+        with pytest.raises(RealizationError, match="graph mismatch"):
+            certify_realization(C4, moved, k)
+    after = certify_realization.cache_info()
+    # both were checked from scratch, and neither failure was kept
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+    assert after.currsize == before.currsize
 
 
 def test_competition_number_values():

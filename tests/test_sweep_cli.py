@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -59,28 +61,112 @@ def test_worker_count_is_clamped_to_jobs_and_cpus(monkeypatch):
 
 
 def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
-    # a stand-in pool records its size and maps in this process
-    sizes = []
+    # a stand-in process runs its slice in this process when started
+    started = []
 
-    class RecordingPool:
-        def __init__(self, workers):
-            sizes.append(workers)
+    class RecordingProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
 
-        def __enter__(self):
-            return self
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def terminate(self):
+            pass
 
-        def map(self, fn, jobs, chunksize=1):
-            return [fn(job) for job in jobs]
+        def join(self):
+            pass
 
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     graphs = list(enumerate_small_graphs(3))
     report = sweep(graphs, threads=5000)
-    assert sizes == [len(graphs)]
+    # this process computes a slice too, so it counts as one of them
+    assert len(started) + 1 == len(graphs)
     assert report.records == sweep(graphs, threads=1).records
+
+
+STREAM = [g for n in range(1, 6) for g in enumerate_small_graphs(n)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 35])
+def test_sweep_fan_out_equals_serial_record_for_record(monkeypatch, size):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    graphs = STREAM[-size:]
+    assert sweep(graphs, threads=2).records == sweep(graphs, threads=1).records
+
+
+def test_cli_sweep_reports_the_same_bytes_with_one_or_two_threads(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"report{threads}.json"
+        code, out = run_cli(capsys, "sweep", "--n", "6", "--threads", threads,
+                            "--out", str(path))
+        outputs.append((code, out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["graphs"] == 156
+
+
+def test_cli_sweep_fails_when_a_worker_dies(capsys, monkeypatch):
+    # stand-in children die before they send, so their pipe ends read EOF
+    children = []
+
+    class DeadChild:
+        def __init__(self, target, args):
+            self.calls = []
+            children.append(self)
+
+        def start(self):
+            self.calls.append("start")
+
+        def terminate(self):
+            self.calls.append("terminate")
+
+        def join(self):
+            self.calls.append("join")
+
+    class ClosedEnd:
+        def recv(self):
+            raise EOFError
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Process", DeadChild)
+    monkeypatch.setattr(multiprocessing, "Pipe",
+                        lambda duplex: (ClosedEnd(), ClosedEnd()))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code = main(["sweep", "--n", "4", "--threads", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: a sweep worker process died before "
+                            "sending its records\n")
+    assert [c.calls for c in children] == [["start", "terminate", "join"]] * 3
+
+
+def test_sweep_reads_a_real_dead_worker_as_an_error(monkeypatch):
+    # one real child, which exits at once without sending: the parent must
+    # see the pipe close, not wait for ever
+    def die(jobs, conn):
+        os._exit(1)
+
+    def hang(signum, frame):
+        raise TimeoutError("the sweep waited on a dead worker")
+
+    monkeypatch.setattr(importlib.import_module("compnum.sweep"),
+                        "_send_records", die)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError):
+            sweep(list(enumerate_small_graphs(4)), threads=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sweep_small_n4_clean():
