@@ -57,6 +57,9 @@ class _CoverSolver:
             for e in bits(em):
                 self.cliques_per_edge[e].append(ci)
         self._size_memo: dict[int, int] = {0: 0}
+        self._lower: dict[int, int] = {}
+        self._upper: dict[int, int] = {}
+        self._apart: dict[int, int] | None = None
 
     def edge_mask_of(self, members) -> int:
         """Bitmask, over this solver's edge numbering, of the edges inside
@@ -83,6 +86,66 @@ class _CoverSolver:
                 best = cand
         memo[uncovered] = best
         return best
+
+    def at_most(self, uncovered: int, t: int) -> bool:
+        """Whether the edge set has a cover by at most t maximal cliques."""
+        b = self._size_memo.get(uncovered)
+        if b is None:
+            b = self._lower.get(uncovered)
+            if b is None or b <= t:
+                b = self._bound(uncovered, t)
+        return b <= t
+
+    def _bound(self, uncovered: int, t: int) -> int:
+        """A number b with size <= b <= t, or with size >= b > t, for an
+        edge set whose exact size is not memoized.  Each branch's b is
+        kept, as an upper or a lower bound of the set's size, and answers
+        every later threshold it decides."""
+        lo = self._lower.get(uncovered)
+        if lo is None:
+            # a greedy packing: edges no two of which share a maximal
+            # clique, so that each needs a clique of its own
+            if self._apart is None:
+                self._apart = self._apart_masks()
+            apart = self._apart
+            rest, lo = uncovered, 0
+            while rest:
+                lo += 1
+                rest &= apart[rest & -rest]
+            self._lower[uncovered] = lo
+        if lo > t:
+            return lo
+        hi = self._upper.get(uncovered)
+        if hi is not None and hi <= t:
+            return hi
+        memo = self._size_memo
+        e = (uncovered & -uncovered).bit_length() - 1
+        least = len(self.edges) + 1
+        for ci in self.cliques_per_edge[e]:
+            rest = uncovered & ~self.clique_edge_masks[ci]
+            b = memo.get(rest)
+            b = 1 + (self._bound(rest, t - 1) if b is None else b)
+            if b <= t:
+                if b == lo:
+                    memo[uncovered] = b
+                    del self._lower[uncovered]
+                else:
+                    self._upper[uncovered] = b
+                return b
+            if b < least:
+                least = b
+        self._lower[uncovered] = least
+        return least
+
+    def _apart_masks(self) -> dict[int, int]:
+        """Per edge bit, the edges that share no maximal clique with it."""
+        apart = {}
+        for e, cis in enumerate(self.cliques_per_edge):
+            shared = 0
+            for ci in cis:
+                shared |= self.clique_edge_masks[ci]
+            apart[1 << e] = ~shared
+        return apart
 
     def lex_min_cover(self, uncovered: int) -> tuple[int, ...]:
         """Lexicographically least minimum cover of the edge set, returned

@@ -148,55 +148,63 @@ class _Search:
         plan) seen, stopping at the first total <= goal, or None when no
         plan exists.  With cost 0 the goal is k, which every plan meets,
         so the first plan found ends the walk; with cost 1 the total is
-        the prey count and the goal is theta_e, below which none falls."""
-        size = self.solver.size
-        c = size(self.full_edges)
-        goal = c if cost else k
+        the prey count and the goal is theta_e, below which none falls.
+        Every question about a leftover's cover size is a threshold, put
+        to the solver's ``at_most``; only a recorded plan's total is
+        computed exactly."""
+        solver, full, everyone = self.solver, self.full_edges, self.all_mask
+        at_most = solver.at_most
+        goal = solver.size(full) if cost else k
+        # room below counts the isolates and the vertices still unplaced
+        # after the one a node places
+        spare = k + self.n - 1
         best: list = [None, None]
         visited: dict[tuple[int, int], int] = {}
 
-        def rec(placed, covered, c, used, trail):
-            # c is the leftover's cover size, which the caller computed
-            rem = self.full_edges & ~covered
-            if c <= k:
-                total = used + c
-                if best[0] is None or total < best[0]:
-                    best[0] = total
-                    best[1] = (list(trail), rem)
-                    if total <= goal:
-                        raise _Found
-            if placed == self.all_mask:
-                return
-            if best[0] is not None and used + c >= best[0]:
-                return
+        def rec(placed, covered, used, trail):
             state = (placed, covered)
             seen = visited.get(state)
             if seen is not None and seen <= used:
+                return
+            rem = full & ~covered
+            if best[0] is not None and not at_most(rem, best[0] - used - 1):
+                return
+            # before the last vertex room >= k, so a leftover that does
+            # not fit room cannot record a plan
+            last = placed == everyone
+            room = spare - placed.bit_count()
+            fits_room = not last and at_most(rem, room)
+            if (last or fits_room) and at_most(rem, k):
+                best[0] = used + solver.size(rem)
+                best[1] = (list(trail), rem)
+                if best[0] <= goal:
+                    raise _Found
+                return
+            if last:
                 return
             visited[state] = used
             options = (self._clique_options(placed, trail[-1][0]) if trail
                        else ())
             # a child whose leftover needs more than room cliques can
-            # neither record a plan (room >= k) nor be finished by the
-            # isolates and the vertices left after it, so it is not entered
-            room = k + self.n - placed.bit_count() - 1
+            # neither record a plan nor be finished by the isolates and
+            # the vertices left after it, so it is not entered
             fits: list = []
             children = self._fitting(options, rem, room, fits)
-            for w in bits(self.all_mask & ~placed):
+            for w in bits(everyone & ~placed):
                 wbit = 1 << w
-                for members, em, left in children:
+                for members, em in children:
                     trail.append((w, members))
-                    rec(placed | wbit, covered | em, left, used + cost, trail)
+                    rec(placed | wbit, covered | em, used + cost, trail)
                     trail.pop()
                 children = fits
-                if c <= room:
+                if fits_room:
                     trail.append((w, None))
-                    rec(placed | wbit, covered, c, used, trail)
+                    rec(placed | wbit, covered, used, trail)
                     trail.pop()
 
         try:
-            if c <= k + self.n:
-                rec(0, 0, c, 0, [])
+            if at_most(full, spare + 1):
+                rec(0, 0, 0, [])
         except _Found:
             pass
         # rec refers to itself; unbinding it frees the walk's state at once
@@ -205,15 +213,14 @@ class _Search:
 
     def _fitting(self, options, rem: int, room: int, fits: list):
         """The options that cover some of the uncovered edges ``rem`` and
-        leave at most ``room`` cliques' worth, as (members, edge mask,
-        leftover cover size).  Each is tested when the walk reaches it and
-        is also appended to ``fits``, which later vertices replay."""
+        leave at most ``room`` cliques' worth, as (members, edge mask).
+        Each is tested when the walk reaches it and is also appended to
+        ``fits``, which later vertices replay."""
+        at_most = self.solver.at_most
         for _, members, _, em in options:
-            if em & rem:
-                left = self.solver.size(rem & ~em)
-                if left <= room:
-                    fits.append((members, em, left))
-                    yield members, em, left
+            if em & rem and at_most(rem & ~em, room):
+                fits.append((members, em))
+                yield members, em
 
     def build(self, plan, mapping) -> Digraph:
         """Turn a placement plan into a digraph whose vertex mapping[i] is
@@ -295,8 +302,20 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
 @lru_cache(maxsize=QUERY_GRAPHS)
 def primary_predator_index(graph: Graph) -> tuple[int, Realization]:
     """Maximum number of in-degree-0 vertices over all acyclic digraphs
-    whose competition graph is the graph plus k(G) isolates."""
-    k, _ = competition_number(graph)
+    whose competition graph is the graph plus k(G) isolates.
+
+    When the competition number's witness has only theta_e prey, it is
+    also the cost-1 walk's witness, and that walk is not run.  The two
+    walks share the budget and the order of search, and until a plan is
+    recorded the cost-1 walk prunes nothing the cost-0 walk does not: it
+    re-enters a visited state only with fewer hosted cliques, and the
+    states it re-enters are already known to hold no plan.  So its first
+    plan is the cost-0 walk's, whose total is that witness's prey count;
+    a total of theta_e meets the goal, and the walk ends there."""
+    k, witness = competition_number(graph)
+    theta = theta_e(graph)
+    if witness.prey_count == theta:
+        return graph.n + k - theta, witness
     result = max_predators_with(graph, k)
     assert result is not None
     return result

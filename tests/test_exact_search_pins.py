@@ -11,18 +11,23 @@ import gc
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from compnum import cliques
 from compnum.cli import main
 from compnum.cliques import maximal_clique_masks
-from compnum.ecc import _CoverSolver, cover_solver, min_edge_clique_cover
+from compnum.ecc import (_CoverSolver, cover_solver, min_edge_clique_cover,
+                         theta_e)
 from compnum.graph import Graph, add_isolated
-from compnum.io import serialize_graph6
+from compnum.io import parse_graph6, serialize_graph6
 from compnum.realizer import (_Search, _search, competition_number,
                               max_predators_with, primary_predator_index,
                               realizable_with)
+from compnum.smallgraphs import enumerate_small_graphs
+
+ATLAS7 = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas7.g6"
 
 
 def rg(n: int, p: float, seed: int) -> Graph:
@@ -213,17 +218,26 @@ def count_walks(monkeypatch) -> list:
     return calls
 
 
-def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
+def cover_table_entries(graph: Graph) -> int:
+    """Entries in every table of the graph's cover solver: the exact memo,
+    the bound tables and the per-edge ones.  It reads private attributes
+    until the search exposes its work counters."""
+    return sum(len(table) for table in vars(cover_solver(graph)).values()
+               if isinstance(table, dict))
+
+
+def test_ascent_searches_once_per_step_and_cover_tables_stay_small(monkeypatch):
     # rg(16, .5, 53) has theta_e = 18 and k = 5, so the ascent tries k = 4
     # (the floor 18 - 16 + 2) and 5.  The walk at k = 5 is the witness's;
-    # no third search rebuilds it.  The memo bound reads a private
-    # attribute until the search exposes its work counters.
+    # no third search rebuilds it.  Its exact cover memo held up to 200,000
+    # entries before the walk put threshold questions to the solver.
+    cover_solver.cache_clear()
     calls = count_walks(monkeypatch)
     graph = rg(16, .5, 53)
     k, _ = competition_number.__wrapped__(graph)
     assert k == 5
     assert [budget for budget, _ in calls] == [4, 5]
-    assert len(cover_solver(graph)._size_memo) < 200_000
+    assert cover_table_entries(graph) == 16_327
 
 
 @pytest.mark.parametrize("graph,isolates", [
@@ -236,6 +250,30 @@ def test_ascent_starts_from_the_bound_on_the_graph_itself(graph, isolates,
     calls = count_walks(monkeypatch)
     assert competition_number.__wrapped__(graph)[0] == 0
     assert calls == [(isolates, 0)]
+
+
+def test_predator_index_reuses_a_competition_witness_with_theta_e_prey(
+        monkeypatch):
+    # Such a witness is the first plan of the cost-1 walk at the same
+    # budget, and its total meets that walk's goal, so the walk is not run.
+    graphs = [g for n in range(7) for g in enumerate_small_graphs(n)]
+    graphs += map(parse_graph6, ATLAS7.read_text(encoding="ascii").split())
+    calls = count_walks(monkeypatch)
+    reused = 0
+    for graph in graphs:
+        for cached in (_search, competition_number, primary_predator_index):
+            cached.cache_clear()
+        calls.clear()
+        p, witness = primary_predator_index(graph)
+        k, first = competition_number(graph)
+        if first.prey_count == theta_e(graph):
+            reused += 1
+            assert witness is first
+            assert [cost for _, cost in calls] == [0] * len(calls)
+        expected, expected_witness = max_predators_with(graph, k)
+        assert (p, witness.witness_arcs()) == (
+            expected, expected_witness.witness_arcs())
+    assert (len(graphs), reused) == (1253, 607)
 
 
 def test_walks_leave_no_cyclic_garbage():
@@ -288,23 +326,29 @@ def test_core_queries_reuse_the_walks_made_for_the_graph(monkeypatch):
 
 
 def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
-    """Calls of the cover solver's size and of Bron-Kerbosch made by
-    primary_predator_index on the graph, from empty caches."""
+    """Calls of the cover solver's size and at_most and of Bron-Kerbosch
+    made by primary_predator_index on the graph, from empty caches."""
     for cached in (_search, competition_number, primary_predator_index,
                    cover_solver, maximal_clique_masks):
         cached.cache_clear()
-    calls = {"size": 0, "bron_kerbosch": 0}
-    size, bron_kerbosch = _CoverSolver.size, cliques._bron_kerbosch
+    calls = {"size": 0, "at_most": 0, "bron_kerbosch": 0}
+    size, at_most = _CoverSolver.size, _CoverSolver.at_most
+    bron_kerbosch = cliques._bron_kerbosch
 
     def counting_size(self, uncovered):
         calls["size"] += 1
         return size(self, uncovered)
+
+    def counting_at_most(self, uncovered, t):
+        calls["at_most"] += 1
+        return at_most(self, uncovered, t)
 
     def counting_bron_kerbosch(*args):
         calls["bron_kerbosch"] += 1
         return bron_kerbosch(*args)
 
     monkeypatch.setattr(_CoverSolver, "size", counting_size)
+    monkeypatch.setattr(_CoverSolver, "at_most", counting_at_most)
     monkeypatch.setattr(cliques, "_bron_kerbosch", counting_bron_kerbosch)
     primary_predator_index(graph)
     monkeypatch.undo()
@@ -314,13 +358,14 @@ def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
 def test_placement_search_work_counts(monkeypatch):
     # Children whose leftover cannot fit are skipped at the parent, and
     # each prefix's clique options come from its parent's.  Before that,
-    # the tree took 67,399 size and 27,220 Bron-Kerbosch calls, P400
-    # 159,604 Bron-Kerbosch calls, and the dense graph's cover memo held
-    # 132,642 entries.
+    # the tree took 67,399 size and 27,220 Bron-Kerbosch calls, and P400
+    # 159,604 Bron-Kerbosch calls.  Before the walk put threshold questions
+    # to the cover solver, the dense graphs' exact memos held 132,642 and
+    # 274,859 entries.
     tree = pindex_work(prufer_tree(60, 0), monkeypatch)
-    assert tree["size"] < 5_000
+    assert tree["size"] + tree["at_most"] < 5_000
     assert tree["bron_kerbosch"] < 1_500
     assert pindex_work(path(400), monkeypatch)["bron_kerbosch"] < 2_000
-    dense = rg(16, .5, 53)
-    pindex_work(dense, monkeypatch)
-    assert len(cover_solver(dense)._size_memo) <= 132_642
+    for graph, entries in ((rg(16, .5, 53), 16_327), (rg(17, .5, 1), 13_285)):
+        pindex_work(graph, monkeypatch)
+        assert cover_table_entries(graph) == entries
