@@ -10,6 +10,19 @@ cliques, trying only cliques that contain it, and memoizes on the
 uncovered-edge bitmask.  Among equal-size optima the lexicographically
 least cover (cliques as sorted tuples, the cover as a sorted tuple of
 them) is returned, so fixtures are stable.
+
+Two questions are asked of an edge set.  ``size``, its exact cover size,
+serves theta_e, the cover extraction and a recorded plan's total.
+``at_most(mask, t)``, "size <= t", serves the placement search, which
+only compares cover sizes with thresholds.  It is answered from the
+exact memo, then from each set's memoized lower and upper bounds, then
+from a greedy edge packing (edges no two of which share a maximal
+clique, so each needs its own clique: Gramm, Guo, Hueffner and
+Niedermeier, Data reduction and exact algorithms for clique cover, ACM
+JEA 2008), and only then by branching as ``size`` does, to depth t.  A
+bound of the form "size > t" holds at every later threshold, so walks at
+successive budgets share it; a cover found as small as a set's lower
+bound makes its size an exact entry.
 """
 
 from __future__ import annotations
@@ -59,6 +72,8 @@ class _CoverSolver:
         self._size_memo: dict[int, int] = {0: 0}
         self._lower: dict[int, int] = {}
         self._upper: dict[int, int] = {}
+        # the packing table is built at the first question that the exact
+        # memo cannot answer, so solvers that never need it skip it
         self._apart: dict[int, int] | None = None
 
     def edge_mask_of(self, members) -> int:

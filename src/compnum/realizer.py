@@ -24,11 +24,16 @@ branched on.
 The walk prunes at the parent.  Below a child, the k isolates and the
 n - |placed| - 1 vertices still unplaced can host one clique each, so a
 child whose leftover edges need more cliques than that is never entered.
-Each option's leftover cover size is computed once per node, at its
-first use, and serves the option under every next vertex.  A prefix's
-options come from its parent's: adding w keeps every clique that w does
-not see whole and adds the maximal cliques through w, so no prefix is
-enumerated from scratch.
+Each option's fit is decided once per node, at its first use, and serves
+the option under every next vertex.  A prefix's options come from its
+parent's: adding w keeps every clique that w does not see whole and adds
+the maximal cliques through w, so no prefix is enumerated from scratch.
+
+The walk only compares leftover cover sizes with thresholds (the budget
+k, that room, and the best total so far), so it asks the cover solver's
+threshold decision ``at_most``; the exact size is computed only for a
+plan it records.  Every decision is exact, so the order of search and
+every witness are those of exact sizes.
 
 Every witness comes out of one path, ``_realize(graph, k, cost)``: it
 walks the isolate-free core with the graph's own isolates added to the
@@ -41,7 +46,9 @@ later queries on the core reuse; a walk's own state dies with the walk.
 
 The number of prey (vertices of nonzero in-degree) of an optimal witness is
 the minimum possible, and the predator count n + k minus prey is the
-maximum; with k = k(G) the latter is the primary predator index.
+maximum; with k = k(G) the latter is the primary predator index.  When the
+competition number's witness already has theta_e prey, it is that
+index's witness too, and no cost-1 walk is run.
 """
 
 from __future__ import annotations

@@ -226,7 +226,7 @@ def cover_table_entries(graph: Graph) -> int:
                if isinstance(table, dict))
 
 
-def test_ascent_searches_once_per_step_and_cover_tables_stay_small(monkeypatch):
+def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     # rg(16, .5, 53) has theta_e = 18 and k = 5, so the ascent tries k = 4
     # (the floor 18 - 16 + 2) and 5.  The walk at k = 5 is the witness's;
     # no third search rebuilds it.  Its exact cover memo held up to 200,000
