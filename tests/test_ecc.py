@@ -1,12 +1,17 @@
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from conftest import naive_min_cover, naive_theta_e
 
-from compnum.ecc import make_cover, min_edge_clique_cover, theta_e
+from compnum.ecc import _CoverSolver, make_cover, min_edge_clique_cover, theta_e
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
+from compnum.io import parse_graph6
 from compnum.smallgraphs import enumerate_small_graphs
+
+ATLAS7 = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas7.g6"
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -91,3 +96,36 @@ def test_output_covers_consist_of_maximal_cliques():
             assert cover.all_maximal
             rebuilt = make_cover(g, cover.cliques)
             assert rebuilt.is_minimum and rebuilt.covers_all_edges
+
+
+def fewest_covering(clique_edge_masks, mask: int) -> int:
+    """Fewest of the edge masks whose union contains the mask, by trying
+    every subset in order of size."""
+    for t in range(len(clique_edge_masks) + 1):
+        for subset in combinations(clique_edge_masks, t):
+            union = 0
+            for em in subset:
+                union |= em
+            if mask & ~union == 0:
+                return t
+    raise AssertionError("the masks do not cover the edge set")
+
+
+def test_cover_questions_match_brute_force_in_any_order():
+    # The solver keeps every bound it has shown, so an answer may depend on
+    # the questions asked before it; each graph gets a fresh solver and its
+    # questions in a shuffled order.
+    rng = random.Random(17)
+    for g6 in ATLAS7.read_text(encoding="ascii").split():
+        solver = _CoverSolver(parse_graph6(g6).without_isolates()[0])
+        masks = {solver.full_mask}
+        masks.update(rng.getrandbits(len(solver.edges)) for _ in range(3))
+        exact = {m: fewest_covering(solver.clique_edge_masks, m) for m in masks}
+        questions = [(m, t) for m in masks for t in range(exact[m] + 2)]
+        questions += [(m, None) for m in masks]
+        rng.shuffle(questions)
+        for m, t in questions:
+            if t is None:
+                assert solver.size(m) == exact[m], (g6, m)
+            else:
+                assert solver.at_most(m, t) == (exact[m] <= t), (g6, m, t)
