@@ -4,25 +4,25 @@ The candidate universe is the maximal cliques only: any edge clique cover
 can be turned into one of maximal cliques of the same size by expanding
 each clique, so restricting to maximal cliques is sound.  The solver
 numbers the edges most constrained first, by the number of maximal cliques
-containing each edge, then by the edge itself.  It branches on the
-lowest-numbered uncovered edge, so on one with the fewest candidate
-cliques, trying only cliques that contain it, and memoizes on the
-uncovered-edge bitmask.  Among equal-size optima the lexicographically
-least cover (cliques as sorted tuples, the cover as a sorted tuple of
-them) is returned, so fixtures are stable.
+containing each edge, then by the edge itself.
 
-Two questions are asked of an edge set.  ``size``, its exact cover size,
-serves theta_e, the cover extraction and a recorded plan's total.
-``at_most(mask, t)``, "size <= t", serves the placement search, which
-only compares cover sizes with thresholds.  It is answered from the
-exact memo, then from each set's memoized lower and upper bounds, then
-from a greedy edge packing (edges no two of which share a maximal
-clique, so each needs its own clique: Gramm, Guo, Hueffner and
-Niedermeier, Data reduction and exact algorithms for clique cover, ACM
-JEA 2008), and only then by branching as ``size`` does, to depth t.  A
-bound of the form "size > t" holds at every later threshold, so walks at
-successive budgets share it; a cover found as small as a set's lower
-bound makes its size an exact entry.
+One question is asked of an edge set, ``at_most(mask, t)``: does a cover
+by at most t maximal cliques exist?  One search answers it.  It looks up
+the set's exact size, then its memoized lower and upper bounds, then a
+greedy edge packing (edges no two of which share a maximal clique, so
+each needs its own clique: Gramm, Guo, Hueffner and Niedermeier, Data
+reduction and exact algorithms for clique cover, ACM JEA 2008), and only
+then branches on the lowest-numbered uncovered edge, so on one with the
+fewest candidate cliques, trying only cliques that contain it, to depth
+t.  A bound of the form "size > t" holds at every later threshold, so
+later questions share it; a cover found as small as a set's lower bound
+makes its size an exact entry.
+
+The exact size, which theta_e, the cover extraction and a recorded plan's
+total read, is the least t the question accepts, counted up from 0.
+Among equal-size optima the lexicographically least cover (cliques as
+sorted tuples, the cover as a sorted tuple of them) is returned, so
+fixtures are stable.
 """
 
 from __future__ import annotations
@@ -66,15 +66,16 @@ class _CoverSolver:
         self.full_mask = (1 << len(self.edges)) - 1
         self.clique_edge_masks = [self.edge_mask_of(bits(c)) for c in self.clique_masks]
         self.cliques_per_edge: list[list[int]] = [[] for _ in self.edges]
+        shared = [0] * len(self.edges)
         for ci, em in enumerate(self.clique_edge_masks):
             for e in bits(em):
                 self.cliques_per_edge[e].append(ci)
+                shared[e] |= em
+        # per edge bit, the edges that share no maximal clique with it
+        self._apart = {1 << e: ~em for e, em in enumerate(shared)}
         self._size_memo: dict[int, int] = {0: 0}
         self._lower: dict[int, int] = {}
         self._upper: dict[int, int] = {}
-        # the packing table is built at the first question that the exact
-        # memo cannot answer, so solvers that never need it skip it
-        self._apart: dict[int, int] | None = None
 
     def edge_mask_of(self, members) -> int:
         """Bitmask, over this solver's edge numbering, of the edges inside
@@ -87,20 +88,14 @@ class _CoverSolver:
         return em
 
     def size(self, uncovered: int) -> int:
-        """Exact minimum number of maximal cliques covering the edge set."""
-        memo = self._size_memo
-        hit = memo.get(uncovered)
-        if hit is not None:
-            return hit
-        e = (uncovered & -uncovered).bit_length() - 1
-        best = len(self.edges) + 1
-        for ci in self.cliques_per_edge[e]:
-            rest = uncovered & ~self.clique_edge_masks[ci]
-            cand = 1 + self.size(rest)
-            if cand < best:
-                best = cand
-        memo[uncovered] = best
-        return best
+        """Exact minimum number of maximal cliques covering the edge set.
+        Each threshold that fails leaves a lower bound above it, so the
+        first that holds is met by a cover as small as that bound, which
+        ``_bound`` stores as an exact entry."""
+        t = 0
+        while not self.at_most(uncovered, t):
+            t += 1
+        return t
 
     def at_most(self, uncovered: int, t: int) -> bool:
         """Whether the edge set has a cover by at most t maximal cliques."""
@@ -120,8 +115,6 @@ class _CoverSolver:
         if lo is None:
             # a greedy packing: edges no two of which share a maximal
             # clique, so that each needs a clique of its own
-            if self._apart is None:
-                self._apart = self._apart_masks()
             apart = self._apart
             rest, lo = uncovered, 0
             while rest:
@@ -152,31 +145,22 @@ class _CoverSolver:
         self._lower[uncovered] = least
         return least
 
-    def _apart_masks(self) -> dict[int, int]:
-        """Per edge bit, the edges that share no maximal clique with it."""
-        apart = {}
-        for e, cis in enumerate(self.cliques_per_edge):
-            shared = 0
-            for ci in cis:
-                shared |= self.clique_edge_masks[ci]
-            apart[1 << e] = ~shared
-        return apart
-
     def lex_min_cover(self, uncovered: int) -> tuple[int, ...]:
         """Lexicographically least minimum cover of the edge set, returned
         as clique indices in ascending order.
 
         Each step takes the lowest-index clique that lies in some minimum
         cover of the uncovered edges.  No earlier clique lies in a minimum
-        cover of what is left (it would have been taken first), so the
-        unrestricted ``size`` decides each step."""
+        cover of what is left (it would have been taken first), so asking
+        whether what is left has a cover one smaller, by any cliques,
+        decides each step."""
         budget = self.size(uncovered)
         chosen: list[int] = []
         lo = 0
         while uncovered:
             for idx in range(lo, len(self.clique_masks)):
                 em = self.clique_edge_masks[idx]
-                if self.size(uncovered & ~em) < budget:
+                if self.at_most(uncovered & ~em, budget - 1):
                     chosen.append(idx)
                     uncovered &= ~em
                     budget -= 1

@@ -18,9 +18,9 @@ import pytest
 from compnum import cliques
 from compnum.cli import main
 from compnum.cliques import maximal_clique_masks
-from compnum.ecc import (_CoverSolver, cover_solver, min_edge_clique_cover,
-                         theta_e)
-from compnum.graph import Graph, add_isolated
+from compnum.ecc import (_CoverSolver, cover_solver, make_cover,
+                         min_edge_clique_cover, theta_e)
+from compnum.graph import Graph, add_isolated, bits
 from compnum.io import parse_graph6, serialize_graph6
 from compnum.realizer import (_Search, _search, competition_number,
                               max_predators_with, primary_predator_index,
@@ -226,18 +226,40 @@ def cover_table_entries(graph: Graph) -> int:
                if isinstance(table, dict))
 
 
+def test_cover_of_a_dense_graph_stays_small():
+    # G(20, .6), drawn last when one random.Random(31) draws G(n, p) for
+    # n = 8..20 and p = .2, .4, .6 in turn.  When theta_e had an exact
+    # recursion of its own, the solver's tables held 5,090,526 entries
+    # after make_cover and 7,226,453 after min_edge_clique_cover.
+    rnd = random.Random(31)
+    for n in range(8, 21):
+        for p in (.2, .4, .6):
+            graph = Graph.from_edges(n, [(u, v) for u in range(n)
+                                         for v in range(u + 1, n)
+                                         if rnd.random() < p])
+    cover_solver.cache_clear()
+    maximal = [tuple(bits(c)) for c in maximal_clique_masks(graph)]
+    cover = make_cover(graph, maximal)
+    assert (len(maximal), cover.covers_all_edges, cover.is_minimum) == (76, True, False)
+    assert theta_e(graph) == 18
+    assert cover_table_entries(graph) == 11_740
+    assert min_edge_clique_cover(graph).theta == 18
+    assert cover_table_entries(graph) == 26_589
+
+
 def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     # rg(16, .5, 53) has theta_e = 18 and k = 5, so the ascent tries k = 4
     # (the floor 18 - 16 + 2) and 5.  The walk at k = 5 is the witness's;
     # no third search rebuilds it.  Its exact cover memo held up to 200,000
-    # entries before the walk put threshold questions to the solver.
+    # entries before the walk put threshold questions to the solver, and
+    # its tables 16,327 before theta_e came from the threshold decision.
     cover_solver.cache_clear()
     calls = count_walks(monkeypatch)
     graph = rg(16, .5, 53)
     k, _ = competition_number.__wrapped__(graph)
     assert k == 5
     assert [budget for budget, _ in calls] == [4, 5]
-    assert cover_table_entries(graph) == 16_327
+    assert cover_table_entries(graph) == 15_029
 
 
 @pytest.mark.parametrize("graph,isolates", [
@@ -361,11 +383,12 @@ def test_placement_search_work_counts(monkeypatch):
     # the tree took 67,399 size and 27,220 Bron-Kerbosch calls, and P400
     # 159,604 Bron-Kerbosch calls.  Before the walk put threshold questions
     # to the cover solver, the dense graphs' exact memos held 132,642 and
-    # 274,859 entries.
+    # 274,859 entries, and before theta_e came from the threshold decision
+    # their tables held 16,327 and 13,285.
     tree = pindex_work(prufer_tree(60, 0), monkeypatch)
     assert tree["size"] + tree["at_most"] < 5_000
     assert tree["bron_kerbosch"] < 1_500
     assert pindex_work(path(400), monkeypatch)["bron_kerbosch"] < 2_000
-    for graph, entries in ((rg(16, .5, 53), 16_327), (rg(17, .5, 1), 13_285)):
+    for graph, entries in ((rg(16, .5, 53), 15_029), (rg(17, .5, 1), 11_289)):
         pindex_work(graph, monkeypatch)
         assert cover_table_entries(graph) == entries
