@@ -16,7 +16,7 @@ from compnum.cli import main
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
-from compnum.graph import Graph, add_isolated
+from compnum.graph import Digraph, Graph, add_isolated
 from compnum.io import serialize_edge_list
 
 from test_constructions import BOWTIE
@@ -149,10 +149,55 @@ PINNED_FIXTURE = {
 }
 
 
-def cli_digest(argv, capsys) -> str:
-    code = main(argv + ["--json"])
+# verify-effective on the fixture graph and three (cover, digraph) inputs:
+# the fixture triple, its cover padded with a second copy of (6, 7),
+# and its digraph without the arc 8 > 6, the last two invalid (exit 1); each
+# with and without --json
+FIXTURE_CLIQUES = [list(c) for c in effective_cover_example_cover().cliques]
+FIXTURE_ARCS = effective_cover_example_digraph().arcs
+VERIFY_INPUTS = {
+    "triple": (FIXTURE_CLIQUES, FIXTURE_ARCS),
+    "padded": (FIXTURE_CLIQUES + [[6, 7]], FIXTURE_ARCS),
+    "missing-arc": (FIXTURE_CLIQUES,
+                    [a for a in FIXTURE_ARCS if a != (8, 6)]),
+}
+
+PINNED_VERIFY = {
+    ("triple", False):
+        "dcda0914e5f39526b8b8cb537cfefba5b9a370bc1a2cb3b8484843f0c72ecc45",
+    ("triple", True):
+        "5b449588efb041f895acc01654f8608440310b342b8994f749731f47b8706fd3",
+    ("padded", False):
+        "5de7827f9a98151d76378afbf5614b9fa79099712377a477f834f104eda9d7e9",
+    ("padded", True):
+        "5f9cb69b74d78ad2a97bcb0e5d619a5d75082834984fe3f71a0b4d90f699d74d",
+    ("missing-arc", False):
+        "4fd6a6cbf0d13c97e3e06c93a915acfaee3f408edc11a75c475f1e5007cde420",
+    ("missing-arc", True):
+        "4f894e39a8cbe49c34d877e4265c03d9f90a769d64841b51272ec1d46dd144ea",
+}
+
+# sha256 of [exit, stdout, stderr, the --out file] of `sweep --n 5 --threads 1`
+PINNED_SWEEP_N5 = (
+    "00b3c7a696f647c25691fd6c7a8fa807f32dc9dbd9dc67854c100c9a949cb3af")
+
+
+def digest(argv, capsys) -> str:
+    code = main(argv)
     captured = capsys.readouterr()
     return sha256(json.dumps([code, captured.out, captured.err]))
+
+
+def cli_digest(argv, capsys) -> str:
+    return digest(argv + ["--json"], capsys)
+
+
+def write_fixture_files(tmp_path, cliques, arcs) -> None:
+    graph = effective_cover_example_graph()
+    (tmp_path / "g.edges").write_text(serialize_edge_list(graph))
+    (tmp_path / "d.arcs").write_text(
+        serialize_edge_list(Digraph.from_arcs(graph.n + 1, arcs)))
+    (tmp_path / "cover.json").write_text(json.dumps({"cliques": cliques}))
 
 
 @pytest.mark.parametrize("graph,command", sorted(PINNED))
@@ -166,10 +211,23 @@ def test_cli_output_is_pinned(graph, command, tmp_path, monkeypatch, capsys):
 def test_cli_output_on_the_fixture_files_is_pinned(command, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "g.edges").write_text(
-        serialize_edge_list(effective_cover_example_graph()))
-    (tmp_path / "d.arcs").write_text(
-        serialize_edge_list(effective_cover_example_digraph()))
-    (tmp_path / "cover.json").write_text(
-        json.dumps(effective_cover_example_cover().to_json_dict()))
+    write_fixture_files(tmp_path, FIXTURE_CLIQUES, FIXTURE_ARCS)
     assert cli_digest(FIXTURE_COMMANDS[command], capsys) == PINNED_FIXTURE[command]
+
+
+@pytest.mark.parametrize("name,as_json", sorted(PINNED_VERIFY))
+def test_verify_effective_output_is_pinned(name, as_json, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_fixture_files(tmp_path, *VERIFY_INPUTS[name])
+    argv = FIXTURE_COMMANDS["verify-effective"] + ["--json"] * as_json
+    assert digest(argv, capsys) == PINNED_VERIFY[name, as_json]
+
+
+def test_sweep_output_and_report_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep", "--n", "5", "--threads", "1", "--out", "R"])
+    captured = capsys.readouterr()
+    report = (tmp_path / "R").read_text()
+    assert sha256(json.dumps([code, captured.out, captured.err, report])) == (
+        PINNED_SWEEP_N5)

@@ -211,11 +211,23 @@ def test_verify_effective_cover_worked_example():
     assert cert.realization.prey_count == 6
 
 
-def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
-    g = effective_cover_example_graph()
+def _verified_fixture():
     d = effective_cover_example_digraph()
-    cover = effective_cover_example_cover()
-    competition_number(g)
+    cert = verify_effective_cover(effective_cover_example_graph(),
+                                  effective_cover_example_cover(), d)
+    assert cert.valid
+    return cert.realization
+
+
+@pytest.mark.parametrize("graph,build", [
+    (effective_cover_example_graph(), _verified_fixture),
+    (BULL, lambda: chordal_realizer(BULL)[0]),
+    (C4, lambda: simplicial_family_realizer(C4, min_edge_clique_cover(C4),
+                                            [0, 1, 2])),
+], ids=["verify", "chordal", "simplicial-family"])
+def test_verify_effective_cover_checks_the_digraph_once(monkeypatch, graph,
+                                                        build):
+    competition_number(graph)
     calls = Counter()
 
     def counted(name, fn):
@@ -227,8 +239,8 @@ def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
     for module in (constructions, realizer):
         for name in ("competition_graph", "acyclic_labeling"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    cert = verify_effective_cover(g, cover, d)
-    assert cert.valid and cert.realization.labeling.validates(d)
+    realization = build()
+    assert realization.labeling.validates(realization.digraph)
     assert calls == {"competition_graph": 1, "acyclic_labeling": 1}
 
 

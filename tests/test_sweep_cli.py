@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
 
 import pytest
 
@@ -174,6 +175,30 @@ def test_sweep_small_n4_clean():
     assert not report.violations
     assert report.summary["conjecture"]["counterexamples"] == []
     assert report.summary["graphs"] == 6
+
+
+FAILED = {"graph6": "@", "error": None, "checks": {"p_ge_2": False}}
+UNEQUAL = {"graph6": "@", "error": None, "checks": {"p_ge_2": True},
+           "conjecture_equal": False}
+
+
+@pytest.mark.parametrize("record,code,summary", [
+    (FAILED, 2, {"checks": {"p_ge_2": {"passed": 0, "total": 1}},
+                 "conjecture": {"checked": 0, "counterexamples": [],
+                                "equal": 0},
+                 "graphs": 1, "violations": ["@"]}),
+    (UNEQUAL, 3, {"checks": {"p_ge_2": {"passed": 1, "total": 1}},
+                  "conjecture": {"checked": 1, "counterexamples": [UNEQUAL],
+                                 "equal": 0},
+                  "graphs": 1, "violations": []}),
+], ids=["violation", "counterexample"])
+def test_cli_sweep_exit_code_reads_the_summary(capsys, monkeypatch, record,
+                                               code, summary):
+    # compnum.sweep is the function; the module is only in sys.modules
+    monkeypatch.setattr(sys.modules["compnum.sweep"], "graph_record",
+                        lambda job: record)
+    assert run_cli(capsys, "sweep", "--n", "1", "--threads", "1") == (
+        code, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def test_cli_compete(capsys, fixture_files):
