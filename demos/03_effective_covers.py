@@ -21,8 +21,8 @@ cover = effective_cover_example_cover()
 name = [f"v{(v + 1) % 10}" for v in range(d.n)]   # v1..v9, then the isolate v0
 print("theta_e:", theta_e(g), " k:", competition_number(g)[0])
 cert = verify_effective_cover(g, cover, d)
-print("certificate valid:", cert.valid)
-for i, w in cert.sink_map:
+print("certificate valid:", cert["valid"])
+for i, w in cert["sink_map"]:
     clique = "{" + ",".join(name[v] for v in cover.cliques[i]) + "}"
     print(f"  clique {clique:<18} -> sink {name[w]}")
 

@@ -24,12 +24,13 @@ report = sweep(graphs, checks=("floors", "effective", "planar", "conjecture"))
 print()
 print(f"{'check':<28} {'passed':>8} {'total':>8}")
 print("-" * 46)
-for name, counts in report.summary["checks"].items():
+summary = report["summary"]
+for name, counts in summary["checks"].items():
     print(f"{name:<28} {counts['passed']:>8} {counts['total']:>8}")
 
 print()
-print("violations:", len(report.violations))
-tally = report.summary["conjecture"]
+print("violations:", len(summary["violations"]))
+tally = summary["conjecture"]
 print(f"equality k = theta_e - n + p: {tally['equal']}/{tally['checked']}")
 if tally["counterexamples"]:
     print("counterexamples (full witness data):")
@@ -40,6 +41,6 @@ else:
 
 print()
 print("records are deterministic; a slice of the n =", max_n, "rows:")
-for record in report.records[-3:]:
+for record in report["records"][-3:]:
     print(f"  {record['graph6']:<10} n={record['n']} theta={record['theta_e']} "
           f"k={record['k']} p={record['p']} prey={record['prey']}")

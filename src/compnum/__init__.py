@@ -24,8 +24,8 @@ _HOMES = {
                 "every_clique_has_occupied_edge",
                 "every_vertex_on_occupied_edge", "is_diamond_free",
                 "maximal_cliques", "simplicial_vertices"),
-    "constructions": ("EffectiveCoverCertificate", "NotChordalError",
-                      "chordal_realizer", "hall_certificate", "rebuild_star",
+    "constructions": ("NotChordalError", "chordal_realizer",
+                      "hall_certificate", "rebuild_star",
                       "simplicial_family_realizer", "verify_effective_cover"),
     "ecc": ("CliqueCover", "make_cover", "min_edge_clique_cover", "theta_e"),
     "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",
@@ -36,7 +36,7 @@ _HOMES = {
                  "max_predators_with", "min_prey_count",
                  "primary_predator_index", "realizable_with"),
     "smallgraphs": ("enumerate_small_graphs",),
-    "sweep": ("SweepReport", "sweep"),
+    "sweep": ("sweep",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

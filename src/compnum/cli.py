@@ -248,9 +248,9 @@ def _cmd_verify_effective(args) -> int:
     cover = _load_cover(graph, args.cover)
     digraph = _load_digraph(args.digraph, "arcs")
     cert = verify_effective_cover(graph, cover, digraph)
-    _emit(cert.to_json_dict(), args.json,
-          "valid" if cert.valid else f"invalid: {cert.failure}")
-    return 0 if cert.valid else 1
+    _emit(cert, args.json,
+          "valid" if cert["valid"] else f"invalid: {cert['failure']}")
+    return 0 if cert["valid"] else 1
 
 
 def _cmd_hall_cert(args) -> int:
@@ -302,10 +302,13 @@ def _cmd_sweep(args) -> int:
     report = sweep(graphs, checks, threads=args.threads)
     if args.out:
         with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(report.to_json())
+            json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    print(json.dumps(report.summary, indent=2, sort_keys=True))
-    return 2 if report.violations else 3 if report.counterexamples else 0
+    summary = report["summary"]
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    if summary["violations"]:
+        return 2
+    return 3 if summary.get("conjecture", {}).get("counterexamples") else 0
 
 
 _HANDLERS = {

@@ -16,8 +16,6 @@ against the competition-graph definition before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cliques import (EliminationOrdering, chordality, edge_clique_counts,
                       every_vertex_on_occupied_edge, maximal_clique_masks,
                       occupied_pairs, simplicial_vertices)
@@ -32,26 +30,6 @@ class NotChordalError(ValueError):
     def __init__(self, hole):
         super().__init__(f"graph is not chordal; induced cycle {hole.vertices}")
         self.hole = hole
-
-
-@dataclass(frozen=True)
-class EffectiveCoverCertificate:
-    """Outcome of checking a (graph, cover, digraph) triple."""
-
-    checks: tuple[tuple[str, bool], ...]
-    valid: bool
-    failure: str | None
-    sink_map: tuple[tuple[int, int], ...] | None
-    realization: Realization | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "failure": self.failure,
-            "checks": {name: ok for name, ok in self.checks},
-            "sink_map": None if self.sink_map is None
-            else [[i, w] for i, w in self.sink_map],
-        }
 
 
 def _max_bipartite_matching(adjacency) -> list:
@@ -89,11 +67,15 @@ def _effective(graph: Graph, cover: CliqueCover, sinks, n: int,
     sinks[i], and return its realization; a failed check, or a sink map
     other than the intended one, raises."""
     arcs = [(v, w) for clique, w in zip(cover.cliques, sinks) for v in clique]
-    cert = verify_effective_cover(graph, cover, Digraph.from_arcs(n, arcs))
-    if not cert.valid or cert.sink_map != tuple(enumerate(sinks)):
+    digraph = Digraph.from_arcs(n, arcs)
+    cert, labeling = _verify(graph, cover, digraph)
+    sink_map = tuple(enumerate(sinks))
+    if not cert["valid"] or cert["sink_map"] != [list(p) for p in sink_map]:
         raise RealizationError(f"{name} construction failed: "
-                               f"{cert.failure or 'sink map differs'}")
-    return cert.realization
+                               f"{cert['failure'] or 'sink map differs'}")
+    # the checks imply certify_realization's, as prey = theta_e
+    return Realization(digraph, n - graph.n, labeling, len(sinks),
+                       n - len(sinks), sink_map)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +245,17 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
 
 
 def verify_effective_cover(graph: Graph, cover: CliqueCover,
-                           digraph: Digraph) -> EffectiveCoverCertificate:
+                           digraph: Digraph) -> dict:
     """Check whether a cover plus digraph witnesses an effective
-    competition cover; every failed condition is named individually."""
+    competition cover, as the record {valid, failure, checks, sink_map}:
+    every condition is named in checks, failure gives the first that
+    fails, and sink_map pairs each clique index with its sink."""
+    return _verify(graph, cover, digraph)[0]
+
+
+def _verify(graph: Graph, cover: CliqueCover, digraph: Digraph):
+    """verify_effective_cover's record and the digraph's acyclic labeling
+    (or directed cycle)."""
     try:
         made, cliques_ok = make_cover(graph, cover.cliques), True
     except ValueError:
@@ -300,15 +290,11 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
          "no distinct sink assignment covers the cliques"),
     )
     failure = next((message for _, ok, message in table if not ok), None)
-    sink_map = realization = None
-    if failure is None:
-        # these checks imply certify_realization's, as prey = theta_e
-        sink_map = tuple(enumerate(match))
-        realization = Realization(digraph, k, labeling, len(prey),
-                                  digraph.n - len(prey), sink_map)
-    return EffectiveCoverCertificate(
-        tuple((name, ok) for name, ok, _ in table), failure is None, failure,
-        sink_map, realization)
+    record = {"valid": failure is None, "failure": failure,
+              "checks": {name: ok for name, ok, _ in table},
+              "sink_map": None if failure
+              else [[i, w] for i, w in enumerate(match)]}
+    return record, labeling
 
 
 def hall_certificate(graph: Graph, cover: CliqueCover,

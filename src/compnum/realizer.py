@@ -177,17 +177,19 @@ class _Search:
             if best[0] is not None and not at_most(rem, best[0] - used - 1):
                 return
             # before the last vertex room >= k, so a leftover that does
-            # not fit room cannot record a plan
+            # not fit room cannot record a plan.  The last vertex's node
+            # is entered only if its leftover fits its parent's room,
+            # k + n - 1 - (n - 1) = k, and the root of an empty core only
+            # if the guard at_most(full, spare + 1) below holds, so either
+            # records its plan without asking
             last = placed == everyone
             room = spare - placed.bit_count()
             fits_room = not last and at_most(rem, room)
-            if (last or fits_room) and at_most(rem, k):
+            if last or (fits_room and at_most(rem, k)):
                 best[0] = used + solver.size(rem)
                 best[1] = (list(trail), rem)
                 if best[0] <= goal:
                     raise _Found
-                return
-            if last:
                 return
             visited[state] = used
             options = (self._clique_options(placed, trail[-1][0]) if trail

@@ -13,10 +13,8 @@ are merged in stream order, so parallel and serial runs match exactly.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
-from dataclasses import dataclass
 
 from . import ALL_CHECKS
 from .bounds import opsut_bound, planar_formula_check, predator_bound
@@ -26,29 +24,6 @@ from .constructions import chordal_realizer, hall_certificate, rebuild_star
 from .ecc import min_edge_clique_cover, theta_e
 from .io import serialize_graph6
 from .realizer import competition_number, primary_predator_index
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    records: tuple[dict, ...]
-    summary: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"records": list(self.records),
-                           "summary": self.summary}, indent=2, sort_keys=True)
-
-    @property
-    def violations(self) -> list[dict]:
-        return [r for r in self.records if _violates(r)]
-
-    @property
-    def counterexamples(self) -> list[dict]:
-        return self.summary.get("conjecture", {}).get("counterexamples", [])
-
-
-def _violates(record: dict) -> bool:
-    """Whether a record failed a theorem check or raised an error."""
-    return bool(record.get("error")) or not all(record["checks"].values())
 
 
 def graph_record(args) -> dict:
@@ -158,8 +133,9 @@ def _fan_out(jobs, workers: int) -> list[dict]:
     return records
 
 
-def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
-    """Run the selected checks over a graph stream and merge the records."""
+def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> dict:
+    """Run the selected checks over a graph stream, as the report
+    {records, summary} that ``compnum sweep --out`` writes."""
     checks = tuple(checks)
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
@@ -176,7 +152,9 @@ def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
         "graphs": len(records),
         "checks": {name: {"passed": v[0], "total": v[1]}
                    for name, v in sorted(check_totals.items())},
-        "violations": [r["graph6"] for r in records if _violates(r)],
+        # records that raised an error or failed a theorem check
+        "violations": [r["graph6"] for r in records
+                       if r.get("error") or not all(r["checks"].values())],
     }
     if "conjecture" in checks:
         counterexamples = [r for r in records
@@ -186,5 +164,5 @@ def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> SweepReport:
             "equal": sum(1 for r in records if r.get("conjecture_equal")),
             "counterexamples": counterexamples,
         }
-    return SweepReport(tuple(records), summary)
+    return {"records": records, "summary": summary}
 

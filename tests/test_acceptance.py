@@ -43,8 +43,8 @@ def test_criterion_1_worked_example():
     ok &= competition_number(g)[0] == 1
     ok &= competition_graph(d) == add_isolated(g, 1)
     cert = verify_effective_cover(g, cover, d)
-    ok &= cert.valid
-    ok &= tuple(w for _, w in cert.sink_map) == EXPECTED_SINKS
+    ok &= cert["valid"]
+    ok &= tuple(w for _, w in cert["sink_map"]) == EXPECTED_SINKS
     ok &= primary_predator_index(g)[0] == 4
     elapsed = time.time() - start
     ok &= elapsed < 1.0
@@ -79,7 +79,7 @@ def test_criterion_3_theorem_sweep():
     for n in range(1, 7):
         graphs.extend(enumerate_small_graphs(n, connected_only=True))
     report = sweep(graphs, checks=("floors",), threads=1)
-    violations = report.violations
+    violations = report["summary"]["violations"]
     elapsed = time.time() - start
     ok = not violations and elapsed < 1800.0
     n6 = sum(1 for g in graphs if g.n == 6)
@@ -108,13 +108,13 @@ def test_criterion_4_effective_cover_equality():
             if chordal:
                 realization, cover = chordal_realizer(g)
                 cert = verify_effective_cover(g, cover, realization.digraph)
-                if not cert.valid:
+                if not cert["valid"]:
                     failures.append((serialize_graph6(g), "chordal build"))
             if diamond_free:
                 rebuilt = rebuild_star(g, k_witness)
                 cover = min_edge_clique_cover(g)
                 cert = verify_effective_cover(g, cover, rebuilt.digraph)
-                if not cert.valid:
+                if not cert["valid"]:
                     failures.append((serialize_graph6(g), "star rebuild"))
     elapsed = time.time() - start
     ok = not failures
@@ -215,9 +215,9 @@ def test_criterion_6_conjecture_probe():
     for n in range(1, 7):
         graphs.extend(enumerate_small_graphs(n))
     report = sweep(graphs, checks=("conjecture",), threads=1)
-    tally = report.summary["conjecture"]
+    tally = report["summary"]["conjecture"]
     elapsed = time.time() - start
-    errors = [r for r in report.records if r["error"]]
+    errors = [r for r in report["records"] if r["error"]]
     for counterexample in tally["counterexamples"]:
         print("CONJECTURE COUNTEREXAMPLE:", counterexample)
     ok = not errors and tally["checked"] == len(graphs)

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -15,7 +14,7 @@ from compnum.ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
 from compnum.fixtures import (EXPECTED_SINKS, effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
-from compnum.graph import (Digraph, Graph, add_isolated, bits,
+from compnum.graph import (Digraph, DirectedCycle, Graph, add_isolated, bits,
                            competition_graph)
 from compnum.realizer import (RealizationError, competition_number,
                               primary_predator_index)
@@ -80,7 +79,7 @@ def test_chordal_realizer_exhaustive():
             realization, cover = chordal_realizer(g)
             assert realization.prey_count == theta_e(g)
             cert = verify_effective_cover(g, cover, realization.digraph)
-            assert cert.valid
+            assert cert["valid"]
             assert primary_predator_index(g)[0] == g.n + 1 - theta_e(g)
 
 
@@ -131,7 +130,7 @@ def test_rebuild_star_exhaustive_diamond_free():
             assert rebuilt.prey_count == theta_e(g)
             cover = min_edge_clique_cover(g)
             cert = verify_effective_cover(g, cover, rebuilt.digraph)
-            assert cert.valid
+            assert cert["valid"]
 
 
 # --------------------------------------------------- simplicial families
@@ -187,13 +186,15 @@ BULL = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
     lambda: simplicial_family_realizer(C4, min_edge_clique_cover(C4), [0, 2, 3]),
 ], ids=["chordal", "simplicial-family"])
 def test_builders_refuse_a_sink_map_other_than_their_own(monkeypatch, build):
-    def shifted(graph, cover, digraph):
-        cert = verify_effective_cover(graph, cover, digraph)
-        sinks = [w for _, w in cert.sink_map]
-        rotated = tuple(enumerate(sinks[1:] + sinks[:1]))
-        return replace(cert, sink_map=rotated)
+    verify = constructions._verify
 
-    monkeypatch.setattr(constructions, "verify_effective_cover", shifted)
+    def shifted(graph, cover, digraph):
+        cert, labeling = verify(graph, cover, digraph)
+        sinks = [w for _, w in cert["sink_map"]]
+        rotated = [[i, w] for i, w in enumerate(sinks[1:] + sinks[:1])]
+        return {**cert, "sink_map": rotated}, labeling
+
+    monkeypatch.setattr(constructions, "_verify", shifted)
     with pytest.raises(RealizationError, match="construction failed"):
         build()
 
@@ -206,28 +207,25 @@ def test_verify_effective_cover_worked_example():
     d = effective_cover_example_digraph()
     cover = effective_cover_example_cover()
     cert = verify_effective_cover(g, cover, d)
-    assert cert.valid and cert.failure is None
-    assert tuple(w for _, w in cert.sink_map) == EXPECTED_SINKS
-    assert cert.realization.prey_count == 6
+    assert cert["valid"] and cert["failure"] is None
+    assert tuple(w for _, w in cert["sink_map"]) == EXPECTED_SINKS
+    assert len({w for _, w in cert["sink_map"]}) == 6  # six distinct prey
 
 
 def _verified_fixture():
     d = effective_cover_example_digraph()
-    cert = verify_effective_cover(effective_cover_example_graph(),
-                                  effective_cover_example_cover(), d)
-    assert cert.valid
-    return cert.realization
+    cert, labeling = constructions._verify(effective_cover_example_graph(),
+                                           effective_cover_example_cover(), d)
+    assert cert["valid"]
+    return d, labeling
 
 
-@pytest.mark.parametrize("graph,build", [
-    (effective_cover_example_graph(), _verified_fixture),
-    (BULL, lambda: chordal_realizer(BULL)[0]),
-    (C4, lambda: simplicial_family_realizer(C4, min_edge_clique_cover(C4),
-                                            [0, 1, 2])),
-], ids=["verify", "chordal", "simplicial-family"])
-def test_verify_effective_cover_checks_the_digraph_once(monkeypatch, graph,
-                                                        build):
-    competition_number(graph)
+def _built(realization):
+    return realization.digraph, realization.labeling
+
+
+def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
+    # and each builder, whose verify step reuses the check's labeling
     calls = Counter()
 
     def counted(name, fn):
@@ -239,9 +237,16 @@ def test_verify_effective_cover_checks_the_digraph_once(monkeypatch, graph,
     for module in (constructions, realizer):
         for name in ("competition_graph", "acyclic_labeling"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    realization = build()
-    assert realization.labeling.validates(realization.digraph)
-    assert calls == {"competition_graph": 1, "acyclic_labeling": 1}
+    for graph, build in (
+            (effective_cover_example_graph(), _verified_fixture),
+            (BULL, lambda: _built(chordal_realizer(BULL)[0])),
+            (C4, lambda: _built(simplicial_family_realizer(
+                C4, min_edge_clique_cover(C4), [0, 1, 2])))):
+        competition_number(graph)
+        calls.clear()
+        digraph, labeling = build()
+        assert labeling.validates(digraph)
+        assert calls == {"competition_graph": 1, "acyclic_labeling": 1}
 
 
 def test_verify_effective_cover_non_minimum():
@@ -250,7 +255,7 @@ def test_verify_effective_cover_non_minimum():
     cover = effective_cover_example_cover()
     padded = make_cover(g, cover.cliques + ((6, 7),))
     cert = verify_effective_cover(g, padded, d)
-    assert not cert.valid and cert.failure == "cover not minimum"
+    assert not cert["valid"] and cert["failure"] == "cover not minimum"
     assert _failed(cert) == [
         "cover minimum", "prey count equals cover size", "sinks assigned"]
 
@@ -261,19 +266,22 @@ def test_verify_effective_cover_non_clique():
     cover = effective_cover_example_cover()
     bad = CliqueCover(cover.cliques + ((0, 2),), False, False, False)
     cert = verify_effective_cover(g, bad, d)
-    assert not cert.valid and cert.failure == "cover contains a non-clique"
-    assert cert.to_json_dict()["checks"] == {
-        "cliques are cliques": False,
-        "covers all edges": False,
-        "cover minimum": False,
-        "all cliques maximal": False,
-        "isolate count equals competition number": True,
-        "competition graph matches": True,
-        "digraph is acyclic": True,
-        "prey count equals cover size": False,
-        "sinks assigned": False,
+    assert cert == {
+        "valid": False,
+        "failure": "cover contains a non-clique",
+        "checks": {
+            "cliques are cliques": False,
+            "covers all edges": False,
+            "cover minimum": False,
+            "all cliques maximal": False,
+            "isolate count equals competition number": True,
+            "competition graph matches": True,
+            "digraph is acyclic": True,
+            "prey count equals cover size": False,
+            "sinks assigned": False,
+        },
+        "sink_map": None,
     }
-    assert cert.sink_map is None and cert.realization is None
 
 
 def test_verify_effective_cover_missing_arc():
@@ -282,7 +290,7 @@ def test_verify_effective_cover_missing_arc():
     cover = effective_cover_example_cover()
     broken = Digraph.from_arcs(d.n, [a for a in d.arcs if a != (8, 6)])
     cert = verify_effective_cover(g, cover, broken)
-    assert not cert.valid and cert.failure == "competition graph mismatch"
+    assert not cert["valid"] and cert["failure"] == "competition graph mismatch"
 
 
 def test_verify_effective_cover_every_arc_matters():
@@ -291,7 +299,7 @@ def test_verify_effective_cover_every_arc_matters():
     cover = effective_cover_example_cover()
     for drop in d.arcs:
         broken = Digraph.from_arcs(d.n, [a for a in d.arcs if a != drop])
-        assert not verify_effective_cover(g, cover, broken).valid
+        assert not verify_effective_cover(g, cover, broken)["valid"]
 
 
 def test_verify_effective_cover_clique_mutations():
@@ -300,12 +308,13 @@ def test_verify_effective_cover_clique_mutations():
     cover = effective_cover_example_cover()
     shrunk = CliqueCover(cover.cliques[:-1], False, True, False)
     cert = verify_effective_cover(g, shrunk, d)
-    assert not cert.valid and cert.failure == "cover does not cover all edges"
+    assert not cert["valid"]
+    assert cert["failure"] == "cover does not cover all edges"
     assert _failed(cert) == [
         "covers all edges", "cover minimum", "prey count equals cover size"]
     swapped = CliqueCover(cover.cliques[:-1] + ((1, 3),), False, True, False)
     cert = verify_effective_cover(g, swapped, d)
-    assert not cert.valid
+    assert not cert["valid"]
     assert _failed(cert) == [
         "covers all edges", "cover minimum", "all cliques maximal"]
 
@@ -319,14 +328,15 @@ CYCLIC = Digraph.from_arcs(5, [(0, 2), (1, 3), (2, 3), (3, 2)])
 def test_verify_effective_cover_rejects_a_cycle():
     assert competition_graph(CYCLIC) == add_isolated(TWO_K2, 1)
     cover = make_cover(TWO_K2, [(0, 3), (1, 2)])
-    cert = verify_effective_cover(TWO_K2, cover, CYCLIC)
-    assert not cert.valid and cert.failure == "digraph contains a cycle"
+    cert, cycle = constructions._verify(TWO_K2, cover, CYCLIC)
+    assert cert == verify_effective_cover(TWO_K2, cover, CYCLIC)
+    assert not cert["valid"] and cert["failure"] == "digraph contains a cycle"
     assert _failed(cert) == ["digraph is acyclic"]
-    assert cert.sink_map is None and cert.realization is None
+    assert cert["sink_map"] is None and isinstance(cycle, DirectedCycle)
 
 
 def _failed(cert) -> list[str]:
-    return [name for name, ok in cert.checks if not ok]
+    return [name for name, ok in cert["checks"].items() if not ok]
 
 
 # ------------------------------------------------------------------- hall

@@ -29,8 +29,8 @@ HOMES = {
                 "every_clique_has_occupied_edge",
                 "every_vertex_on_occupied_edge", "is_diamond_free",
                 "maximal_cliques", "simplicial_vertices"),
-    "constructions": ("EffectiveCoverCertificate", "NotChordalError",
-                      "chordal_realizer", "hall_certificate", "rebuild_star",
+    "constructions": ("NotChordalError", "chordal_realizer",
+                      "hall_certificate", "rebuild_star",
                       "simplicial_family_realizer", "verify_effective_cover"),
     "ecc": ("CliqueCover", "make_cover", "min_edge_clique_cover", "theta_e"),
     "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",
@@ -41,7 +41,7 @@ HOMES = {
                  "max_predators_with", "min_prey_count",
                  "primary_predator_index", "realizable_with"),
     "smallgraphs": ("enumerate_small_graphs",),
-    "sweep": ("SweepReport", "sweep"),
+    "sweep": ("sweep",),
 }
 
 # sha256 of `compnum [COMMAND] --help` at 80 columns
