@@ -259,3 +259,16 @@ def test_occupied_edges_and_chordality_are_pinned():
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == ("3543ca78facedc178d56c1e76791f47f"
                       "7266f617cac1db5c11fd5e551707e4c7")
+
+
+def test_chordality_witnesses_are_pinned():
+    # each answer as (ok, witness): the ordering of a chordal graph, or
+    # the hole of one that is not
+    reprs = []
+    for g in _pinned_graphs():
+        res = chordality(g)
+        ok = isinstance(res, EliminationOrdering)
+        reprs.append(repr((ok, res.order if ok else res.vertices)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == ("1cf91d9b48f6c12337d0e6a42dfabea1"
+                      "44bf2f6cf545e6e05b5a4d12373087e4")
