@@ -11,26 +11,10 @@ trust, not the recognizer.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
 from .graph import QUERY_GRAPHS, Graph, bits, mask_of
-
-
-@dataclass(frozen=True)
-class EliminationOrdering:
-    """Vertex order [v1..vn] in which every vertex's later neighbours form
-    a clique (a perfect elimination ordering)."""
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Hole:
-    """An induced cycle of length at least 4, listed in cycle order."""
-
-    vertices: tuple[int, ...]
 
 
 def _bron_kerbosch(rows, r: int, p: int, x: int, out: list[int]) -> None:
@@ -206,23 +190,26 @@ def verify_elimination_ordering(graph: Graph, order) -> bool:
             and next(_elimination_gaps(graph, order), None) is None)
 
 
-def chordality(graph: Graph) -> EliminationOrdering | Hole:
-    """A verified perfect elimination ordering, or a verified hole witness.
+def chordality(graph: Graph) -> tuple[bool, tuple[int, ...]]:
+    """Returns (True, order) for a verified perfect elimination ordering
+    [v1..vn], in which every vertex's later neighbours form a clique, or
+    (False, hole) for a verified induced cycle of length >= 4, listed in
+    cycle order from its least vertex.
 
     The ordering is produced by maximum cardinality search with smallest
-    index on ties and then checked directly; on failure an induced cycle of
-    length >= 4 is extracted, checked, and returned as the result.
+    index on ties and then checked directly; on failure the hole is
+    extracted and checked.
     """
     order = _mcs_order(graph)
     if verify_elimination_ordering(graph, order):
-        return EliminationOrdering(tuple(order))
+        return True, tuple(order)
     hole = _find_hole(graph, order)
-    if hole is None or not is_induced_cycle(graph, hole.vertices):
+    if hole is None or not is_induced_cycle(graph, hole):
         raise RuntimeError("elimination ordering failed but no hole found")
-    return hole
+    return False, hole
 
 
-def _find_hole(graph: Graph, order) -> Hole | None:
+def _find_hole(graph: Graph, order) -> tuple[int, ...] | None:
     """An induced cycle of length >= 4, or None when the graph is chordal.
 
     Each vertex v with nonadjacent neighbours u, w is a candidate: a
@@ -244,7 +231,7 @@ def _find_hole(graph: Graph, order) -> Hole | None:
             cycle = cycle[k:] + cycle[:k]
             if cycle[1] > cycle[-1]:
                 cycle = [cycle[0]] + cycle[:0:-1]
-            return Hole(tuple(cycle))
+            return tuple(cycle)
     return None
 
 

@@ -16,7 +16,7 @@ against the competition-graph definition before it is returned.
 
 from __future__ import annotations
 
-from .cliques import (EliminationOrdering, chordality, edge_clique_counts,
+from .cliques import (chordality, edge_clique_counts,
                       every_vertex_on_occupied_edge, maximal_clique_masks,
                       occupied_pairs, simplicial_vertices)
 from .ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
@@ -28,7 +28,7 @@ from .realizer import (Realization, RealizationError, certify_realization,
 
 class NotChordalError(ValueError):
     def __init__(self, hole):
-        super().__init__(f"graph is not chordal; induced cycle {hole.vertices}")
+        super().__init__(f"graph is not chordal; induced cycle {hole}")
         self.hole = hole
 
 
@@ -94,10 +94,9 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
     theta_e prey.
     """
     _check_buildable(graph)
-    peo = chordality(graph)
-    if not isinstance(peo, EliminationOrdering):
-        raise NotChordalError(peo)
-    order = peo.order
+    chordal, order = chordality(graph)
+    if not chordal:
+        raise NotChordalError(order)
     pos = {v: i + 1 for i, v in enumerate(order)}
 
     base = min_edge_clique_cover(graph)

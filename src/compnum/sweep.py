@@ -18,8 +18,7 @@ import os
 
 from . import ALL_CHECKS
 from .bounds import opsut_bound, planar_formula_check, predator_bound
-from .cliques import (chordality, EliminationOrdering,
-                      every_vertex_on_occupied_edge, is_diamond_free)
+from .cliques import chordality, every_vertex_on_occupied_edge, is_diamond_free
 from .constructions import chordal_realizer, hall_certificate, rebuild_star
 from .ecc import min_edge_clique_cover, theta_e
 from .io import serialize_graph6
@@ -42,7 +41,7 @@ def graph_record(args) -> dict:
         p, p_witness = primary_predator_index(graph)
         record.update(theta_e=theta, k=k, p=p, prey=p_witness.prey_count)
         core, _ = graph.without_isolates()
-        chordal = isinstance(chordality(core), EliminationOrdering)
+        chordal, _ = chordality(core)
         diamond_free, _ = is_diamond_free(graph)
         record.update(chordal=chordal, diamond_free=diamond_free)
         out = record["checks"]

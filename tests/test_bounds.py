@@ -6,7 +6,7 @@ import pytest
 from compnum.bounds import (best_union_tail, bounds_report, clique_census,
                             opsut_bound, planar_formula_check, predator_bound,
                             union_tail_bound)
-from compnum.cliques import chordality, EliminationOrdering, is_diamond_free
+from compnum.cliques import chordality, is_diamond_free
 from compnum.constructions import hall_certificate
 from compnum.ecc import min_edge_clique_cover, theta_e
 from compnum.fixtures import effective_cover_example_graph
@@ -60,7 +60,7 @@ def test_union_tail_never_exceeds_exact_p_on_effective_graphs():
         for g in enumerate_small_graphs(n, connected_only=True):
             if g.edge_count == 0:
                 continue
-            chordal = isinstance(chordality(g), EliminationOrdering)
+            chordal, _ = chordality(g)
             strong, _ = every_vertex_on_occupied_edge(g)
             if not (chordal or strong):
                 continue

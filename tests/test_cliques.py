@@ -5,8 +5,7 @@ from itertools import combinations, permutations
 from conftest import (find_diamond_by_scan, find_hole_by_scan, mcs_order_by_scan,
                       occupied_edges_by_scan, random_graph)
 
-from compnum.cliques import (EliminationOrdering, Hole, _find_hole, _mcs_order,
-                             chordality, edge_clique_counts,
+from compnum.cliques import (_find_hole, _mcs_order, chordality, edge_clique_counts,
                              every_clique_has_occupied_edge,
                              every_vertex_on_occupied_edge, is_diamond_free,
                              is_induced_cycle, maximal_cliques,
@@ -140,49 +139,48 @@ def test_occupied_condition_predicates():
 
 
 def test_chordality_p3():
-    res = chordality(P3)
-    assert isinstance(res, EliminationOrdering)
-    assert verify_elimination_ordering(P3, res.order)
+    chordal, order = chordality(P3)
+    assert chordal
+    assert verify_elimination_ordering(P3, order)
 
 
 def test_chordality_c4_hole():
-    res = chordality(C4)
-    assert isinstance(res, Hole)
-    assert res.vertices == (0, 1, 2, 3)
-    assert is_induced_cycle(C4, res.vertices)
+    chordal, hole = chordality(C4)
+    assert not chordal
+    assert hole == (0, 1, 2, 3)
+    assert is_induced_cycle(C4, hole)
 
 
 def test_chordality_worked_example_has_hole():
     g = effective_cover_example_graph()
-    res = chordality(g)
-    assert isinstance(res, Hole)
-    assert is_induced_cycle(g, res.vertices)
+    chordal, hole = chordality(g)
+    assert not chordal
+    assert is_induced_cycle(g, hole)
     assert find_hole_by_scan(g) is not None
 
 
 def test_chordality_agrees_with_hole_scan_exhaustively():
     for n in range(1, 7):
         for g in enumerate_small_graphs(n):
-            res = chordality(g)
-            hole = find_hole_by_scan(g)
-            if hole is None:
-                assert isinstance(res, EliminationOrdering)
-                assert verify_elimination_ordering(g, res.order)
+            chordal, witness = chordality(g)
+            if find_hole_by_scan(g) is None:
+                assert chordal
+                assert verify_elimination_ordering(g, witness)
             else:
-                assert isinstance(res, Hole)
-                assert is_induced_cycle(g, res.vertices)
+                assert not chordal
+                assert is_induced_cycle(g, witness)
 
 
 def test_chordality_random_larger_graphs():
     rng = random.Random(11)
     for _ in range(60):
         g = random_graph(rng, 9)
-        res = chordality(g)
-        if isinstance(res, EliminationOrdering):
-            assert verify_elimination_ordering(g, res.order)
+        chordal, witness = chordality(g)
+        if chordal:
+            assert verify_elimination_ordering(g, witness)
             assert find_hole_by_scan(g) is None
         else:
-            assert is_induced_cycle(g, res.vertices)
+            assert is_induced_cycle(g, witness)
 
 
 def test_mcs_order_matches_the_scan():
@@ -214,8 +212,8 @@ def test_find_hole_beyond_twenty_vertices():
     edges = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3),
              (4, 5), (5, 6), (6, 7), (4, 7)]
     g = Graph.from_edges(25, edges)
-    assert _find_hole(g, list(range(25))) == Hole((4, 5, 6, 7))
-    assert chordality(g) == Hole((4, 5, 6, 7))
+    assert _find_hole(g, list(range(25))) == (4, 5, 6, 7)
+    assert chordality(g) == (False, (4, 5, 6, 7))
     assert _find_hole(Graph.from_edges(25, edges[:5]), list(range(25))) is None
 
 
@@ -240,7 +238,8 @@ def _pinned_graphs():
 def test_occupied_edges_and_chordality_are_pinned():
     # the hash was taken before the per-edge clique count replaced the
     # occupied-edge scan and one generator replaced the two elimination
-    # ordering scans
+    # ordering scans, and the chordality answers' hash, as (ok, witness)
+    # pairs, before those pairs replaced the ordering and hole classes
     reprs = []
     for g in _pinned_graphs():
         cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
@@ -256,19 +255,6 @@ def test_occupied_edges_and_chordality_are_pinned():
             assert made.covers_all_edges == (pairs == set(g.edges()))
             assert made.all_maximal == all(c in cliques for c in cover)
         reprs.append(repr(chordality(g)))
-    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
-    assert digest == ("3543ca78facedc178d56c1e76791f47f"
-                      "7266f617cac1db5c11fd5e551707e4c7")
-
-
-def test_chordality_witnesses_are_pinned():
-    # each answer as (ok, witness): the ordering of a chordal graph, or
-    # the hole of one that is not
-    reprs = []
-    for g in _pinned_graphs():
-        res = chordality(g)
-        ok = isinstance(res, EliminationOrdering)
-        reprs.append(repr((ok, res.order if ok else res.vertices)))
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == ("1cf91d9b48f6c12337d0e6a42dfabea1"
                       "44bf2f6cf545e6e05b5a4d12373087e4")

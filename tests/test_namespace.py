@@ -25,8 +25,7 @@ HOMES = {
     "bounds": ("best_union_tail", "bounds_report", "clique_census",
                "opsut_bound", "planar_formula_check", "predator_bound",
                "union_tail_bound"),
-    "cliques": ("EliminationOrdering", "Hole", "chordality",
-                "every_clique_has_occupied_edge",
+    "cliques": ("chordality", "every_clique_has_occupied_edge",
                 "every_vertex_on_occupied_edge", "is_diamond_free",
                 "maximal_cliques", "simplicial_vertices"),
     "constructions": ("NotChordalError", "chordal_realizer",
