@@ -19,7 +19,8 @@ later questions share it; a cover found as small as a set's lower bound
 makes its size an exact entry.
 
 The exact size, which theta_e, the cover extraction and a recorded plan's
-total read, is the least t the question accepts, counted up from 0.
+total read, is the least t the question accepts, counted up from 0, or
+from the set's memoized exact size.
 Among equal-size optima the lexicographically least cover (cliques as
 sorted tuples, the cover as a sorted tuple of them) is returned, so
 fixtures are stable.
@@ -92,7 +93,7 @@ class _CoverSolver:
         Each threshold that fails leaves a lower bound above it, so the
         first that holds is met by a cover as small as that bound, which
         ``_bound`` stores as an exact entry."""
-        t = 0
+        t = self._size_memo.get(uncovered, 0)
         while not self.at_most(uncovered, t):
             t += 1
         return t

@@ -111,6 +111,21 @@ def fewest_covering(clique_edge_masks, mask: int) -> int:
     raise AssertionError("the masks do not cover the edge set")
 
 
+def test_repeated_theta_asks_the_memoized_size_once(monkeypatch):
+    g = effective_cover_example_graph()
+    assert theta_e(g) == 6
+    calls = []
+    at_most = _CoverSolver.at_most
+
+    def counting_at_most(self, uncovered, t):
+        calls.append(t)
+        return at_most(self, uncovered, t)
+
+    monkeypatch.setattr(_CoverSolver, "at_most", counting_at_most)
+    assert theta_e(g) == 6
+    assert calls == [6]
+
+
 def test_cover_questions_match_brute_force_in_any_order():
     # The solver keeps every bound it has shown, so an answer may depend on
     # the questions asked before it; each graph gets a fresh solver and its
