@@ -34,8 +34,6 @@ _COVER = (
     (0, 1, 3, 8),
 )
 
-EXPECTED_SINKS = (6, 5, 4, 2, 1, 9)
-
 
 def effective_cover_example_graph() -> Graph:
     return Graph.from_edges(9, _EDGES)

@@ -14,6 +14,10 @@ from itertools import combinations, permutations
 from compnum.graph import (AcyclicLabeling, Digraph, DirectedCycle, Graph,
                            add_isolated, bits)
 
+# The sinks the worked example's digraph gives its cover cliques in order:
+# the paper's v7, v6, v5, v3, v2 and the added isolate v0.
+EXPECTED_SINKS = (6, 5, 4, 2, 1, 9)
+
 
 def brute_competition_graph(digraph: Digraph) -> Graph:
     """Pair scan over all vertex pairs and potential common out-neighbours."""

@@ -8,14 +8,14 @@ import random
 import time
 from itertools import permutations, product
 
-from conftest import dag_oracle
+from conftest import EXPECTED_SINKS, dag_oracle
 
 from compnum.cliques import chordality, is_diamond_free
 from compnum.constructions import (chordal_realizer, rebuild_star,
                                    verify_effective_cover)
 from compnum.bounds import planar_formula_check
 from compnum.ecc import min_edge_clique_cover, theta_e
-from compnum.fixtures import (EXPECTED_SINKS, effective_cover_example_cover,
+from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
 from compnum.graph import Graph, add_isolated, competition_graph

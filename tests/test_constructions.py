@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from conftest import EXPECTED_SINKS
 
 from compnum import constructions, realizer
 from compnum.cliques import chordality, every_vertex_on_occupied_edge
@@ -10,7 +11,7 @@ from compnum.constructions import (NotChordalError, chordal_realizer,
                                    simplicial_family_realizer,
                                    verify_effective_cover)
 from compnum.ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
-from compnum.fixtures import (EXPECTED_SINKS, effective_cover_example_cover,
+from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
 from compnum.graph import (Digraph, DirectedCycle, Graph, add_isolated, bits,

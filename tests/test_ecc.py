@@ -87,6 +87,9 @@ def random_graph_with_edges(rng):
 def test_make_cover_rejects_non_clique():
     with pytest.raises(ValueError):
         make_cover(C4, [(0, 2)])
+    # a repeated vertex pairs with itself, which is no edge
+    with pytest.raises(ValueError, match=r"^\(0, 1, 1\) is not a clique$"):
+        make_cover(K3, [[1, 0, 1]])
 
 
 def test_output_covers_consist_of_maximal_cliques():

@@ -38,6 +38,12 @@ def test_digraph_rejects_self_arc_and_duplicates():
     with pytest.raises(ValueError):
         Digraph.from_arcs(2, [(0, 0)])
     assert Digraph.from_arcs(2, [(0, 1), (0, 1)]).arcs == ((0, 1),)
+    # built directly, the arcs must strictly increase
+    with pytest.raises(ValueError):
+        Digraph(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError):
+        Digraph(2, ((1, 0), (0, 1)))
+    assert Digraph(2, ((0, 1), (1, 0))).arcs == ((0, 1), (1, 0))
 
 
 def test_competition_graph_arcless():
