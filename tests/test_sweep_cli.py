@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_graph)
 from compnum.graph import Digraph, Graph
 from compnum.io import serialize_edge_list, serialize_graph6
+from compnum.realizer import RealizationError
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import _worker_count, sweep
 
@@ -201,6 +203,60 @@ def test_cli_sweep_exit_code_reads_the_summary(capsys, monkeypatch, record,
     assert run_cli(capsys, "sweep", "--n", "1", "--threads", "1") == (
         code, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
+
+def test_sweep_turns_a_raised_error_into_a_violation(capsys, monkeypatch):
+    def fail(graph):
+        raise RealizationError("no witness")
+
+    monkeypatch.setattr(sys.modules["compnum.sweep"], "competition_number",
+                        fail)
+    report = sweep(enumerate_small_graphs(2), threads=1)
+    assert report["records"] == [
+        {"graph6": g6, "n": 2, "edges": edges, "checks": {},
+         "error": "RealizationError: no witness"}
+        for g6, edges in (("A?", 0), ("A_", 1))]
+    assert report["summary"]["violations"] == ["A?", "A_"]
+    code = main(["sweep", "--n", "2", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out == json.dumps(report["summary"], indent=2,
+                                      sort_keys=True) + "\n"
+
+
+def test_sweep_rejects_an_unknown_check():
+    with pytest.raises(ValueError, match=r"^unknown checks: \['nope'\]$"):
+        sweep(enumerate_small_graphs(2), ["nope"])
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["sweep", "--n", "3", "--in", "{g6}"], "give exactly one of --n or --in"),
+    (["sweep"], "give exactly one of --n or --in"),
+    (["realize", "--in", "{edges}", "--k", "-1"], "--k must be nonnegative"),
+    (["knumber", "--in", "{arcs}"],
+     "expected an undirected edge list, found arcs"),
+    (["rebuild-star", "--in", "{edges}", "--digraph", "{edges}"],
+     "expected an arc list (lines 'u > v')"),
+], ids=["n-and-in", "neither", "negative-k", "arcs-as-graph",
+        "edges-as-digraph"])
+def test_cli_usage_errors_exit_1_with_one_error_line(capsys, fixture_files,
+                                                     argv, error):
+    names = {name: str(path) for name, path in fixture_files.items()}
+    code = main([arg.format(**names) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
+
+
+def test_cli_reads_stdin_and_keeps_connected_graphs(capsys, monkeypatch):
+    stream = "".join(serialize_graph6(g) + "\n"
+                     for g in enumerate_small_graphs(3))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    code, out = run_cli(capsys, "sweep", "--in", "-", "--connected",
+                        "--threads", "1")
+    assert code == 0 and json.loads(out)["graphs"] == 2
+    assert (code, out) == run_cli(capsys, "sweep", "--n", "3", "--connected",
+                                  "--threads", "1")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("4 4\n0 1\n1 2\n2 3\n0 3\n"))
+    assert run_cli(capsys, "theta", "--in", "-") == (0, "theta_e = 4\n")
 
 def test_cli_compete(capsys, fixture_files):
     code, out = run_cli(capsys, "compete", "--in", str(fixture_files["arcs"]),
