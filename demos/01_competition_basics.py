@@ -24,9 +24,9 @@ print("=" * 64)
 print("2. Acyclic labelings and cycle witnesses")
 print("=" * 64)
 
-labeling = acyclic_labeling(d)
-print("labels (vertex -> 1..n):", labeling.labels)
-print("every arc descends:", labeling.validates(d))
+acyclic, labels = acyclic_labeling(d)
+print("labels (vertex -> 1..n):", labels)
+print("every arc descends:", all(labels[u] > labels[v] for u, v in d.arcs))
 
 looped = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 print("a 3-cycle yields a witness instead:", acyclic_labeling(looped))

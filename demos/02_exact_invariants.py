@@ -35,7 +35,7 @@ print("recheck:", competition_graph(witness.digraph) == add_isolated(ZOO["cycle 
 
 print()
 print("Minimum cover of the bowtie:",
-      min_edge_clique_cover(ZOO["bowtie"]).cliques)
+      min_edge_clique_cover(ZOO["bowtie"]))
 
 print()
 print("Max predators is also available away from the optimum k: the")

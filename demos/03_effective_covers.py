@@ -23,7 +23,7 @@ print("theta_e:", theta_e(g), " k:", competition_number(g)[0])
 cert = verify_effective_cover(g, cover, d)
 print("certificate valid:", cert["valid"])
 for i, w in cert["sink_map"]:
-    clique = "{" + ",".join(name[v] for v in cover.cliques[i]) + "}"
+    clique = "{" + ",".join(name[v] for v in cover[i]) + "}"
     print(f"  clique {clique:<18} -> sink {name[w]}")
 
 hall = hall_certificate(g, cover, d)
@@ -36,7 +36,7 @@ print("=" * 64)
 
 bull = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 realization, ordered = chordal_realizer(bull)
-print("cover in construction order:", ordered.cliques)
+print("cover in construction order:", ordered)
 print("arcs:", realization.digraph.arcs)
 print("prey:", realization.prey_count, " predators:", realization.predator_count)
 
@@ -59,7 +59,7 @@ print("=" * 64)
 
 c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 cover4 = min_edge_clique_cover(c4)
-print("C4 cover:", cover4.cliques)
+print("C4 cover:", cover4)
 realization = simplicial_family_realizer(c4, cover4, [0, 2, 3])
 print("family of three consecutive edges gives arcs:", realization.digraph.arcs)
 print("isolates:", realization.k, " prey:", realization.prey_count)

@@ -28,9 +28,10 @@ print("=" * 64)
 
 c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 cover = min_edge_clique_cover(c4)
-for i in range(1, cover.theta + 1):
-    print(f"  k={i}: bound {union_tail_bound(cover, i)}")
-print("best:", best_union_tail(cover), " exact p:",
+# no digraph is needed; the cover is checked against the graph it covers
+for i in range(1, len(cover) + 1):
+    print(f"  k={i}: bound {union_tail_bound(c4, cover, i)}")
+print("best:", best_union_tail(c4, cover), " exact p:",
       primary_predator_index(c4)[0])
 
 print()

@@ -26,9 +26,9 @@ _HOMES = {
     "constructions": ("NotChordalError", "chordal_realizer",
                       "hall_certificate", "rebuild_star",
                       "simplicial_family_realizer", "verify_effective_cover"),
-    "ecc": ("CliqueCover", "make_cover", "min_edge_clique_cover", "theta_e"),
-    "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",
-              "acyclic_labeling", "add_isolated", "competition_graph"),
+    "ecc": ("make_cover", "min_edge_clique_cover", "theta_e"),
+    "graph": ("Digraph", "Graph", "acyclic_labeling", "add_isolated",
+              "competition_graph"),
     "io": ("FormatError", "parse_edge_list", "parse_graph6",
            "parse_graph6_lines", "serialize_edge_list", "serialize_graph6"),
     "realizer": ("Realization", "RealizationError", "competition_number",

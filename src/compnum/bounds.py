@@ -5,7 +5,9 @@ is never negative, callers wanting a usable floor should clamp at zero.
 The union-tail bound is deliberately strengthened over its per-labeling
 statement: it minimizes the union size over all subsets of the given
 cardinality, so it is sound without knowing any accompanying digraph
-("subset-min variant").
+("subset-min variant").  It takes the graph along with the cover and
+checks the cover against it: only a minimum cover of maximal cliques has
+a bound.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cliques import every_clique_has_occupied_edge, is_diamond_free, maximal_cliques
-from .ecc import CliqueCover, min_edge_clique_cover, theta_e
+from .ecc import cover_checks, min_edge_clique_cover, theta_e
 from .graph import Graph
 from .realizer import competition_number, primary_predator_index
 
@@ -28,28 +30,29 @@ def predator_bound(graph: Graph, p: int) -> int:
     return theta_e(graph) - graph.n + p
 
 
-def union_tail_bound(cover: CliqueCover, k: int) -> int:
+def union_tail_bound(graph: Graph, cover, k: int) -> int:
     """Subset-min union-tail bound on the predator count.
 
-    For a cover of size t and 1 <= k <= t, returns
-    min over (t - k + 1)-subsets S of |union of S|, minus t, plus k.
+    For a minimum cover of the graph by t maximal cliques and 1 <= k <= t,
+    returns min over (t - k + 1)-subsets S of |union of S|, minus t, plus k.
     """
-    if not (cover.is_minimum and cover.all_maximal):
+    if not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
-    t = cover.theta
+    t = len(cover)
     if not 1 <= k <= t:
         raise ValueError(f"index k must lie in 1..{t}")
     best = min(len(set().union(*subset))
-               for subset in combinations(cover.cliques, t - k + 1))
+               for subset in combinations(cover, t - k + 1))
     return best - t + k
 
 
-def best_union_tail(cover: CliqueCover) -> tuple[int, int]:
-    """The index k maximizing the union-tail bound (smallest k on ties)."""
-    if cover.theta == 0:
+def best_union_tail(graph: Graph, cover) -> tuple[int, int]:
+    """The index k maximizing the union-tail bound of a minimum cover of the
+    graph by maximal cliques (smallest k on ties)."""
+    if not cover:
         raise ValueError("empty cover has no union-tail bound")
-    return max(((k, union_tail_bound(cover, k))
-                for k in range(1, cover.theta + 1)), key=lambda kv: kv[1])
+    return max(((k, union_tail_bound(graph, cover, k))
+                for k in range(1, len(cover) + 1)), key=lambda kv: kv[1])
 
 
 def clique_census(graph: Graph) -> tuple[int, int, int]:
@@ -105,7 +108,8 @@ def bounds_report(graph: Graph) -> dict:
     tail = []
     if theta > 0:
         cover = min_edge_clique_cover(graph)
-        tail = [(i, union_tail_bound(cover, i)) for i in range(1, theta + 1)]
+        tail = [(i, union_tail_bound(graph, cover, i))
+                for i in range(1, theta + 1)]
     try:
         census = list(clique_census(graph))
     except ValueError:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from .cliques import (chordality, edge_clique_counts,
                       every_vertex_on_occupied_edge, maximal_clique_masks,
                       occupied_pairs, simplicial_vertices)
-from .ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
-from .graph import (AcyclicLabeling, Digraph, Graph, acyclic_labeling,
-                    add_isolated, bits, clique_union, competition_graph, mask_of)
+from .ecc import cover_checks, make_cover, min_edge_clique_cover, theta_e
+from .graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
+                    clique_rows, competition_graph, mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
                        competition_number)
 
@@ -61,12 +61,11 @@ def _check_buildable(graph: Graph) -> None:
         raise ValueError("strip isolated vertices before building")
 
 
-def _effective(graph: Graph, cover: CliqueCover, sinks, n: int,
-               name: str) -> Realization:
+def _effective(graph: Graph, cover, sinks, n: int, name: str) -> Realization:
     """Verify the digraph on n vertices in which cover clique i feeds
     sinks[i], and return its realization; a failed check, or a sink map
     other than the intended one, raises."""
-    arcs = [(v, w) for clique, w in zip(cover.cliques, sinks) for v in clique]
+    arcs = [(v, w) for clique, w in zip(cover, sinks) for v in clique]
     digraph = Digraph.from_arcs(n, arcs)
     cert, labeling = _verify(graph, cover, digraph)
     sink_map = tuple(enumerate(sinks))
@@ -82,7 +81,7 @@ def _effective(graph: Graph, cover: CliqueCover, sinks, n: int,
 # chordal graphs
 
 
-def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
+def chordal_realizer(graph: Graph) -> tuple[Realization, tuple]:
     """Build an effective competition cover for a chordal graph.
 
     Takes a perfect elimination ordering [v1..vn], a minimum cover of
@@ -99,9 +98,8 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
         raise NotChordalError(order)
     pos = {v: i + 1 for i, v in enumerate(order)}
 
-    base = min_edge_clique_cover(graph)
-    keyed = sorted(base.cliques, key=lambda c: tuple(sorted(pos[v] for v in c)))
-    cover = CliqueCover(tuple(keyed), True, True, True)
+    cover = tuple(sorted(min_edge_clique_cover(graph),
+                         key=lambda c: tuple(sorted(pos[v] for v in c))))
 
     n = graph.n
     sinks = []
@@ -110,7 +108,7 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, CliqueCover]:
     for i in range(n, 0, -1):
         mask |= 1 << order[i - 1]
         suffix[i] = mask
-    for clique in cover.cliques:
+    for clique in cover:
         nk = min(pos[v] for v in clique)
         head = order[nk - 1]
         closed = ((1 << head) | graph.rows[head]) & suffix[nk]
@@ -150,7 +148,7 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
         raise RealizationError(
             "maximal cliques do not form a minimum cover despite the "
             "occupied-edge hypothesis")
-    labels = realization.labeling.labels
+    labels = realization.labeling
     digraph = realization.digraph
     counts = edge_clique_counts(graph)
     arcs = []
@@ -170,7 +168,7 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
     if len(set(sinks)) != len(sinks):
         raise RealizationError("rebuilt sinks are not pairwise distinct")
     star = Digraph.from_arcs(digraph.n, arcs)
-    if not realization.labeling.validates(star):
+    if any(labels[u] <= labels[v] for u, v in star.arcs):
         raise RealizationError(
             "input labeling is no longer acyclic on the rebuilt digraph")
     rebuilt = certify_realization(graph, star, realization.k, tuple(sink_map))
@@ -183,8 +181,7 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
 # simplicial-vertex families
 
 
-def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
-                               family) -> Realization:
+def simplicial_family_realizer(graph: Graph, cover, family) -> Realization:
     """Build an accompanying digraph from a simplicial-vertex-rich subfamily.
 
     ``family`` lists indices into ``cover``; it must have theta_e - k + 1
@@ -197,19 +194,20 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
     rejected with a diagnostic rather than trusted.
     """
     _check_buildable(graph)
-    if not (cover.covers_all_edges and cover.all_maximal and cover.is_minimum):
+    if not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
     family = sorted(set(family))
-    if any(not 0 <= i < cover.theta for i in family):
+    theta = len(cover)
+    if any(not 0 <= i < theta for i in family):
         raise ValueError("family indices out of range")
     k, _ = competition_number(graph)
-    theta = cover.theta
     if len(family) != theta - k + 1:
         raise ValueError(
             f"family must have theta_e - k + 1 = {theta - k + 1} members, "
             f"got {len(family)}")
 
-    edge_graph = clique_union(graph.n, (mask_of(cover.cliques[i]) for i in family))
+    edge_graph = Graph(graph.n, clique_rows(graph.n,
+                                            (mask_of(cover[i]) for i in family)))
     simplicial = {v for v in simplicial_vertices(edge_graph) if edge_graph.rows[v]}
     if len(simplicial) < theta - k:
         raise ValueError(
@@ -217,8 +215,7 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
             f"subgraph; need at least {theta - k}")
 
     fam_sorted = sorted(family,
-                        key=lambda i: (-len(simplicial & set(cover.cliques[i])),
-                                       cover.cliques[i]))
+                        key=lambda i: (-len(simplicial & set(cover[i])), cover[i]))
     rest_sorted = sorted(i for i in range(theta) if i not in set(family))
     ordered = rest_sorted + fam_sorted
 
@@ -226,7 +223,7 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
     for slot in range(k):
         sinks[ordered[slot]] = graph.n + slot
     used: set[int] = set()
-    reachable: set[int] = set(cover.cliques[ordered[k - 1]]) if k >= 1 else set()
+    reachable: set[int] = set(cover[ordered[k - 1]]) if k >= 1 else set()
     for j in range(k, theta):
         pool = sorted((simplicial & reachable) - used)
         if not pool:
@@ -235,7 +232,7 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
                 "preconditions too weak for this input")
         used.add(pool[0])
         sinks[ordered[j]] = pool[0]
-        reachable |= set(cover.cliques[ordered[j]])
+        reachable |= set(cover[ordered[j]])
     return _effective(graph, cover, sinks, graph.n + k, "simplicial-family")
 
 
@@ -243,8 +240,7 @@ def simplicial_family_realizer(graph: Graph, cover: CliqueCover,
 # verification
 
 
-def verify_effective_cover(graph: Graph, cover: CliqueCover,
-                           digraph: Digraph) -> dict:
+def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
     """Check whether a cover plus digraph witnesses an effective
     competition cover, as the record {valid, failure, checks, sink_map}:
     every condition is named in checks, failure gives the first that
@@ -252,38 +248,38 @@ def verify_effective_cover(graph: Graph, cover: CliqueCover,
     return _verify(graph, cover, digraph)[0]
 
 
-def _verify(graph: Graph, cover: CliqueCover, digraph: Digraph):
+def _verify(graph: Graph, cover, digraph: Digraph):
     """verify_effective_cover's record and the digraph's acyclic labeling
     (or directed cycle)."""
     try:
-        made, cliques_ok = make_cover(graph, cover.cliques), True
+        made, cliques_ok = make_cover(graph, cover), True
     except ValueError:
-        made, cliques_ok = CliqueCover((), False, False, False), False
+        made, cliques_ok = (), False
+    covers, maximal, minimum = (
+        cover_checks(graph, made) if cliques_ok else (False, False, False))
     k, _ = competition_number(graph)
     iso_ok = digraph.n == graph.n + k
-    labeling = acyclic_labeling(digraph)
+    acyclic, labeling = acyclic_labeling(digraph)
     prey = [v for v in range(digraph.n) if digraph.in_rows[v]]
     adjacency = []
-    for c in made.cliques:
+    for c in made:
         mask = mask_of(c)
         adjacency.append([w for w in prey if digraph.in_rows[w] & mask == mask])
     match = _max_bipartite_matching(adjacency)
 
     table = (  # (check name, result, failure message), in reporting order
         ("cliques are cliques", cliques_ok, "cover contains a non-clique"),
-        ("covers all edges", made.covers_all_edges,
-         "cover does not cover all edges"),
-        ("cover minimum", made.is_minimum, "cover not minimum"),
-        ("all cliques maximal", made.all_maximal,
+        ("covers all edges", covers, "cover does not cover all edges"),
+        ("cover minimum", minimum, "cover not minimum"),
+        ("all cliques maximal", maximal,
          "cover contains a non-maximal clique"),
         ("isolate count equals competition number", iso_ok,
          "isolate count differs from k"),
         ("competition graph matches",
          iso_ok and competition_graph(digraph) == add_isolated(graph, k),
          "competition graph mismatch"),
-        ("digraph is acyclic", isinstance(labeling, AcyclicLabeling),
-         "digraph contains a cycle"),
-        ("prey count equals cover size", len(prey) == cover.theta,
+        ("digraph is acyclic", acyclic, "digraph contains a cycle"),
+        ("prey count equals cover size", len(prey) == len(cover),
          "prey count differs from cover size"),
         ("sinks assigned", cliques_ok and all(w is not None for w in match),
          "no distinct sink assignment covers the cliques"),
@@ -296,21 +292,20 @@ def _verify(graph: Graph, cover: CliqueCover, digraph: Digraph):
     return record, labeling
 
 
-def hall_certificate(graph: Graph, cover: CliqueCover,
-                     digraph: Digraph) -> dict:
+def hall_certificate(graph: Graph, cover, digraph: Digraph) -> dict:
     """Match every cover clique to a distinct prey that two of its members
     feed, as the record {sets, matching}.  The sets A_i collect, per clique,
     the common out-neighbours of pairs inside it; the matching pairs each
     clique index with its prey.  A matching saturating the cover always
     exists for a genuine realization, so a missing matching aborts loudly."""
-    if not (cover.covers_all_edges and cover.all_maximal and cover.is_minimum):
+    if not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
     try:
         certify_realization(graph, digraph, digraph.n - graph.n)
     except RealizationError as exc:
         raise ValueError(str(exc)) from None
     sets = []
-    for c in cover.cliques:
+    for c in cover:
         mask = mask_of(c)
         members = tuple(v for v in range(digraph.n)
                         if (digraph.in_rows[v] & mask).bit_count() >= 2)

@@ -28,32 +28,10 @@ fixtures are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cliques import edge_clique_counts, maximal_clique_masks
-from .graph import QUERY_GRAPHS, Graph, bits, clique_union, mask_of
-
-
-@dataclass(frozen=True)
-class CliqueCover:
-    """An ordered list of cliques with coverage certificates."""
-
-    cliques: tuple[tuple[int, ...], ...]
-    covers_all_edges: bool
-    all_maximal: bool
-    is_minimum: bool
-
-    @property
-    def theta(self) -> int:
-        return len(self.cliques)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta_e": self.theta,
-            "cliques": [list(c) for c in self.cliques],
-            "maximal": self.all_maximal,
-        }
+from .graph import QUERY_GRAPHS, Graph, bits, clique_rows, mask_of
 
 
 class _CoverSolver:
@@ -183,18 +161,20 @@ def theta_e(graph: Graph) -> int:
     return solver.size(solver.full_mask)
 
 
-def min_edge_clique_cover(graph: Graph) -> CliqueCover:
-    """A minimum edge clique cover consisting of maximal cliques."""
+def min_edge_clique_cover(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """A minimum edge clique cover consisting of maximal cliques, as a
+    sorted tuple of sorted vertex tuples."""
     core, keep = graph.without_isolates()
     solver = cover_solver(core)
     indices = solver.lex_min_cover(solver.full_mask)
-    cliques = tuple(tuple(keep[v] for v in bits(solver.clique_masks[i])) for i in indices)
-    return CliqueCover(cliques, True, True, True)
+    return tuple(tuple(keep[v] for v in bits(solver.clique_masks[i])) for i in indices)
 
 
-def make_cover(graph: Graph, cliques) -> CliqueCover:
-    """Wrap explicit cliques in a CliqueCover, computing its certificates.
-    Each clique is a list or tuple of vertices, ints in 0..n-1 (no bools)."""
+def make_cover(graph: Graph, cliques) -> tuple[tuple[int, ...], ...]:
+    """Check explicit cliques of the graph and return them as a cover, a
+    tuple of sorted vertex tuples; ``cover_checks`` says whether it is a
+    minimum cover of maximal cliques.  Each clique is a list or tuple of
+    vertices, ints in 0..n-1 (no bools)."""
     for c in cliques:
         if not (isinstance(c, (list, tuple))
                 and all(type(v) is int and 0 <= v < graph.n for v in c)):
@@ -205,9 +185,17 @@ def make_cover(graph: Graph, cliques) -> CliqueCover:
             raise ValueError("empty clique in cover")
         if not graph.is_clique(c):  # a repeated vertex is no edge
             raise ValueError(f"{c} is not a clique")
-    covers_all = clique_union(graph.n, map(mask_of, cliques)) == graph
-    maximal_set = set(maximal_clique_masks(graph))
-    all_maximal = all(mask_of(c) in maximal_set for c in cliques)
-    is_minimum = covers_all and len(cliques) == theta_e(graph)
-    return CliqueCover(cliques, covers_all, all_maximal, is_minimum)
+    return cliques
 
+
+def cover_checks(graph: Graph, cover) -> tuple[bool, bool, bool]:
+    """(covers all edges, all maximal, minimum) for a cover whose cliques
+    are vertex sets within 0..n-1: whether they cover every edge of the
+    graph and no other pair, whether each is a maximal clique of it, and
+    whether they cover every edge with theta_e cliques.  Worked out from
+    the graph on every call."""
+    masks = [mask_of(c) for c in cover]
+    maximal = set(maximal_clique_masks(graph))
+    covers = clique_rows(graph.n, masks) == graph.rows
+    return (covers, all(m in maximal for m in masks),
+            covers and len(masks) == theta_e(graph))

@@ -8,7 +8,6 @@ sit at indices 0..8; the digraph appends the added isolate v0 at index 9.
 
 from __future__ import annotations
 
-from .ecc import CliqueCover
 from .graph import Digraph, Graph
 
 _EDGES = [
@@ -43,5 +42,5 @@ def effective_cover_example_digraph() -> Digraph:
     return Digraph.from_arcs(10, _ARCS)
 
 
-def effective_cover_example_cover() -> CliqueCover:
-    return CliqueCover(_COVER, True, True, True)
+def effective_cover_example_cover() -> tuple[tuple[int, ...], ...]:
+    return _COVER

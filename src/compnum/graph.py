@@ -158,30 +158,11 @@ class Digraph:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class AcyclicLabeling:
-    """Bijection vertex -> 1..n that strictly decreases along every arc."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.labels) != list(range(1, len(self.labels) + 1)):
-            raise ValueError("labels must be a bijection onto 1..n")
-
-    def validates(self, digraph: Digraph) -> bool:
-        return all(self.labels[u] > self.labels[v] for u, v in digraph.arcs)
-
-
-@dataclass(frozen=True)
-class DirectedCycle:
-    """Witness for a non-acyclic digraph: consecutive vertices are arcs,
-    and so is (last, first)."""
-
-    vertices: tuple[int, ...]
-
-
-def acyclic_labeling(digraph: Digraph) -> AcyclicLabeling | DirectedCycle:
-    """Return an acyclic labeling of the digraph, or a directed cycle.
+def acyclic_labeling(digraph: Digraph) -> tuple[bool, tuple[int, ...]]:
+    """``(True, labels)``, labels[v] being vertex v's label, a bijection
+    onto 1..n that strictly decreases along every arc; or ``(False,
+    cycle)``, a directed cycle: consecutive vertices are arcs, and so is
+    (last, first).
 
     Labels are assigned 1, 2, ... by repeatedly taking the smallest-index
     remaining vertex with no out-arc into the remaining set, so the result
@@ -202,10 +183,10 @@ def acyclic_labeling(digraph: Digraph) -> AcyclicLabeling | DirectedCycle:
             out_degree[u] -= 1
             if out_degree[u] == 0:
                 heapq.heappush(ready, u)
-    return AcyclicLabeling(tuple(labels))
+    return True, tuple(labels)
 
 
-def _extract_cycle(digraph: Digraph, labels) -> DirectedCycle:
+def _extract_cycle(digraph: Digraph, labels) -> tuple[bool, tuple[int, ...]]:
     # every unlabeled vertex has an out-arc to another unlabeled one, so
     # following smallest such out-neighbours must revisit a vertex
     remaining = mask_of(v for v in range(digraph.n) if not labels[v])
@@ -219,24 +200,24 @@ def _extract_cycle(digraph: Digraph, labels) -> DirectedCycle:
             cycle = path[index[v]:]
             # rotate so the smallest vertex comes first
             k = cycle.index(min(cycle))
-            return DirectedCycle(tuple(cycle[k:] + cycle[:k]))
+            return False, tuple(cycle[k:] + cycle[:k])
         index[v] = len(path)
         path.append(v)
 
 
-def clique_union(n: int, masks) -> Graph:
-    """Graph on n vertices spanned by a family of vertex masks: each mask
-    is made a clique, and no other pair is adjacent."""
+def clique_rows(n: int, masks) -> tuple[int, ...]:
+    """Adjacency rows on n vertices spanned by a family of vertex masks:
+    each mask is made a clique, and no other pair is adjacent."""
     rows = [0] * n
     for mask in masks:
         for u in bits(mask):
             rows[u] |= mask ^ (1 << u)
-    return Graph(n, tuple(rows))
+    return tuple(rows)
 
 
 def competition_graph(digraph: Digraph) -> Graph:
     """Graph on V(D) with an edge xy whenever x and y share an out-neighbour."""
-    return clique_union(digraph.n, digraph.in_rows)
+    return Graph(digraph.n, clique_rows(digraph.n, digraph.in_rows))
 
 
 def add_isolated(graph: Graph, k: int) -> Graph:

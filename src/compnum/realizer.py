@@ -58,8 +58,8 @@ from functools import lru_cache
 
 from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
-from .graph import (QUERY_GRAPHS, AcyclicLabeling, Digraph, Graph,
-                    add_isolated, acyclic_labeling, bits, competition_graph)
+from .graph import (QUERY_GRAPHS, Digraph, Graph, add_isolated,
+                    acyclic_labeling, bits, competition_graph)
 
 
 class RealizationError(RuntimeError):
@@ -73,7 +73,7 @@ class Realization:
 
     digraph: Digraph
     k: int
-    labeling: AcyclicLabeling
+    labeling: tuple[int, ...]  # acyclic_labeling's labels
     prey_count: int
     predator_count: int
     sink_map: tuple[tuple[int, int], ...] | None = None
@@ -96,9 +96,9 @@ def certify_realization(graph: Graph, digraph: Digraph, k: int,
     comp = competition_graph(digraph)
     if comp != add_isolated(graph, k):
         raise RealizationError("competition graph mismatch")
-    labeling = acyclic_labeling(digraph)
-    if not isinstance(labeling, AcyclicLabeling):
-        raise RealizationError(f"digraph contains a cycle: {labeling.vertices}")
+    acyclic, labeling = acyclic_labeling(digraph)
+    if not acyclic:
+        raise RealizationError(f"digraph contains a cycle: {labeling}")
     prey = sum(1 for v in range(digraph.n) if digraph.in_rows[v])
     if graph.edge_count > 0 and prey < theta_e(graph):
         raise RealizationError("fewer prey than the edge clique cover number")
@@ -304,7 +304,8 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     if found is None:
         return None
     m_star, witness = found
-    assert witness.prey_count == m_star
+    if witness.prey_count != m_star:
+        raise RuntimeError("witness prey count differs from the walk's total")
     return graph.n + k - m_star, witness
 
 
@@ -326,7 +327,8 @@ def primary_predator_index(graph: Graph) -> tuple[int, Realization]:
     if witness.prey_count == theta:
         return graph.n + k - theta, witness
     result = max_predators_with(graph, k)
-    assert result is not None
+    if result is None:
+        raise RuntimeError("no realization at the competition number")
     return result
 
 

@@ -11,8 +11,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from compnum.graph import (AcyclicLabeling, Digraph, DirectedCycle, Graph,
-                           add_isolated, bits)
+from compnum.graph import Digraph, Graph, add_isolated, bits
 
 # The sinks the worked example's digraph gives its cover cliques in order:
 # the paper's v7, v6, v5, v3, v2 and the added isolate v0.
@@ -62,11 +61,11 @@ def acyclic_labeling_by_scan(digraph: Digraph):
                 if v in path:
                     cycle = path[path.index(v):]
                     k = cycle.index(min(cycle))
-                    return DirectedCycle(tuple(cycle[k:] + cycle[:k]))
+                    return False, tuple(cycle[k:] + cycle[:k])
                 path.append(v)
         labels[pick] = label
         remaining.discard(pick)
-    return AcyclicLabeling(tuple(labels))
+    return True, tuple(labels)
 
 
 def mcs_order_by_scan(graph: Graph) -> list[int]:

@@ -37,21 +37,21 @@ def test_predator_bound_examples():
 
 def test_union_tail_bounds_c4():
     cover = min_edge_clique_cover(C4)
-    assert union_tail_bound(cover, 3) == 2
-    assert union_tail_bound(cover, 4) == 2
-    assert union_tail_bound(cover, 1) == 1
-    assert best_union_tail(cover) == (2, 2)
+    assert union_tail_bound(C4, cover, 3) == 2
+    assert union_tail_bound(C4, cover, 4) == 2
+    assert union_tail_bound(C4, cover, 1) == 1
+    assert best_union_tail(C4, cover) == (2, 2)
     with pytest.raises(ValueError):
-        union_tail_bound(cover, 0)
+        union_tail_bound(C4, cover, 0)
     with pytest.raises(ValueError):
-        union_tail_bound(cover, 5)
+        union_tail_bound(C4, cover, 5)
 
 
 def test_union_tail_k1_is_vertex_count_identity():
     for g in (C4, K3, BOWTIE, effective_cover_example_graph()):
         cover = min_edge_clique_cover(g)
-        support = len({v for c in cover.cliques for v in c})
-        assert union_tail_bound(cover, 1) == support - cover.theta + 1
+        support = len({v for c in cover for v in c})
+        assert union_tail_bound(g, cover, 1) == support - len(cover) + 1
 
 
 def test_union_tail_never_exceeds_exact_p_on_effective_graphs():
@@ -66,7 +66,7 @@ def test_union_tail_never_exceeds_exact_p_on_effective_graphs():
                 continue
             cover = min_edge_clique_cover(g)
             p, _ = primary_predator_index(g)
-            assert best_union_tail(cover)[1] <= p
+            assert best_union_tail(g, cover)[1] <= p
 
 
 def test_clique_census():
@@ -119,7 +119,7 @@ def test_bounds_report_union_tail_best_matches_best_union_tail():
         for g in enumerate_small_graphs(n):
             if g.edge_count == 0:
                 continue
-            best = best_union_tail(min_edge_clique_cover(g))
+            best = best_union_tail(g, min_edge_clique_cover(g))
             assert bounds_report(g)["union_tail_best"] == list(best)
 
 

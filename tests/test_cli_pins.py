@@ -153,7 +153,7 @@ PINNED_FIXTURE = {
 # the fixture triple, its cover padded with a second copy of (6, 7),
 # and its digraph without the arc 8 > 6, the last two invalid (exit 1); each
 # with and without --json
-FIXTURE_CLIQUES = [list(c) for c in effective_cover_example_cover().cliques]
+FIXTURE_CLIQUES = [list(c) for c in effective_cover_example_cover()]
 FIXTURE_ARCS = effective_cover_example_digraph().arcs
 VERIFY_INPUTS = {
     "triple": (FIXTURE_CLIQUES, FIXTURE_ARCS),

@@ -12,7 +12,7 @@ from compnum.cliques import (_find_hole, _mcs_order, chordality, edge_clique_cou
                              maximal_cliques_through, occupied_pairs,
                              simplicial_vertices,
                              verify_elimination_ordering)
-from compnum.ecc import make_cover
+from compnum.ecc import cover_checks, make_cover
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
 from compnum.smallgraphs import enumerate_small_graphs
@@ -250,10 +250,10 @@ def test_occupied_edges_and_chordality_are_pinned():
                         if not any(v in e for e in occ)), None)
         assert every_vertex_on_occupied_edge(g) == (witness is None, witness)
         for cover in (cliques, cliques[:-1], g.edges()):
-            made = make_cover(g, cover)
+            covers, maximal, _ = cover_checks(g, make_cover(g, cover))
             pairs = {e for c in cover for e in combinations(c, 2)}
-            assert made.covers_all_edges == (pairs == set(g.edges()))
-            assert made.all_maximal == all(c in cliques for c in cover)
+            assert covers == (pairs == set(g.edges()))
+            assert maximal == all(c in cliques for c in cover)
         reprs.append(repr(chordality(g)))
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == ("1cf91d9b48f6c12337d0e6a42dfabea1"

@@ -5,17 +5,17 @@ import pytest
 from conftest import EXPECTED_SINKS
 
 from compnum import constructions, realizer
+from compnum.bounds import best_union_tail, union_tail_bound
 from compnum.cliques import chordality, every_vertex_on_occupied_edge
 from compnum.constructions import (NotChordalError, chordal_realizer,
                                    hall_certificate, rebuild_star,
                                    simplicial_family_realizer,
                                    verify_effective_cover)
-from compnum.ecc import CliqueCover, make_cover, min_edge_clique_cover, theta_e
+from compnum.ecc import make_cover, min_edge_clique_cover, theta_e
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
-from compnum.graph import (Digraph, DirectedCycle, Graph, add_isolated, bits,
-                           competition_graph)
+from compnum.graph import Digraph, Graph, add_isolated, bits, competition_graph
 from compnum.realizer import (RealizationError, competition_number,
                               primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
@@ -41,7 +41,7 @@ def test_chordal_realizer_p3():
     realization, cover = chordal_realizer(P3)
     assert realization.k == 1 and realization.prey_count == 2
     assert realization.predator_count == 2
-    assert set(cover.cliques) == {(0, 1), (1, 2)}
+    assert set(cover) == {(0, 1), (1, 2)}
     assert competition_graph(realization.digraph) == add_isolated(P3, 1)
 
 
@@ -150,7 +150,7 @@ def test_simplicial_family_k3():
 
 def test_simplicial_family_c4():
     cover = min_edge_clique_cover(C4)
-    assert cover.cliques == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert cover == ((0, 1), (0, 3), (1, 2), (2, 3))
     # three consecutive edges span a path whose endpoints are simplicial
     realization = simplicial_family_realizer(C4, cover, [0, 2, 3])
     assert realization.k == 2 and realization.prey_count == 4
@@ -245,7 +245,7 @@ def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
         competition_number(graph)
         calls.clear()
         digraph, labeling = build()
-        assert labeling.validates(digraph)
+        assert all(labeling[u] > labeling[v] for u, v in digraph.arcs)
         assert calls == {"competition_graph": 1, "acyclic_labeling": 1}
 
 
@@ -253,7 +253,7 @@ def test_verify_effective_cover_non_minimum():
     g = effective_cover_example_graph()
     d = effective_cover_example_digraph()
     cover = effective_cover_example_cover()
-    padded = make_cover(g, cover.cliques + ((6, 7),))
+    padded = make_cover(g, cover + ((6, 7),))
     cert = verify_effective_cover(g, padded, d)
     assert not cert["valid"] and cert["failure"] == "cover not minimum"
     assert _failed(cert) == [
@@ -264,7 +264,7 @@ def test_verify_effective_cover_non_clique():
     g = effective_cover_example_graph()
     d = effective_cover_example_digraph()
     cover = effective_cover_example_cover()
-    bad = CliqueCover(cover.cliques + ((0, 2),), False, False, False)
+    bad = cover + ((0, 2),)
     cert = verify_effective_cover(g, bad, d)
     assert cert == {
         "valid": False,
@@ -306,13 +306,13 @@ def test_verify_effective_cover_clique_mutations():
     g = effective_cover_example_graph()
     d = effective_cover_example_digraph()
     cover = effective_cover_example_cover()
-    shrunk = CliqueCover(cover.cliques[:-1], False, True, False)
+    shrunk = cover[:-1]
     cert = verify_effective_cover(g, shrunk, d)
     assert not cert["valid"]
     assert cert["failure"] == "cover does not cover all edges"
     assert _failed(cert) == [
         "covers all edges", "cover minimum", "prey count equals cover size"]
-    swapped = CliqueCover(cover.cliques[:-1] + ((1, 3),), False, True, False)
+    swapped = cover[:-1] + ((1, 3),)
     cert = verify_effective_cover(g, swapped, d)
     assert not cert["valid"]
     assert _failed(cert) == [
@@ -332,7 +332,7 @@ def test_verify_effective_cover_rejects_a_cycle():
     assert cert == verify_effective_cover(TWO_K2, cover, CYCLIC)
     assert not cert["valid"] and cert["failure"] == "digraph contains a cycle"
     assert _failed(cert) == ["digraph is acyclic"]
-    assert cert["sink_map"] is None and isinstance(cycle, DirectedCycle)
+    assert cert["sink_map"] is None and cycle == (2, 3)
 
 
 def _failed(cert) -> list[str]:
@@ -372,6 +372,24 @@ def test_hall_certificate_rejects_bad_inputs():
         hall_certificate(C4, cover, Digraph.from_arcs(6, ()))
 
 
+@pytest.mark.parametrize("cover", [
+    ((0, 1),),
+    # theta_e maximal cliques, but (0, 3) is left uncovered
+    ((0, 1), (0, 1), (1, 2), (2, 3)),
+], ids=["one-clique", "misses-an-edge"])
+@pytest.mark.parametrize("use", [
+    lambda cover: hall_certificate(C4, cover,
+                                   competition_number(C4)[1].digraph),
+    lambda cover: simplicial_family_realizer(C4, cover, [0, 2, 3]),
+    lambda cover: union_tail_bound(C4, cover, 1),
+    lambda cover: best_union_tail(C4, cover),
+], ids=["hall", "simplicial-family", "union-tail", "best-union-tail"])
+def test_a_cover_is_checked_against_the_graph_where_it_is_used(cover, use):
+    with pytest.raises(ValueError, match="^cover must be a minimum cover of "
+                                         "maximal cliques$"):
+        use(cover)
+
+
 def test_hall_certificate_rejects_a_cycle():
     cover = make_cover(TWO_K2, [(0, 3), (1, 2)])
     with pytest.raises(ValueError, match="digraph contains a cycle"):
@@ -387,4 +405,4 @@ def test_hall_certificate_never_fails_exhaustively():
             for witness in (competition_number(g)[1],
                             primary_predator_index(g)[1]):
                 cert = hall_certificate(g, cover, witness.digraph)
-                assert len(cert["matching"]) == cover.theta
+                assert len(cert["matching"]) == len(cover)

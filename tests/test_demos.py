@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ARGS = {"05_exhaustive_sweep.py": ["4"]}
 STDOUT_SHA256 = {
     "01_competition_basics.py":
-        "7ab6247335a4ec9afcfff7b5e6036ec67955309c7282266ac5f60a000aeec0e5",
+        "de0d8de59e1eaa9abf092a966c9e16170c450eb084e90559ca203d12fc1510a9",
     "02_exact_invariants.py":
         "1ab6995cd19887dec93ca5eb84de8cf41bf8ef659f098647c4bbf429f70499da",
     "03_effective_covers.py":

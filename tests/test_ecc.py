@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 from conftest import naive_min_cover, naive_theta_e
 
-from compnum.ecc import _CoverSolver, make_cover, min_edge_clique_cover, theta_e
+from compnum.ecc import (_CoverSolver, cover_checks, make_cover,
+                         min_edge_clique_cover, theta_e)
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
 from compnum.io import parse_graph6
@@ -23,16 +24,16 @@ def test_complete_graphs_need_one_clique():
         kn = Graph.from_edges(n, [(u, v) for u in range(n)
                                   for v in range(u + 1, n)])
         cover = min_edge_clique_cover(kn)
-        assert cover.theta == 1 and cover.cliques == (tuple(range(n)),)
+        assert cover == (tuple(range(n)),)
 
 
 def test_worked_example_cover():
     g = effective_cover_example_graph()
     cover = min_edge_clique_cover(g)
     assert theta_e(g) == 6
-    assert set(cover.cliques) == {
+    assert set(cover) == {
         (7, 8), (6, 7), (5, 6), (3, 4, 5, 8), (2, 3, 4), (0, 1, 3, 8)}
-    assert cover.covers_all_edges and cover.all_maximal and cover.is_minimum
+    assert cover_checks(g, cover) == (True, True, True)
 
 
 def test_small_theta_values():
@@ -40,22 +41,22 @@ def test_small_theta_values():
     assert theta_e(DIAMOND) == 2
     assert theta_e(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) == 3
     assert theta_e(C4) == 4
-    assert min_edge_clique_cover(Graph(3, (0, 0, 0))).cliques == ()
+    assert min_edge_clique_cover(Graph(3, (0, 0, 0))) == ()
 
 
 def test_theta_matches_naive_enumeration_exhaustively():
     for n in range(1, 7):
         for g in enumerate_small_graphs(n):
             assert theta_e(g) == naive_theta_e(g)
-            assert min_edge_clique_cover(g).cliques == naive_min_cover(g)
+            assert min_edge_clique_cover(g) == naive_min_cover(g)
 
 
 def test_cover_is_deterministic_and_lex_least():
     g = effective_cover_example_graph()
     a = min_edge_clique_cover(g)
     b = min_edge_clique_cover(Graph(g.n, g.rows))
-    assert a.cliques == b.cliques
-    assert list(a.cliques) == sorted(a.cliques)
+    assert a == b
+    assert list(a) == sorted(a)
 
 
 def test_edge_deletion_decreases_theta_by_at_most_one():
@@ -96,9 +97,8 @@ def test_output_covers_consist_of_maximal_cliques():
     for n in range(2, 6):
         for g in enumerate_small_graphs(n):
             cover = min_edge_clique_cover(g)
-            assert cover.all_maximal
-            rebuilt = make_cover(g, cover.cliques)
-            assert rebuilt.is_minimum and rebuilt.covers_all_edges
+            assert make_cover(g, cover) == cover
+            assert cover_checks(g, cover) == (True, True, True)
 
 
 def fewest_covering(clique_edge_masks, mask: int) -> int:

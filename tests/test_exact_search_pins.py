@@ -18,8 +18,8 @@ import pytest
 from compnum import cliques
 from compnum.cli import main
 from compnum.cliques import maximal_clique_masks
-from compnum.ecc import (_CoverSolver, cover_solver, make_cover,
-                         min_edge_clique_cover, theta_e)
+from compnum.ecc import (_CoverSolver, cover_checks, cover_solver,
+                         make_cover, min_edge_clique_cover, theta_e)
 from compnum.graph import Graph, add_isolated, bits
 from compnum.io import parse_graph6, serialize_graph6
 from compnum.realizer import (_Search, _search, competition_number,
@@ -168,7 +168,7 @@ def test_min_edge_clique_cover_is_pinned(n, seed):
     cover = min_edge_clique_cover(rg(n, .5, seed))
     expected = tuple(tuple(int(c, 16) for c in word)
                      for word in PINNED[n, seed][2].split())
-    assert cover.cliques == expected
+    assert cover == expected
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_ABOVE_K))
@@ -230,7 +230,7 @@ def test_cover_of_a_dense_graph_stays_small():
     # G(20, .6), drawn last when one random.Random(31) draws G(n, p) for
     # n = 8..20 and p = .2, .4, .6 in turn.  When theta_e had an exact
     # recursion of its own, the solver's tables held 5,090,526 entries
-    # after make_cover and 7,226,453 after min_edge_clique_cover.
+    # after theta_e and 7,226,453 after min_edge_clique_cover.
     rnd = random.Random(31)
     for n in range(8, 21):
         for p in (.2, .4, .6):
@@ -239,11 +239,11 @@ def test_cover_of_a_dense_graph_stays_small():
                                          if rnd.random() < p])
     cover_solver.cache_clear()
     maximal = [tuple(bits(c)) for c in maximal_clique_masks(graph)]
-    cover = make_cover(graph, maximal)
-    assert (len(maximal), cover.covers_all_edges, cover.is_minimum) == (76, True, False)
+    covers, _, minimum = cover_checks(graph, make_cover(graph, maximal))
+    assert (len(maximal), covers, minimum) == (76, True, False)
     assert theta_e(graph) == 18
     assert cover_table_entries(graph) == 11_740
-    assert min_edge_clique_cover(graph).theta == 18
+    assert len(min_edge_clique_cover(graph)) == 18
     assert cover_table_entries(graph) == 26_589
 
 

@@ -5,8 +5,8 @@ from conftest import (acyclic_labeling_by_scan, brute_competition_graph,
                       has_directed_cycle, random_digraph, random_graph)
 
 from compnum.fixtures import effective_cover_example_digraph, effective_cover_example_graph
-from compnum.graph import (AcyclicLabeling, Digraph, DirectedCycle, Graph,
-                           acyclic_labeling, add_isolated, competition_graph)
+from compnum.graph import (Digraph, Graph, acyclic_labeling, add_isolated,
+                           competition_graph)
 
 
 def test_graph_validation_rejects_asymmetry():
@@ -65,41 +65,33 @@ def test_competition_graph_matches_pair_scan():
 
 
 def test_acyclic_labeling_arcless_tie_break():
-    lab = acyclic_labeling(Digraph.from_arcs(3, []))
-    assert isinstance(lab, AcyclicLabeling)
-    assert lab.labels == (1, 2, 3)
+    assert acyclic_labeling(Digraph.from_arcs(3, [])) == (True, (1, 2, 3))
 
 
 def test_acyclic_labeling_worked_example_is_index_order():
     d = effective_cover_example_digraph()
-    lab = acyclic_labeling(d)
-    assert isinstance(lab, AcyclicLabeling)
-    assert lab.validates(d)
     # arcs descend in the fixture's vertex subscripts, so v_i gets label
     # i+1 and the pure sink v0 gets label 1
-    assert lab.labels == (2, 3, 4, 5, 6, 7, 8, 9, 10, 1)
+    assert acyclic_labeling(d) == (True, (2, 3, 4, 5, 6, 7, 8, 9, 10, 1))
 
 
 def test_acyclic_labeling_two_cycle_witness():
-    res = acyclic_labeling(Digraph.from_arcs(2, [(0, 1), (1, 0)]))
-    assert isinstance(res, DirectedCycle)
-    assert res.vertices == (0, 1)
+    assert acyclic_labeling(Digraph.from_arcs(2, [(0, 1), (1, 0)])) == (False, (0, 1))
 
 
 def test_acyclic_labeling_agrees_with_cycle_search():
     rng = random.Random(5)
     for _ in range(400):
         d = random_digraph(rng, 6, p=0.25)
-        res = acyclic_labeling(d)
-        if has_directed_cycle(d):
-            assert isinstance(res, DirectedCycle)
-            cyc = res.vertices
-            arcs = set(d.arcs)
-            for i, u in enumerate(cyc):
-                assert (u, cyc[(i + 1) % len(cyc)]) in arcs
+        acyclic, witness = acyclic_labeling(d)
+        assert acyclic != has_directed_cycle(d)
+        if acyclic:
+            assert sorted(witness) == list(range(1, d.n + 1))
+            assert all(witness[u] > witness[v] for u, v in d.arcs)
         else:
-            assert isinstance(res, AcyclicLabeling)
-            assert res.validates(d)
+            arcs = set(d.arcs)
+            for i, u in enumerate(witness):
+                assert (u, witness[(i + 1) % len(witness)]) in arcs
 
 
 def test_acyclic_labeling_matches_the_scan():

@@ -1,6 +1,7 @@
-"""The package namespace, the CLI help texts and the modules each CLI
-command loads."""
+"""The package namespace, the CLI help texts, the modules each CLI
+command loads and the library's explicit self-checks."""
 
+import ast
 import contextlib
 import glob
 import hashlib
@@ -31,9 +32,9 @@ HOMES = {
     "constructions": ("NotChordalError", "chordal_realizer",
                       "hall_certificate", "rebuild_star",
                       "simplicial_family_realizer", "verify_effective_cover"),
-    "ecc": ("CliqueCover", "make_cover", "min_edge_clique_cover", "theta_e"),
-    "graph": ("AcyclicLabeling", "Digraph", "DirectedCycle", "Graph",
-              "acyclic_labeling", "add_isolated", "competition_graph"),
+    "ecc": ("make_cover", "min_edge_clique_cover", "theta_e"),
+    "graph": ("Digraph", "Graph", "acyclic_labeling", "add_isolated",
+              "competition_graph"),
     "io": ("FormatError", "parse_edge_list", "parse_graph6",
            "parse_graph6_lines", "serialize_edge_list", "serialize_graph6"),
     "realizer": ("Realization", "RealizationError", "competition_number",
@@ -95,6 +96,18 @@ def test_every_public_name_has_a_caller_outside_tests():
                            and not re.match(rf"\s*(def|class) {name}\b", line)
                            for line in lines)]
     assert uncalled == []
+
+
+def test_library_makes_no_assert_statements():
+    # python -O strips assert statements, and with them any self-check
+    # made by one; the library raises instead
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "compnum", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_every_public_name_is_its_home_module_attribute():

@@ -48,7 +48,7 @@ def labelled_graphs(n: int):
 
 
 def cover_digest(graphs) -> str:
-    rows = [[serialize_graph6(g), theta_e(g), min_edge_clique_cover(g).cliques]
+    rows = [[serialize_graph6(g), theta_e(g), min_edge_clique_cover(g)]
             for g in graphs]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 

@@ -52,7 +52,8 @@ def test_realizable_witnesses_verify():
         for g in enumerate_small_graphs(n):
             k, witness = competition_number(g)
             assert competition_graph(witness.digraph) == add_isolated(g, k)
-            assert witness.labeling.validates(witness.digraph)
+            labels = witness.labeling
+            assert all(labels[u] > labels[v] for u, v in witness.digraph.arcs)
             assert witness.prey_count + witness.predator_count == g.n + k
 
 

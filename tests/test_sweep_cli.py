@@ -11,7 +11,6 @@ import pytest
 
 from compnum.cli import main
 from compnum.constructions import verify_effective_cover
-from compnum.ecc import CliqueCover
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
@@ -36,7 +35,9 @@ def fixture_files(tmp_path):
     paths["g6"].write_text(serialize_graph6(g) + "\n")
     paths["edges"].write_text(serialize_edge_list(g))
     paths["arcs"].write_text(serialize_edge_list(d))
-    paths["cover"].write_text(json.dumps(cover.to_json_dict()))
+    paths["cover"].write_text(json.dumps(
+        {"theta_e": len(cover), "cliques": [list(c) for c in cover],
+         "maximal": True}))
     return paths
 
 
@@ -393,8 +394,7 @@ def test_cli_rejects_malformed_cover_json(capsys, tmp_path, cliques):
         assert repr(cliques[0]) in captured.err
         graph = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         digraph = Digraph.from_arcs(4, [(0, 3), (1, 3), (2, 3)])
-        cover = CliqueCover(tuple(cliques), False, False, False)
-        cert = verify_effective_cover(graph, cover, digraph)
+        cert = verify_effective_cover(graph, cliques, digraph)
         assert cert["checks"]["cliques are cliques"] is False
         assert cert["failure"] == "cover contains a non-clique"
 
