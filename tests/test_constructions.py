@@ -376,7 +376,9 @@ def test_hall_certificate_rejects_bad_inputs():
     ((0, 1),),
     # theta_e maximal cliques, but (0, 3) is left uncovered
     ((0, 1), (0, 1), (1, 2), (2, 3)),
-], ids=["one-clique", "misses-an-edge"])
+    # every edge by maximal cliques, one more than theta_e
+    ((0, 1), (0, 1), (0, 3), (1, 2), (2, 3)),
+], ids=["one-clique", "misses-an-edge", "one-too-many"])
 @pytest.mark.parametrize("use", [
     lambda cover: hall_certificate(C4, cover,
                                    competition_number(C4)[1].digraph),
