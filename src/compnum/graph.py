@@ -9,7 +9,6 @@ to share across threads or processes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -34,14 +33,53 @@ def mask_of(members) -> int:
 QUERY_GRAPHS = 2
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the immutable value types.  A subclass names its
+    constructor's parameters, in order, in ``_fields`` and stores their
+    values with ``_freeze``.  Equality (same class, equal fields), the
+    hash, the repr, pickling and copying go through those fields, and no
+    attribute can be assigned or deleted.  ``cached_property`` writes
+    its values straight into the instance ``__dict__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt, and so validated, from the fields alone
+        return type(self), self._values()
+
+
+class Graph(Frozen):
     """Simple undirected graph on vertices 0..n-1."""
 
-    n: int
-    rows: tuple[int, ...]
+    _fields = ("n", "rows")
 
-    def __post_init__(self):
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        self._freeze(n, rows)
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(self.rows) != self.n:
@@ -121,14 +159,13 @@ class Graph:
         return seen == self.vertex_mask
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Frozen):
     """Simple directed graph: no self-arcs, no parallel arcs."""
 
-    n: int
-    arcs: tuple[tuple[int, int], ...]
+    _fields = ("n", "arcs")
 
-    def __post_init__(self):
+    def __init__(self, n: int, arcs: tuple[tuple[int, int], ...]):
+        self._freeze(n, arcs)
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         for u, v in self.arcs:

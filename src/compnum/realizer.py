@@ -53,12 +53,11 @@ index's witness too, and no cost-1 walk is run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
-from .graph import (QUERY_GRAPHS, Digraph, Graph, add_isolated,
+from .graph import (QUERY_GRAPHS, Digraph, Frozen, Graph, add_isolated,
                     acyclic_labeling, bits, competition_graph)
 
 
@@ -67,16 +66,18 @@ class RealizationError(RuntimeError):
     graph; raised instead of trusting any construction."""
 
 
-@dataclass(frozen=True)
-class Realization:
-    """A verified witness digraph for G together with k isolated vertices."""
+class Realization(Frozen):
+    """A verified witness digraph for G together with k isolated vertices;
+    ``labeling`` holds acyclic_labeling's labels."""
 
-    digraph: Digraph
-    k: int
-    labeling: tuple[int, ...]  # acyclic_labeling's labels
-    prey_count: int
-    predator_count: int
-    sink_map: tuple[tuple[int, int], ...] | None = None
+    _fields = ("digraph", "k", "labeling", "prey_count", "predator_count",
+               "sink_map")
+
+    def __init__(self, digraph: Digraph, k: int, labeling: tuple[int, ...],
+                 prey_count: int, predator_count: int,
+                 sink_map: tuple[tuple[int, int], ...] | None = None):
+        self._freeze(digraph, k, labeling, prey_count, predator_count,
+                     sink_map)
 
     def witness_arcs(self) -> list[list[int]]:
         return [[u, v] for u, v in self.digraph.arcs]

@@ -166,6 +166,25 @@ ALL_MODULES = sorted(QUERY_MODULES + ["compnum.bounds", "compnum.constructions",
      [name for name in ALL_MODULES if name != "compnum.smallgraphs"]),
 ], ids=["help", "pindex", "theta", "sweep", "sweep-in"])
 def test_cli_loads_only_its_commands_modules(tmp_path, argv, modules):
+    assert [name for name in loaded_modules(tmp_path, argv)
+            if name.split(".")[0] == "compnum"] == modules
+
+
+# dataclasses alone pulls in inspect, ast, dis and tokenize, each compiled
+# again by every process that imports them
+@pytest.mark.parametrize("argv", [
+    ["pindex", "--in", "K4.g6", "--format", "g6"],
+    ["theta", "--in", "K4.g6", "--format", "g6"],
+    ["sweep", "--in", "K4.g6", "--threads", "1"],
+], ids=["pindex", "theta", "sweep-in"])
+def test_queries_load_no_dataclasses_or_inspect(tmp_path, argv):
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert heavy.isdisjoint(loaded_modules(tmp_path, argv))
+
+
+def loaded_modules(tmp_path, argv) -> list[str]:
+    """The sorted names in sys.modules after a fresh process runs the
+    CLI with argv in a directory holding K4.g6."""
     (tmp_path / "K4.g6").write_text("C~\n")
     done = run_python("""
         import json, os, sys
@@ -176,11 +195,10 @@ def test_cli_loads_only_its_commands_modules(tmp_path, argv, modules):
         except SystemExit as exc:
             code = exc.code
         assert code == 0, code
-        print(json.dumps(sorted(name for name in sys.modules
-                                if name.split(".")[0] == "compnum")))
+        print(json.dumps(sorted(sys.modules)))
     """, str(tmp_path), *argv)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == modules
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 THETA_K4 = ["theta", "--in", "K4.g6", "--format", "g6"]
