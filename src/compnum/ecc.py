@@ -189,11 +189,14 @@ def make_cover(graph: Graph, cliques) -> tuple[tuple[int, ...], ...]:
 
 
 def cover_checks(graph: Graph, cover) -> tuple[bool, bool, bool]:
-    """(covers all edges, all maximal, minimum) for a cover whose cliques
-    are vertex sets within 0..n-1: whether they cover every edge of the
-    graph and no other pair, whether each is a maximal clique of it, and
-    whether they cover every edge with theta_e cliques.  Worked out from
-    the graph on every call."""
+    """(covers all edges, all maximal, minimum) for a cover, a collection
+    of vertex sets: whether they cover every edge of the graph and no other
+    pair, whether each is a maximal clique of it, and whether they cover
+    every edge with theta_e cliques; all three fail when a vertex is not
+    an int in 0..n-1 (bools are not).  Worked out from the graph on every
+    call."""
+    if not all(type(v) is int and 0 <= v < graph.n for c in cover for v in c):
+        return False, False, False
     masks = [mask_of(c) for c in cover]
     maximal = set(maximal_clique_masks(graph))
     covers = clique_rows(graph.n, masks) == graph.rows

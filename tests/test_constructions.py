@@ -378,7 +378,13 @@ def test_hall_certificate_rejects_bad_inputs():
     ((0, 1), (0, 1), (1, 2), (2, 3)),
     # every edge by maximal cliques, one more than theta_e
     ((0, 1), (0, 1), (0, 3), (1, 2), (2, 3)),
-], ids=["one-clique", "misses-an-edge", "one-too-many"])
+    # a vertex outside 0..n-1, or one that is not an int
+    ((0, 9),),
+    ((-1, 0),),
+    ((0, 1), (1, 2.0), (2, 3), (0, 3)),
+    ((0, 1), (True, 2), (2, 3), (0, 3)),
+], ids=["one-clique", "misses-an-edge", "one-too-many", "vertex-too-large",
+        "vertex-negative", "vertex-a-float", "vertex-a-bool"])
 @pytest.mark.parametrize("use", [
     lambda cover: hall_certificate(C4, cover,
                                    competition_number(C4)[1].digraph),
