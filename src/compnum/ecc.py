@@ -193,8 +193,8 @@ def cover_checks(graph: Graph, cover) -> tuple[bool, bool, bool]:
     of vertex sets: whether they cover every edge of the graph and no other
     pair, whether each is a maximal clique of it, and whether they cover
     every edge with theta_e cliques; all three fail when a vertex is not
-    an int in 0..n-1 (bools are not).  Worked out from the graph on every
-    call."""
+    an int in 0..n-1 (a bool counts as no int).  Worked out from the graph
+    on every call."""
     if not all(type(v) is int and 0 <= v < graph.n for c in cover for v in c):
         return False, False, False
     masks = [mask_of(c) for c in cover]
