@@ -170,8 +170,8 @@ def test_cli_loads_only_its_commands_modules(tmp_path, argv, modules):
             if name.split(".")[0] == "compnum"] == modules
 
 
-# dataclasses alone pulls in inspect, ast, dis and tokenize, each compiled
-# again by every process that imports them
+# dataclasses alone pulls in inspect, ast, dis and tokenize, which every
+# query process would load again
 @pytest.mark.parametrize("argv", [
     ["pindex", "--in", "K4.g6", "--format", "g6"],
     ["theta", "--in", "K4.g6", "--format", "g6"],
