@@ -14,9 +14,12 @@ each needs its own clique: Gramm, Guo, Hueffner and Niedermeier, Data
 reduction and exact algorithms for clique cover, ACM JEA 2008), and only
 then branches on the lowest-numbered uncovered edge, so on one with the
 fewest candidate cliques, trying only cliques that contain it, to depth
-t.  A bound of the form "size > t" holds at every later threshold, so
-later questions share it; a cover found as small as a set's lower bound
-makes its size an exact entry.
+t.  An edge in one maximal clique forces that clique: the packing takes
+the edge first and goes on in the one child, so the child inherits the
+packing less one instead of computing it again.  A bound of the form
+"size > t" holds at every later threshold, so later questions share it;
+a cover found as small as a set's lower bound makes its size an exact
+entry.
 
 The exact size, which theta_e, the cover extraction and a recorded plan's
 total read, is the least t the question accepts, counted up from 0, or
@@ -107,11 +110,19 @@ class _CoverSolver:
             return hi
         memo = self._size_memo
         e = (uncovered & -uncovered).bit_length() - 1
+        cliques = self.cliques_per_edge[e]
         least = len(self.edges) + 1
-        for ci in self.cliques_per_edge[e]:
+        for ci in cliques:
             rest = uncovered & ~self.clique_edge_masks[ci]
             b = memo.get(rest)
-            b = 1 + (self._bound(rest, t - 1) if b is None else b)
+            if b is None:
+                if len(cliques) == 1:
+                    # e forces its clique: the packing lo took e first
+                    # and went on in rest, so rest's packing is lo - 1
+                    # (a rest bounded before keeps its own bound)
+                    self._lower.setdefault(rest, lo - 1)
+                b = self._bound(rest, t - 1)
+            b += 1
             if b <= t:
                 if b == lo:
                     memo[uncovered] = b

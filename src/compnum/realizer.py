@@ -25,7 +25,9 @@ The walk prunes at the parent.  Below a child, the k isolates and the
 n - |placed| - 1 vertices still unplaced can host one clique each, so a
 child whose leftover edges need more cliques than that is never entered.
 Each option's fit is decided once per node, at its first use, and serves
-the option under every next vertex.  A prefix's options come from its
+the option under every next vertex; when no option fits, and a next
+vertex that hosts no clique would not fit either, the loop over next
+vertices ends after the first.  A prefix's options come from its
 parent's: adding w keeps every clique that w does not see whole and adds
 the maximal cliques through w, so no prefix is enumerated from scratch.
 
@@ -206,6 +208,8 @@ class _Search:
                     trail.append((w, members))
                     rec(placed | wbit, covered | em, used + cost, trail)
                     trail.pop()
+                if not (fits or fits_room):
+                    break  # no later vertex has a child
                 children = fits
                 if fits_room:
                     trail.append((w, None))

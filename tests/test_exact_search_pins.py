@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from compnum import cliques
+from compnum import cliques, realizer
 from compnum.cli import main
 from compnum.cliques import maximal_clique_masks
 from compnum.ecc import (_CoverSolver, cover_checks, cover_solver,
@@ -348,13 +348,18 @@ def test_core_queries_reuse_the_walks_made_for_the_graph(monkeypatch):
 
 
 def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
-    """Calls of the cover solver's size and at_most and of Bron-Kerbosch
-    made by primary_predator_index on the graph, from empty caches."""
+    """Calls of the cover solver's size, at_most and _bound and of
+    Bron-Kerbosch made by primary_predator_index on the graph, from empty
+    caches; the greedy packings computed, one per _bound call on a mask
+    without a lower bound; and the steps of realizer.bits, which the
+    walk's vertex loop takes."""
     for cached in (_search, competition_number, primary_predator_index,
                    cover_solver, maximal_clique_masks):
         cached.cache_clear()
-    calls = {"size": 0, "at_most": 0, "bron_kerbosch": 0}
+    calls = {"size": 0, "at_most": 0, "bron_kerbosch": 0, "bound": 0,
+             "packings": 0, "bits": 0}
     size, at_most = _CoverSolver.size, _CoverSolver.at_most
+    bound, bits_of = _CoverSolver._bound, realizer.bits
     bron_kerbosch = cliques._bron_kerbosch
 
     def counting_size(self, uncovered):
@@ -369,8 +374,20 @@ def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
         calls["bron_kerbosch"] += 1
         return bron_kerbosch(*args)
 
+    def counting_bound(self, uncovered, t):
+        calls["bound"] += 1
+        calls["packings"] += uncovered not in self._lower
+        return bound(self, uncovered, t)
+
+    def counting_bits(mask):
+        for b in bits_of(mask):
+            calls["bits"] += 1
+            yield b
+
     monkeypatch.setattr(_CoverSolver, "size", counting_size)
     monkeypatch.setattr(_CoverSolver, "at_most", counting_at_most)
+    monkeypatch.setattr(_CoverSolver, "_bound", counting_bound)
+    monkeypatch.setattr(realizer, "bits", counting_bits)
     monkeypatch.setattr(cliques, "_bron_kerbosch", counting_bron_kerbosch)
     primary_predator_index(graph)
     monkeypatch.undo()
@@ -392,3 +409,71 @@ def test_placement_search_work_counts(monkeypatch):
     for graph, entries in ((rg(16, .5, 53), 15_029), (rg(17, .5, 1), 11_289)):
         pindex_work(graph, monkeypatch)
         assert cover_table_entries(graph) == entries
+
+
+@pytest.mark.parametrize("name,bound,packings,steps", [
+    ("tree-60-0", 868, 53, 1_688), ("P400", 400, 1, 1_198),
+    ("C400", 798, 398, 1_200), ("L100", 5_150, 99, 992)])
+def test_sparse_search_work_counts(name, bound, packings, steps,
+                                   monkeypatch):
+    # A forced edge's child takes its packing from its parent, and the
+    # walk leaves its vertex loop once no child can follow.  Before that,
+    # the four graphs computed 867, 399, 797 and 5,149 packings, and the
+    # tree took 32,619 realizer.bits steps; the _bound calls are the same.
+    work = pindex_work(PINNED_SPARSE[name][0], monkeypatch)
+    assert (work["bound"], work["packings"], work["bits"]) == (
+        bound, packings, steps)
+
+
+def greedy_packing(solver: _CoverSolver, mask: int) -> int:
+    """The solver's greedy packing of the edge set, recomputed: take the
+    lowest-numbered edge, drop every edge that shares a maximal clique
+    with it, and repeat."""
+    count = 0
+    while mask:
+        e = (mask & -mask).bit_length() - 1
+        for ci in solver.cliques_per_edge[e]:
+            mask &= ~solver.clique_edge_masks[ci]
+        count += 1
+    return count
+
+
+def test_forced_edges_pass_on_their_packing(monkeypatch):
+    # A mask whose lower bound exists before its first _bound call, or
+    # that _bound never saw, got that bound from a parent whose branching
+    # edge lies in one maximal clique.  Such a bound must be the mask's own
+    # packing, and every lower bound must hold against a fresh solver.
+    graphs = [g for n in range(7) for g in enumerate_small_graphs(n)]
+    graphs += map(parse_graph6, ATLAS7.read_text(encoding="ascii").split())
+    graphs += [prufer_tree(60, seed) for seed in range(60)]
+    bound = _CoverSolver._bound
+    entered: set[int] = set()
+    inherited: list[tuple[int, int]] = []
+
+    def watching(self, uncovered, t):
+        if uncovered not in entered:
+            entered.add(uncovered)
+            if uncovered in self._lower:
+                inherited.append((uncovered, self._lower[uncovered]))
+        return bound(self, uncovered, t)
+
+    monkeypatch.setattr(_CoverSolver, "_bound", watching)
+    passed_on = 0
+    for graph in graphs:
+        for cached in (_search, competition_number, primary_predator_index,
+                       cover_solver):
+            cached.cache_clear()
+        entered.clear()
+        inherited.clear()
+        primary_predator_index(graph)
+        core = graph.without_isolates()[0]
+        solver = cover_solver(core)
+        found = inherited + [(m, lo) for m, lo in solver._lower.items()
+                             if m not in entered]
+        fresh = _CoverSolver(core)
+        for mask, lo in found:
+            assert lo == greedy_packing(fresh, mask), (graph, mask)
+        for mask, lo in solver._lower.items():
+            assert lo <= fresh.size(mask), (graph, mask)
+        passed_on += len(found)
+    assert passed_on == 55_506
