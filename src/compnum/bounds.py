@@ -21,7 +21,9 @@ from .realizer import competition_number, primary_predator_index
 
 
 def opsut_bound(graph: Graph) -> int:
-    """theta_e - n + 2; the classical floor for the competition number."""
+    """theta_e - n + 2; the classical floor for the competition number of
+    a graph with at least one edge.  An edgeless graph has k = 0, which
+    the formula exceeds on K0 and K1, so its usable floor is 0."""
     return theta_e(graph) - graph.n + 2
 
 
@@ -133,7 +135,7 @@ def bounds_report(graph: Graph) -> dict:
         "k": k,
         "p": p,
         "opsut": opsut,
-        "opsut_usable": max(opsut, 0),
+        "opsut_usable": max(opsut, 0) if graph.edge_count else 0,
         "predator_bound": predator,
         "predator_bound_usable": max(predator, 0),
         "union_tail": {str(i): bound for i, bound in tail},

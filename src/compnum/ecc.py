@@ -8,7 +8,7 @@ containing each edge, then by the edge itself.
 
 One question is asked of an edge set, ``at_most(mask, t)``: does a cover
 by at most t maximal cliques exist?  One search answers it.  It looks up
-the set's exact size, then its memoized lower and upper bounds, then a
+the set's exact size, then its memoized lower bound, then a
 greedy edge packing (edges no two of which share a maximal clique, so
 each needs its own clique: Gramm, Guo, Hueffner and Niedermeier, Data
 reduction and exact algorithms for clique cover, ACM JEA 2008), and only
@@ -19,7 +19,7 @@ the edge first and goes on in the one child, so the child inherits the
 packing less one instead of computing it again.  A bound of the form
 "size > t" holds at every later threshold, so later questions share it;
 a cover found as small as a set's lower bound makes its size an exact
-entry.
+entry.  A larger cover is not kept; a set asked again branches again.
 
 The exact size, which theta_e, the cover extraction and a recorded plan's
 total read, is the least t the question accepts, counted up from 0, or
@@ -57,7 +57,6 @@ class _CoverSolver:
         self._apart = {1 << e: ~em for e, em in enumerate(shared)}
         self._size_memo: dict[int, int] = {0: 0}
         self._lower: dict[int, int] = {}
-        self._upper: dict[int, int] = {}
 
     def edge_mask_of(self, members) -> int:
         """Bitmask, over this solver's edge numbering, of the edges inside
@@ -90,9 +89,10 @@ class _CoverSolver:
 
     def _bound(self, uncovered: int, t: int) -> int:
         """A number b with size <= b <= t, or with size >= b > t, for an
-        edge set whose exact size is not memoized.  Each branch's b is
-        kept, as an upper or a lower bound of the set's size, and answers
-        every later threshold it decides."""
+        edge set whose exact size is not memoized.  A b above t is kept as
+        the set's lower bound and answers every later threshold below it;
+        a b that meets the lower bound is kept as the exact size.  A cover
+        larger than the lower bound is not kept."""
         lo = self._lower.get(uncovered)
         if lo is None:
             # a greedy packing: edges no two of which share a maximal
@@ -105,9 +105,6 @@ class _CoverSolver:
             self._lower[uncovered] = lo
         if lo > t:
             return lo
-        hi = self._upper.get(uncovered)
-        if hi is not None and hi <= t:
-            return hi
         memo = self._size_memo
         e = (uncovered & -uncovered).bit_length() - 1
         cliques = self.cliques_per_edge[e]
@@ -127,8 +124,6 @@ class _CoverSolver:
                 if b == lo:
                     memo[uncovered] = b
                     del self._lower[uncovered]
-                else:
-                    self._upper[uncovered] = b
                 return b
             if b < least:
                 least = b

@@ -36,30 +36,28 @@ QUERY_GRAPHS = 2
 class Frozen:
     """Base of the immutable value types.  A subclass names its
     constructor's parameters, in order, in ``_fields`` and stores their
-    values with ``_freeze``.  Equality (same class, equal fields), the
-    hash, the repr, pickling and copying go through those fields, and no
-    attribute can be assigned or deleted.  ``cached_property`` writes
-    its values straight into the instance ``__dict__``."""
+    values with ``_freeze``, which also keeps them as the tuple ``_key``.
+    Equality (same class, equal fields), the hash, the repr, pickling and
+    copying go through that tuple, and no attribute can be assigned or
+    deleted.  ``cached_property`` writes its values straight into the
+    instance ``__dict__``."""
 
     _fields: tuple[str, ...] = ()
 
     def _freeze(self, *values) -> None:
-        self.__dict__.update(zip(self._fields, values))
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        self.__dict__.update(zip(self._fields, values), _key=values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._key))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -70,7 +68,7 @@ class Frozen:
 
     def __reduce__(self):
         # rebuilt, and so validated, from the fields alone
-        return type(self), self._values()
+        return type(self), self._key
 
 
 class Graph(Frozen):

@@ -171,6 +171,19 @@ def test_report_records_are_pinned():
             bounds_report(g), planar,
             hall_certificate(g, cover, k_witness.digraph),
             hall_certificate(g, cover, p_witness.digraph)])
+    # The digest was cd1a1799... while opsut_usable read 2 on K0 and 1 on
+    # K1; with both at 0 the records are otherwise the same.
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "cd1a1799e43c1f552297aadebf351f68b1341f7ce4116a4a872ceea51fdbd243")
+        "7aa0d24e7efaf1e890b31267f51d073e42b2b6675c5667030b883f056ab4e768")
+
+
+def test_usable_bounds_never_exceed_k():
+    # Opsut's bound is 2 on K0 and 1 on K1, whose k is 0: it is a floor
+    # only for graphs with an edge.
+    for n in range(7):
+        for g in enumerate_small_graphs(n):
+            report = bounds_report(g)
+            usable = [v for key, v in report.items() if key.endswith("_usable")]
+            assert len(usable) == 2
+            assert max(usable) <= report["k"], g

@@ -22,9 +22,9 @@ from compnum.ecc import (_CoverSolver, cover_checks, cover_solver,
                          make_cover, min_edge_clique_cover, theta_e)
 from compnum.graph import Graph, add_isolated, bits
 from compnum.io import parse_graph6, serialize_graph6
-from compnum.realizer import (_Search, _search, competition_number,
-                              max_predators_with, primary_predator_index,
-                              realizable_with)
+from compnum.realizer import (_Search, _search, certify_realization,
+                              competition_number, max_predators_with,
+                              primary_predator_index, realizable_with)
 from compnum.smallgraphs import enumerate_small_graphs
 
 ATLAS7 = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas7.g6"
@@ -230,7 +230,8 @@ def test_cover_of_a_dense_graph_stays_small():
     # G(20, .6), drawn last when one random.Random(31) draws G(n, p) for
     # n = 8..20 and p = .2, .4, .6 in turn.  When theta_e had an exact
     # recursion of its own, the solver's tables held 5,090,526 entries
-    # after theta_e and 7,226,453 after min_edge_clique_cover.
+    # after theta_e and 7,226,453 after min_edge_clique_cover, and while it
+    # also kept an upper-bound table, 26,589 after min_edge_clique_cover.
     rnd = random.Random(31)
     for n in range(8, 21):
         for p in (.2, .4, .6):
@@ -244,7 +245,7 @@ def test_cover_of_a_dense_graph_stays_small():
     assert theta_e(graph) == 18
     assert cover_table_entries(graph) == 11_740
     assert len(min_edge_clique_cover(graph)) == 18
-    assert cover_table_entries(graph) == 26_589
+    assert cover_table_entries(graph) == 26_550
 
 
 def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
@@ -252,14 +253,42 @@ def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     # (the floor 18 - 16 + 2) and 5.  The walk at k = 5 is the witness's;
     # no third search rebuilds it.  Its exact cover memo held up to 200,000
     # entries before the walk put threshold questions to the solver, and
-    # its tables 16,327 before theta_e came from the threshold decision.
+    # its tables 16,327 before theta_e came from the threshold decision,
+    # and 15,029 while the solver also kept an upper-bound table.
     cover_solver.cache_clear()
     calls = count_walks(monkeypatch)
     graph = rg(16, .5, 53)
     k, _ = competition_number.__wrapped__(graph)
     assert k == 5
     assert [budget for budget, _ in calls] == [4, 5]
-    assert cover_table_entries(graph) == 15_029
+    assert cover_table_entries(graph) == 14_739
+
+
+def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
+    # Every cover question the query puts to the solver, answered again
+    # from a fresh solver's exact size.  An upper-bound table, since
+    # deleted, decided 17 of this query's _bound calls and none on the
+    # small graphs: sets whose cover was found above their lower bound and
+    # asked again.
+    for cached in (_search, competition_number, primary_predator_index,
+                   cover_solver, certify_realization):
+        cached.cache_clear()
+    graph = rg(16, .5, 53)
+    asked = []
+    at_most = _CoverSolver.at_most
+
+    def recording(self, uncovered, t):
+        answer = at_most(self, uncovered, t)
+        asked.append((uncovered, t, answer))
+        return answer
+
+    monkeypatch.setattr(_CoverSolver, "at_most", recording)
+    primary_predator_index(graph)
+    monkeypatch.undo()
+    fresh = _CoverSolver(graph.without_isolates()[0])
+    assert len(asked) == 1_701
+    for uncovered, t, answer in asked:
+        assert answer == (fresh.size(uncovered) <= t), (uncovered, t)
 
 
 @pytest.mark.parametrize("graph,isolates", [
@@ -401,13 +430,16 @@ def test_placement_search_work_counts(monkeypatch):
     # 159,604 Bron-Kerbosch calls.  Before the walk put threshold questions
     # to the cover solver, the dense graphs' exact memos held 132,642 and
     # 274,859 entries, and before theta_e came from the threshold decision
-    # their tables held 16,327 and 13,285.
+    # their tables held 16,327 and 13,285.  While the solver also kept an
+    # upper-bound table, their tables held 15,029 and 11,289 entries after
+    # 17,970 and 13,194 _bound calls.
     tree = pindex_work(prufer_tree(60, 0), monkeypatch)
     assert tree["size"] + tree["at_most"] < 5_000
     assert tree["bron_kerbosch"] < 1_500
     assert pindex_work(path(400), monkeypatch)["bron_kerbosch"] < 2_000
-    for graph, entries in ((rg(16, .5, 53), 15_029), (rg(17, .5, 1), 11_289)):
-        pindex_work(graph, monkeypatch)
+    for graph, bound, entries in ((rg(16, .5, 53), 18_049, 14_739),
+                                  (rg(17, .5, 1), 13_203, 11_280)):
+        assert pindex_work(graph, monkeypatch)["bound"] == bound
         assert cover_table_entries(graph) == entries
 
 
