@@ -220,7 +220,7 @@ def count_walks(monkeypatch) -> list:
 
 def cover_table_entries(graph: Graph) -> int:
     """Entries in every table of the graph's cover solver: the exact memo,
-    the bound tables and the per-edge ones.  It reads private attributes
+    the lower-bound table and the per-edge ones.  It reads private attributes
     until the search exposes its work counters."""
     return sum(len(table) for table in vars(cover_solver(graph)).values()
                if isinstance(table, dict))
@@ -383,7 +383,7 @@ def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
     without a lower bound; and the steps of realizer.bits, which the
     walk's vertex loop takes."""
     for cached in (_search, competition_number, primary_predator_index,
-                   cover_solver, maximal_clique_masks):
+                   cover_solver, maximal_clique_masks, certify_realization):
         cached.cache_clear()
     calls = {"size": 0, "at_most": 0, "bron_kerbosch": 0, "bound": 0,
              "packings": 0, "bits": 0}
