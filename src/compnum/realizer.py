@@ -37,20 +37,23 @@ threshold decision ``at_most``; the exact size is computed only for a
 plan it records.  Every decision is exact, so the order of search and
 every witness are those of exact sizes.
 
-Every witness comes out of one path, ``_realize(graph, k, cost)``: it
-walks the isolate-free core with the graph's own isolates added to the
-budget of k, builds the plan's digraph in the graph's own numbering, and
+One walk per isolate budget answers both questions.  A plan's prey
+(vertices of nonzero in-degree) are the vertices that host its cliques
+and the isolates that host its leftover cover.  The walk's first plan is
+the witness that the budget suffices; it goes on to the plan with the
+fewest prey, whose predator count n + k minus prey is the maximum, and
+with k = k(G) that is the primary predator index.  States left before
+the first plan hold no plan, so the walk never enters them again, and a
+plan with theta_e prey ends it.
+
+Every witness comes out of one path, ``_realize``: it walks the
+isolate-free core with the graph's own isolates added to the budget of
+k, builds the chosen plan's digraph in the graph's own numbering, and
 certifies it: re-checks it against the competition-graph definition and
 gives it an acyclic labeling.  The competition number's ascent asks for
 the witness at each k, so its last step is the witness.  Each core's
-search keeps every walk's result keyed by (isolate budget, cost), which
-later queries on the core reuse; a walk's own state dies with the walk.
-
-The number of prey (vertices of nonzero in-degree) of an optimal witness is
-the minimum possible, and the predator count n + k minus prey is the
-maximum; with k = k(G) the latter is the primary predator index.  When the
-competition number's witness already has theta_e prey, it is that
-index's witness too, and no cost-1 walk is run.
+search keeps every walk's result keyed by isolate budget, which later
+queries on the core reuse; a walk's own state dies with the walk.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ class _Search:
         self.solver = cover_solver(graph)
         self.full_edges = self.solver.full_mask
         self._options: dict[int, tuple] = {0: ()}
-        self._walks: dict[tuple[int, int], tuple | None] = {}
+        self._walks: dict[int, tuple | None] = {}
 
     def _clique_options(self, placed: int, w: int):
         """Cliques maximal within the prefix ``placed``, largest first, as
@@ -144,31 +147,32 @@ class _Search:
             self._options[placed] = cached
         return cached
 
-    def best(self, budget: int, cost: int):
-        """``_walk(budget, cost)``, walked once per (budget, cost)."""
-        key = (budget, cost)
-        if key not in self._walks:
-            self._walks[key] = self._walk(budget, cost)
-        return self._walks[key]
+    def best(self, budget: int):
+        """``_walk(budget)``, walked once per budget."""
+        if budget not in self._walks:
+            self._walks[budget] = self._walk(budget)
+        return self._walks[budget]
 
-    def _walk(self, k: int, cost: int):
+    def _walk(self, k: int):
         """Depth-first search over placement plans whose leftover edges k
-        isolates can cover.  A plan's total is ``cost`` per hosted clique
-        plus the size of the leftover cover; returns the least (total,
-        plan) seen, stopping at the first total <= goal, or None when no
-        plan exists.  With cost 0 the goal is k, which every plan meets,
-        so the first plan found ends the walk; with cost 1 the total is
-        the prey count and the goal is theta_e, below which none falls.
-        Every question about a leftover's cover size is a threshold, put
-        to the solver's ``at_most``; only a recorded plan's total is
-        computed exactly."""
+        isolates can cover.  A plan's total is its prey count: the cliques
+        it hosts plus the size of its leftover cover.  Returns None when no
+        plan exists, else the first plan found and the plan of least
+        total, each as (total, plan); a total of theta_e, below which none
+        falls, ends the walk.  A state is recorded in ``visited`` after its
+        children, with the cliques hosted on the way in; one left before
+        any plan is recorded holds no plan at any total, so it is recorded
+        dead and never entered again, and the first plan is the one a walk
+        for any plan finds.  Every question about a leftover's cover size
+        is a threshold, put to the solver's ``at_most``; only a recorded
+        plan's total is computed exactly."""
         solver, full, everyone = self.solver, self.full_edges, self.all_mask
         at_most = solver.at_most
-        goal = solver.size(full) if cost else k
+        goal = solver.size(full)
         # room below counts the isolates and the vertices still unplaced
         # after the one a node places
         spare = k + self.n - 1
-        best: list = [None, None]
+        found: list = []  # the first (total, plan), then each better one
         visited: dict[tuple[int, int], int] = {}
 
         def rec(placed, covered, used, trail):
@@ -177,7 +181,7 @@ class _Search:
             if seen is not None and seen <= used:
                 return
             rem = full & ~covered
-            if best[0] is not None and not at_most(rem, best[0] - used - 1):
+            if found and not at_most(rem, found[-1][0] - used - 1):
                 return
             # before the last vertex room >= k, so a leftover that does
             # not fit room cannot record a plan.  The last vertex's node
@@ -189,12 +193,11 @@ class _Search:
             room = spare - placed.bit_count()
             fits_room = not last and at_most(rem, room)
             if last or (fits_room and at_most(rem, k)):
-                best[0] = used + solver.size(rem)
-                best[1] = (list(trail), rem)
-                if best[0] <= goal:
+                total = used + solver.size(rem)
+                found.append((total, (list(trail), rem)))
+                if total <= goal:
                     raise _Found
                 return
-            visited[state] = used
             options = (self._clique_options(placed, trail[-1][0]) if trail
                        else ())
             # a child whose leftover needs more than room cliques can
@@ -206,7 +209,7 @@ class _Search:
                 wbit = 1 << w
                 for members, em in children:
                     trail.append((w, members))
-                    rec(placed | wbit, covered | em, used + cost, trail)
+                    rec(placed | wbit, covered | em, used + 1, trail)
                     trail.pop()
                 if not (fits or fits_room):
                     break  # no later vertex has a child
@@ -215,6 +218,7 @@ class _Search:
                     trail.append((w, None))
                     rec(placed | wbit, covered, used, trail)
                     trail.pop()
+            visited[state] = used if found else 0  # 0: dead to any entry
 
         try:
             if at_most(full, spare + 1):
@@ -223,7 +227,7 @@ class _Search:
             pass
         # rec refers to itself; unbinding it frees the walk's state at once
         del rec
-        return None if best[0] is None else tuple(best)
+        return (found[0], found[-1]) if found else None
 
     def _fitting(self, options, rem: int, room: int, fits: list):
         """The options that cover some of the uncovered edges ``rem`` and
@@ -256,27 +260,29 @@ def _search(graph: Graph) -> _Search:
     return _Search(graph)
 
 
-def _realize(graph: Graph, k: int, cost: int) -> tuple[int, Realization] | None:
-    """The walk's total and the certified witness for the graph plus k
-    isolates, or None when there is none.  The walk runs on the core with
-    the graph's own isolates added to the budget; the built digraph's
-    vertices are the core's, then those isolates, then the k added ones."""
+def _realize(graph: Graph, k: int,
+             fewest: bool) -> tuple[int, Realization] | None:
+    """The total and the certified witness of the walk's first plan, or of
+    its plan with the fewest prey, for the graph plus k isolates, or None
+    when there is none.  The walk runs on the core with the graph's own
+    isolates added to the budget; the built digraph's vertices are the
+    core's, then those isolates, then the k added ones."""
     if k < 0:
         raise ValueError("isolate count must be nonnegative")
     core, keep = graph.without_isolates()
     search = _search(core)
     isolates = graph.isolated_vertices()
-    found = search.best(k + len(isolates), cost)
+    found = search.best(k + len(isolates))
     if found is None:
         return None
-    total, plan = found
+    total, plan = found[fewest]
     mapping = keep + isolates + tuple(range(graph.n, graph.n + k))
     return total, certify_realization(graph, search.build(plan, mapping), k)
 
 
 def realizable_with(graph: Graph, k: int) -> Realization | None:
     """A verified realization of the graph plus k isolates, or None."""
-    found = _realize(graph, k, 0)
+    found = _realize(graph, k, False)
     return None if found is None else found[1]
 
 
@@ -305,7 +311,7 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     """Maximum number of in-degree-0 vertices over realizations with a
     given isolate count k (not necessarily the competition number), with a
     witness attaining it.  Returns None when no realization exists."""
-    found = _realize(graph, k, 1)
+    found = _realize(graph, k, True)
     if found is None:
         return None
     m_star, witness = found
@@ -317,21 +323,8 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
 @lru_cache(maxsize=QUERY_GRAPHS)
 def primary_predator_index(graph: Graph) -> tuple[int, Realization]:
     """Maximum number of in-degree-0 vertices over all acyclic digraphs
-    whose competition graph is the graph plus k(G) isolates.
-
-    When the competition number's witness has only theta_e prey, it is
-    also the cost-1 walk's witness, and that walk is not run.  The two
-    walks share the budget and the order of search, and until a plan is
-    recorded the cost-1 walk prunes nothing the cost-0 walk does not: it
-    re-enters a visited state only with fewer hosted cliques, and the
-    states it re-enters are already known to hold no plan.  So its first
-    plan is the cost-0 walk's, whose total is that witness's prey count;
-    a total of theta_e meets the goal, and the walk ends there."""
-    k, witness = competition_number(graph)
-    theta = theta_e(graph)
-    if witness.prey_count == theta:
-        return graph.n + k - theta, witness
-    result = max_predators_with(graph, k)
+    whose competition graph is the graph plus k(G) isolates."""
+    result = max_predators_with(graph, competition_number(graph)[0])
     if result is None:
         raise RuntimeError("no realization at the competition number")
     return result

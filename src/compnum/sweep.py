@@ -57,7 +57,7 @@ def graph_record(args) -> dict:
             if graph.edge_count > 0:
                 cover = min_edge_clique_cover(graph)
                 hall_certificate(graph, cover, k_witness.digraph)
-                # p reuses the k witness when it has theta_e prey
+                # one witness when the first plan has the fewest prey
                 if p_witness is not k_witness:
                     hall_certificate(graph, cover, p_witness.digraph)
                 out["hall_certificate"] = True

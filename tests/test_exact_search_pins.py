@@ -204,15 +204,15 @@ def test_graph_isolates_outnumbering_the_ascent_answer(tmp_path, capsys):
 
 
 def count_walks(monkeypatch) -> list:
-    """The (budget, cost) of every placement walk from here on, with the
+    """The isolate budget of every placement walk from here on, with the
     walks of earlier queries forgotten."""
     _search.cache_clear()
     calls = []
     walk = _Search._walk
 
-    def counting(self, *args):
-        calls.append(args)
-        return walk(self, *args)
+    def counting(self, budget):
+        calls.append(budget)
+        return walk(self, budget)
 
     monkeypatch.setattr(_Search, "_walk", counting)
     return calls
@@ -260,7 +260,7 @@ def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     graph = rg(16, .5, 53)
     k, _ = competition_number.__wrapped__(graph)
     assert k == 5
-    assert [budget for budget, _ in calls] == [4, 5]
+    assert calls == [4, 5]
     assert cover_table_entries(graph) == 14_739
 
 
@@ -269,7 +269,8 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     # from a fresh solver's exact size.  An upper-bound table, since
     # deleted, decided 17 of this query's _bound calls and none on the
     # small graphs: sets whose cover was found above their lower bound and
-    # asked again.
+    # asked again.  While p reused a k witness with theta_e prey instead
+    # of building it again, the query asked 1,701 questions.
     for cached in (_search, competition_number, primary_predator_index,
                    cover_solver, certify_realization):
         cached.cache_clear()
@@ -286,7 +287,7 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     primary_predator_index(graph)
     monkeypatch.undo()
     fresh = _CoverSolver(graph.without_isolates()[0])
-    assert len(asked) == 1_701
+    assert len(asked) == 1_737
     for uncovered, t, answer in asked:
         assert answer == (fresh.size(uncovered) <= t), (uncovered, t)
 
@@ -300,31 +301,32 @@ def test_ascent_starts_from_the_bound_on_the_graph_itself(graph, isolates,
     # graph's own isolates, and no step below it on the core.
     calls = count_walks(monkeypatch)
     assert competition_number.__wrapped__(graph)[0] == 0
-    assert calls == [(isolates, 0)]
+    assert calls == [isolates]
 
 
-def test_predator_index_reuses_a_competition_witness_with_theta_e_prey(
-        monkeypatch):
-    # Such a witness is the first plan of the cost-1 walk at the same
-    # budget, and its total meets that walk's goal, so the walk is not run.
+def test_one_walk_per_budget_gives_the_k_and_the_p_witness(monkeypatch):
+    # The walk's first plan is the k witness and its plan with the fewest
+    # prey the p witness.  When the first plan has theta_e prey, none has
+    # fewer, so both are the same plan and certify to the same object.
     graphs = [g for n in range(7) for g in enumerate_small_graphs(n)]
     graphs += map(parse_graph6, ATLAS7.read_text(encoding="ascii").split())
     calls = count_walks(monkeypatch)
-    reused = 0
+    shared = 0
     for graph in graphs:
         for cached in (_search, competition_number, primary_predator_index):
             cached.cache_clear()
         calls.clear()
         p, witness = primary_predator_index(graph)
+        assert len(calls) == len(set(calls))
+        walked = list(calls)
         k, first = competition_number(graph)
-        if first.prey_count == theta_e(graph):
-            reused += 1
-            assert witness is first
-            assert [cost for _, cost in calls] == [0] * len(calls)
         expected, expected_witness = max_predators_with(graph, k)
+        assert calls == walked
+        assert (witness is first) == (first.prey_count == theta_e(graph))
+        shared += witness is first
         assert (p, witness.witness_arcs()) == (
             expected, expected_witness.witness_arcs())
-    assert (len(graphs), reused) == (1253, 607)
+    assert (len(graphs), shared) == (1253, 607)
 
 
 def test_walks_leave_no_cyclic_garbage():
@@ -334,8 +336,8 @@ def test_walks_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for budget, cost in ((2, 0), (3, 0), (3, 1)):
-            search._walk(budget, cost)
+        for budget in (2, 3):
+            search._walk(budget)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -377,19 +379,19 @@ def test_core_queries_reuse_the_walks_made_for_the_graph(monkeypatch):
 
 
 def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
-    """Calls of the cover solver's size, at_most and _bound and of
-    Bron-Kerbosch made by primary_predator_index on the graph, from empty
-    caches; the greedy packings computed, one per _bound call on a mask
-    without a lower bound; and the steps of realizer.bits, which the
-    walk's vertex loop takes."""
+    """Calls of the cover solver's size, at_most and _bound, of
+    Bron-Kerbosch and of the placement walk made by primary_predator_index
+    on the graph, from empty caches; the greedy packings computed, one per
+    _bound call on a mask without a lower bound; and the steps of
+    realizer.bits, which the walk's vertex loop takes."""
     for cached in (_search, competition_number, primary_predator_index,
                    cover_solver, maximal_clique_masks, certify_realization):
         cached.cache_clear()
     calls = {"size": 0, "at_most": 0, "bron_kerbosch": 0, "bound": 0,
-             "packings": 0, "bits": 0}
+             "packings": 0, "bits": 0, "walks": 0}
     size, at_most = _CoverSolver.size, _CoverSolver.at_most
     bound, bits_of = _CoverSolver._bound, realizer.bits
-    bron_kerbosch = cliques._bron_kerbosch
+    bron_kerbosch, walk = cliques._bron_kerbosch, _Search._walk
 
     def counting_size(self, uncovered):
         calls["size"] += 1
@@ -413,11 +415,16 @@ def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
             calls["bits"] += 1
             yield b
 
+    def counting_walk(self, budget):
+        calls["walks"] += 1
+        return walk(self, budget)
+
     monkeypatch.setattr(_CoverSolver, "size", counting_size)
     monkeypatch.setattr(_CoverSolver, "at_most", counting_at_most)
     monkeypatch.setattr(_CoverSolver, "_bound", counting_bound)
     monkeypatch.setattr(realizer, "bits", counting_bits)
     monkeypatch.setattr(cliques, "_bron_kerbosch", counting_bron_kerbosch)
+    monkeypatch.setattr(_Search, "_walk", counting_walk)
     primary_predator_index(graph)
     monkeypatch.undo()
     return calls
@@ -443,15 +450,29 @@ def test_placement_search_work_counts(monkeypatch):
         assert cover_table_entries(graph) == entries
 
 
+def test_predator_index_continues_the_competition_walk(monkeypatch):
+    # rg(15, .5, 18) has k = 3, and its k witness has more than theta_e
+    # prey.  The walk at k = 3 goes on from its first plan to the one with
+    # the fewest prey; states it left before the first plan stay dead.
+    # With a second walk at k = 3 for p, replaying the first one's dead
+    # prefix, the query took 4 walks, 36,200 at_most calls and 35,305
+    # realizer.bits steps.
+    work = pindex_work(rg(15, .5, 18), monkeypatch)
+    assert (work["walks"], work["at_most"], work["bits"]) == (3, 18_311, 22_714)
+
+
 @pytest.mark.parametrize("name,bound,packings,steps", [
-    ("tree-60-0", 868, 53, 1_688), ("P400", 400, 1, 1_198),
-    ("C400", 798, 398, 1_200), ("L100", 5_150, 99, 992)])
+    ("tree-60-0", 868, 53, 1_690), ("P400", 400, 1, 1_200),
+    ("C400", 798, 398, 1_204), ("L100", 5_150, 99, 1_192)])
 def test_sparse_search_work_counts(name, bound, packings, steps,
                                    monkeypatch):
     # A forced edge's child takes its packing from its parent, and the
     # walk leaves its vertex loop once no child can follow.  Before that,
     # the four graphs computed 867, 399, 797 and 5,149 packings, and the
     # tree took 32,619 realizer.bits steps; the _bound calls are the same.
+    # While p reused a k witness with theta_e prey, the four took 1,688,
+    # 1,198, 1,200 and 992 steps; now p builds that plan's digraph again,
+    # and the certify cache hands back the k witness.
     work = pindex_work(PINNED_SPARSE[name][0], monkeypatch)
     assert (work["bound"], work["packings"], work["bits"]) == (
         bound, packings, steps)
@@ -508,4 +529,5 @@ def test_forced_edges_pass_on_their_packing(monkeypatch):
         for mask, lo in solver._lower.items():
             assert lo <= fresh.size(mask), (graph, mask)
         passed_on += len(found)
-    assert passed_on == 55_506
+    # 55,506 while p reused a k witness with theta_e prey
+    assert passed_on == 55_511

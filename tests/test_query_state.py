@@ -111,15 +111,18 @@ def test_sweep_record_builds_one_solver_for_a_graph_with_isolates(built_solvers)
 
 def test_sweep_records_certify_each_witness_once():
     # a cache hit returns the result of the same check on equal inputs;
-    # each miss runs the check.  The predator index reuses the competition
-    # number's witness when it has theta_e prey, so it asks for no second
-    # check of it, nor does the record's Hall check (944 calls before).
+    # each miss runs the check.  The competition number's and the predator
+    # index's witnesses come from one walk; when they are one plan, the
+    # predator index's check is a hit, and the record's Hall check, which
+    # skips a p witness that is the k witness, asks for no second one (944
+    # calls before certification was cached, and 693 while p reused a k
+    # witness with theta_e prey without building it again).
     for cached in CACHES + (certify_realization,):
         cached.cache_clear()
     for graph in enumerate_small_graphs(6):
         assert graph_record((graph, ALL_CHECKS))["error"] is None
     info = certify_realization.cache_info()
-    assert (info.hits + info.misses, info.misses) == (693, 367)
+    assert (info.hits + info.misses, info.misses) == (832, 367)
 
 
 def test_caches_hold_one_query_only():
