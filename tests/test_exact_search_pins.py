@@ -269,8 +269,9 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     # from a fresh solver's exact size.  An upper-bound table, since
     # deleted, decided 17 of this query's _bound calls and none on the
     # small graphs: sets whose cover was found above their lower bound and
-    # asked again.  While p reused a k witness with theta_e prey instead
-    # of building it again, the query asked 1,701 questions.
+    # asked again.  While the walks for k asked no theta_e goal and p
+    # reused a k witness with theta_e prey instead of building it again,
+    # the query asked 1,701 questions.
     for cached in (_search, competition_number, primary_predator_index,
                    cover_solver, certify_realization):
         cached.cache_clear()
