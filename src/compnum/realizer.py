@@ -51,7 +51,9 @@ isolate-free core with the graph's own isolates added to the budget of
 k, builds the chosen plan's digraph in the graph's own numbering, and
 certifies it: re-checks it against the competition-graph definition and
 gives it an acyclic labeling.  The competition number's ascent asks for
-the witness at each k, so its last step is the witness.  Each core's
+the witness at each k, so its last step is the witness.  ``_realize``
+keeps its last results, and when the first plan has the fewest prey it
+hands out the k witness as the p witness, built once.  Each core's
 search keeps every walk's result keyed by isolate budget, which later
 queries on the core reuse; a walk's own state dies with the walk.
 """
@@ -260,12 +262,14 @@ def _search(graph: Graph) -> _Search:
     return _Search(graph)
 
 
+@lru_cache(maxsize=QUERY_GRAPHS)
 def _realize(graph: Graph, k: int,
              fewest: bool) -> tuple[int, Realization] | None:
     """The total and the certified witness of the walk's first plan, or of
     its plan with the fewest prey, for the graph plus k isolates, or None
-    when there is none.  The walk runs on the core with the graph's own
-    isolates added to the budget; the built digraph's vertices are the
+    when there is none; when the first plan has the fewest prey, both are
+    the one witness object.  The walk runs on the core with the graph's
+    own isolates added to the budget; the built digraph's vertices are the
     core's, then those isolates, then the k added ones."""
     if k < 0:
         raise ValueError("isolate count must be nonnegative")
@@ -275,6 +279,8 @@ def _realize(graph: Graph, k: int,
     found = search.best(k + len(isolates))
     if found is None:
         return None
+    if fewest and found[1] is found[0]:
+        return _realize(graph, k, False)
     total, plan = found[fewest]
     mapping = keep + isolates + tuple(range(graph.n, graph.n + k))
     return total, certify_realization(graph, search.build(plan, mapping), k)

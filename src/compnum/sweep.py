@@ -6,15 +6,18 @@ pass on every graph; the concluding-equality probe k = theta_e - n + p is
 only tallied, and any counterexample is reported verbatim in the summary
 instead of failing the sweep.
 
-The sweep may fan out across processes (`--threads` caps their count, this
-one included), each computing one interleaved slice of the stream; records
-are merged in stream order, so parallel and serial runs match exactly.
+The sweep may fan out across forked processes (`--threads` caps their
+count, this one included), each computing one interleaved slice of the
+stream.  A child sends its slice's records back as one marshal blob over
+its own pipe; records are merged in stream order, so parallel and serial
+runs match exactly.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import marshal
 import os
+import sys
 
 from . import ALL_CHECKS
 from .bounds import opsut_bound, planar_formula_check, predator_bound
@@ -96,39 +99,53 @@ def graph_record(args) -> dict:
 
 def _worker_count(threads: int | None, jobs: int) -> int:
     """Processes for a sweep, this one included: ``--threads`` (else one per
-    CPU), never more than the jobs or the CPUs, and at least one."""
-    cpus = os.cpu_count() or 1
+    CPU), never more than the jobs or the CPUs, and one where the platform
+    cannot fork."""
+    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     return max(1, min(cpus if threads is None else threads, jobs, cpus))
 
 
-def _send_records(jobs, conn) -> None:
-    conn.send([graph_record(job) for job in jobs])
+def _send_records(jobs, fd: int) -> None:
+    with open(fd, "wb") as pipe:
+        marshal.dump([graph_record(job) for job in jobs], pipe)
 
 
 def _fan_out(jobs, workers: int) -> list[dict]:
     """The records in stream order: this process computes jobs[0::workers],
-    child i computes and sends jobs[i::workers]; a dead child is an error."""
+    forked child i computes jobs[i::workers] and writes them to its own
+    pipe as one marshal blob, read here to EOF; a child that dies before it
+    has written them all is an error.  A child leaves by ``os._exit``, so
+    it flushes no buffer it inherited and runs no exit hook."""
     records: list = [None] * len(jobs)
-    children = []
+    children = []  # (pid, read end) of each child not yet reaped
     try:
         for i in range(1, workers):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_send_records,
-                                            args=(jobs[i::workers], send))
-            child.start()
-            send.close()  # so that the child's death reads as EOF here
-            children.append((child, recv))
+            sys.stdout.flush()  # so that no child holds a copy of either
+            sys.stderr.flush()
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    _send_records(jobs[i::workers], write)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)  # so that the child's death reads as EOF here
+            children.append((pid, open(read, "rb")))
         records[0::workers] = [graph_record(job) for job in jobs[0::workers]]
-        for i, (_, recv) in enumerate(children, 1):
-            records[i::workers] = recv.recv()
-    except EOFError:  # graph_record turns its own errors into records
-        raise ChildProcessError("a sweep worker process died before sending "
-                                "its records") from None
+        for i, (_, pipe) in enumerate(children, 1):
+            try:  # graph_record turns its own errors into records
+                records[i::workers] = marshal.loads(pipe.read())
+            except (EOFError, ValueError):
+                raise ChildProcessError("a sweep worker process died before "
+                                        "sending its records") from None
     finally:
-        for child, recv in children:
-            child.terminate()  # its records are read, or no longer wanted
-            child.join()
-            recv.close()
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL: its records are read or not wanted
+            os.waitpid(pid, 0)
     return records
 
 

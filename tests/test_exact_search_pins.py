@@ -22,12 +22,15 @@ from compnum.ecc import (_CoverSolver, cover_checks, cover_solver,
                          make_cover, min_edge_clique_cover, theta_e)
 from compnum.graph import Graph, add_isolated, bits
 from compnum.io import parse_graph6, serialize_graph6
-from compnum.realizer import (_Search, _search, certify_realization,
+from compnum.realizer import (_realize, _Search, _search, certify_realization,
                               competition_number, max_predators_with,
                               primary_predator_index, realizable_with)
 from compnum.smallgraphs import enumerate_small_graphs
 
 ATLAS7 = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas7.g6"
+
+# the caches that hold a query's walks and witnesses
+QUERY_CACHES = (_search, _realize, competition_number, primary_predator_index)
 
 
 def rg(n: int, p: float, seed: int) -> Graph:
@@ -207,6 +210,7 @@ def count_walks(monkeypatch) -> list:
     """The isolate budget of every placement walk from here on, with the
     walks of earlier queries forgotten."""
     _search.cache_clear()
+    _realize.cache_clear()
     calls = []
     walk = _Search._walk
 
@@ -269,11 +273,10 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     # from a fresh solver's exact size.  An upper-bound table, since
     # deleted, decided 17 of this query's _bound calls and none on the
     # small graphs: sets whose cover was found above their lower bound and
-    # asked again.  While the walks for k asked no theta_e goal and p
-    # reused a k witness with theta_e prey instead of building it again,
-    # the query asked 1,701 questions.
-    for cached in (_search, competition_number, primary_predator_index,
-                   cover_solver, certify_realization):
+    # asked again.  While the walks for k asked no theta_e goal, the query
+    # asked 1,701 questions, and while p built the k witness's plan again
+    # when that plan had the fewest prey, 1,737.
+    for cached in QUERY_CACHES + (cover_solver, certify_realization):
         cached.cache_clear()
     graph = rg(16, .5, 53)
     asked = []
@@ -288,7 +291,7 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     primary_predator_index(graph)
     monkeypatch.undo()
     fresh = _CoverSolver(graph.without_isolates()[0])
-    assert len(asked) == 1_737
+    assert len(asked) == 1_702
     for uncovered, t, answer in asked:
         assert answer == (fresh.size(uncovered) <= t), (uncovered, t)
 
@@ -308,13 +311,13 @@ def test_ascent_starts_from_the_bound_on_the_graph_itself(graph, isolates,
 def test_one_walk_per_budget_gives_the_k_and_the_p_witness(monkeypatch):
     # The walk's first plan is the k witness and its plan with the fewest
     # prey the p witness.  When the first plan has theta_e prey, none has
-    # fewer, so both are the same plan and certify to the same object.
+    # fewer, so both are the same plan, built and certified once.
     graphs = [g for n in range(7) for g in enumerate_small_graphs(n)]
     graphs += map(parse_graph6, ATLAS7.read_text(encoding="ascii").split())
     calls = count_walks(monkeypatch)
     shared = 0
     for graph in graphs:
-        for cached in (_search, competition_number, primary_predator_index):
+        for cached in QUERY_CACHES:
             cached.cache_clear()
         calls.clear()
         p, witness = primary_predator_index(graph)
@@ -361,7 +364,7 @@ def test_edgeless_witnesses_are_pinned(n):
 def test_core_queries_reuse_the_walks_made_for_the_graph(monkeypatch):
     # The sweep asks for k and p of a graph and then of its isolate-free
     # core; the core's walks are the graph's, shifted by its isolates.
-    for cached in (_search, competition_number, primary_predator_index):
+    for cached in QUERY_CACHES:
         cached.cache_clear()
     graph = add_isolated(rg(12, .5, 1), 1)
     primary_predator_index(graph)
@@ -385,8 +388,8 @@ def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
     on the graph, from empty caches; the greedy packings computed, one per
     _bound call on a mask without a lower bound; and the steps of
     realizer.bits, which the walk's vertex loop takes."""
-    for cached in (_search, competition_number, primary_predator_index,
-                   cover_solver, maximal_clique_masks, certify_realization):
+    for cached in QUERY_CACHES + (cover_solver, maximal_clique_masks,
+                                  certify_realization):
         cached.cache_clear()
     calls = {"size": 0, "at_most": 0, "bron_kerbosch": 0, "bound": 0,
              "packings": 0, "bits": 0, "walks": 0}
@@ -462,21 +465,22 @@ def test_predator_index_continues_the_competition_walk(monkeypatch):
     assert (work["walks"], work["at_most"], work["bits"]) == (3, 18_311, 22_714)
 
 
-@pytest.mark.parametrize("name,bound,packings,steps", [
-    ("tree-60-0", 868, 53, 1_690), ("P400", 400, 1, 1_200),
-    ("C400", 798, 398, 1_204), ("L100", 5_150, 99, 1_192)])
-def test_sparse_search_work_counts(name, bound, packings, steps,
+@pytest.mark.parametrize("name,bound,packings,steps,questions", [
+    ("tree-60-0", 868, 53, 1_688, 999), ("P400", 400, 1, 1_198, 1_604),
+    ("C400", 798, 398, 1_200, 1_606), ("L100", 5_150, 99, 992, 1_002)])
+def test_sparse_search_work_counts(name, bound, packings, steps, questions,
                                    monkeypatch):
     # A forced edge's child takes its packing from its parent, and the
     # walk leaves its vertex loop once no child can follow.  Before that,
     # the four graphs computed 867, 399, 797 and 5,149 packings, and the
     # tree took 32,619 realizer.bits steps; the _bound calls are the same.
-    # While p reused a k witness with theta_e prey, the four took 1,688,
-    # 1,198, 1,200 and 992 steps; now p builds that plan's digraph again,
-    # and the certify cache hands back the k witness.
+    # p's witness is the k witness itself when the walk's first plan has
+    # the fewest prey.  While p built that plan's digraph again, the four
+    # took 1,690, 1,200, 1,204 and 1,192 steps and 1,059, 2,004, 2,007 and
+    # 1,301 at_most calls.
     work = pindex_work(PINNED_SPARSE[name][0], monkeypatch)
-    assert (work["bound"], work["packings"], work["bits"]) == (
-        bound, packings, steps)
+    assert (work["bound"], work["packings"], work["bits"],
+            work["at_most"]) == (bound, packings, steps, questions)
 
 
 def greedy_packing(solver: _CoverSolver, mask: int) -> int:
@@ -514,8 +518,7 @@ def test_forced_edges_pass_on_their_packing(monkeypatch):
     monkeypatch.setattr(_CoverSolver, "_bound", watching)
     passed_on = 0
     for graph in graphs:
-        for cached in (_search, competition_number, primary_predator_index,
-                       cover_solver):
+        for cached in QUERY_CACHES + (cover_solver,):
             cached.cache_clear()
         entered.clear()
         inherited.clear()

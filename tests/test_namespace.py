@@ -182,23 +182,44 @@ def test_queries_load_no_dataclasses_or_inspect(tmp_path, argv):
     assert heavy.isdisjoint(loaded_modules(tmp_path, argv))
 
 
-def loaded_modules(tmp_path, argv) -> list[str]:
-    """The sorted names in sys.modules after a fresh process runs the
-    CLI with argv in a directory holding K4.g6."""
+def test_forking_sweep_loads_no_multiprocessing(tmp_path):
+    # the child is forked bare, without what multiprocessing pulls in
+    modules = loaded_modules(tmp_path, ["sweep", "--n", "3", "--threads", "2"],
+                             forks=1)
+    assert [name for name in modules
+            if name.split(".")[0] == "compnum"] == ALL_MODULES
+    assert {"multiprocessing", "pickle", "socket", "selectors",
+            "subprocess"}.isdisjoint(modules)
+
+
+def loaded_modules(tmp_path, argv, forks: int = 0) -> list[str]:
+    """The sorted names in sys.modules after a fresh process with two CPUs
+    runs the CLI with argv in a directory holding K4.g6 and forks ``forks``
+    children."""
     (tmp_path / "K4.g6").write_text("C~\n")
     done = run_python("""
         import json, os, sys
         os.chdir(sys.argv[1])
+        os.cpu_count = lambda: 2
+        fork, forks = os.fork, []
+
+        def counting():
+            forks.append(fork())
+            return forks[-1]
+
+        os.fork = counting
         from compnum.cli import main
         try:
             code = main(sys.argv[2:])
         except SystemExit as exc:
             code = exc.code
         assert code == 0, code
-        print(json.dumps(sorted(sys.modules)))
+        print(json.dumps([len(forks), sorted(sys.modules)]))
     """, str(tmp_path), *argv)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    forked, modules = json.loads(done.stdout.splitlines()[-1])
+    assert forked == forks
+    return modules
 
 
 THETA_K4 = ["theta", "--in", "K4.g6", "--format", "g6"]

@@ -16,14 +16,14 @@ from compnum.cliques import edge_clique_counts, maximal_clique_masks
 from compnum.ecc import _CoverSolver, cover_solver, min_edge_clique_cover, theta_e
 from compnum.graph import Graph
 from compnum.io import serialize_graph6
-from compnum.realizer import (_search, certify_realization, competition_number,
-                              primary_predator_index)
+from compnum.realizer import (_realize, _search, certify_realization,
+                              competition_number, primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import graph_record
 from test_exact_search_pins import rg
 
-CACHES = (maximal_clique_masks, cover_solver, _search, competition_number,
-          primary_predator_index, edge_clique_counts)
+CACHES = (maximal_clique_masks, cover_solver, _search, _realize,
+          competition_number, primary_predator_index, edge_clique_counts)
 
 # a query's graph and its isolate-free core
 QUERY_GRAPHS = 2
@@ -113,16 +113,16 @@ def test_sweep_records_certify_each_witness_once():
     # a cache hit returns the result of the same check on equal inputs;
     # each miss runs the check.  The competition number's and the predator
     # index's witnesses come from one walk; when they are one plan, the
-    # predator index's check is a hit, and the record's Hall check, which
-    # skips a p witness that is the k witness, asks for no second one (944
-    # calls before certification was cached, and 693 while p reused a k
-    # witness with theta_e prey without building it again).
+    # predator index's witness is the competition number's, checked once,
+    # and the record's Hall check, which skips a p witness that is the k
+    # witness, asks for no second one (944 calls before certification was
+    # cached, and 832 while p built that plan's digraph again).
     for cached in CACHES + (certify_realization,):
         cached.cache_clear()
     for graph in enumerate_small_graphs(6):
         assert graph_record((graph, ALL_CHECKS))["error"] is None
     info = certify_realization.cache_info()
-    assert (info.hits + info.misses, info.misses) == (832, 367)
+    assert (info.hits + info.misses, info.misses) == (693, 367)
 
 
 def test_caches_hold_one_query_only():

@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
 import importlib
 import io
 import json
-import multiprocessing
 import os
 import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,6 +21,9 @@ from compnum.io import serialize_edge_list, serialize_graph6
 from compnum.realizer import RealizationError
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import _worker_count, sweep
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 @pytest.fixture
@@ -62,32 +67,40 @@ def test_worker_count_is_clamped_to_jobs_and_cpus(monkeypatch):
     assert _worker_count(None, 100) == 4
     assert _worker_count(0, 100) == 1
     assert _worker_count(2, 0) == 1
+    monkeypatch.delattr(os, "fork")
+    assert _worker_count(5000, 100) == 1
 
 
-def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
-    # a stand-in process runs its slice in this process when started
-    started = []
+def forked_children(monkeypatch, child=None) -> list[int]:
+    """The pid of every child os.fork makes from here on; a child runs
+    ``child`` first when it is given."""
+    pids = []
+    fork = os.fork
 
-    class RecordingProcess:
-        def __init__(self, target, args):
-            self.target, self.args = target, args
+    def recording():
+        pid = fork()
+        if pid == 0 and child is not None:
+            child()
+        pids.append(pid)
+        return pid
 
-        def start(self):
-            started.append(self)
-            self.target(*self.args)
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
 
-        def terminate(self):
-            pass
 
-        def join(self):
-            pass
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
+
+def test_sweep_forks_no_more_processes_than_jobs(monkeypatch):
+    pids = forked_children(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     graphs = list(enumerate_small_graphs(3))
     report = sweep(graphs, threads=5000)
     # this process computes a slice too, so it counts as one of them
-    assert len(started) + 1 == len(graphs)
+    assert len(pids) + 1 == len(graphs) == 4
+    assert_no_child_left()
     assert report["records"] == sweep(graphs, threads=1)["records"]
 
 
@@ -116,62 +129,89 @@ def test_cli_sweep_reports_the_same_bytes_with_one_or_two_threads(
 
 
 def test_cli_sweep_fails_when_a_worker_dies(capsys, monkeypatch):
-    # stand-in children die before they send, so their pipe ends read EOF
-    children = []
-
-    class DeadChild:
-        def __init__(self, target, args):
-            self.calls = []
-            children.append(self)
-
-        def start(self):
-            self.calls.append("start")
-
-        def terminate(self):
-            self.calls.append("terminate")
-
-        def join(self):
-            self.calls.append("join")
-
-    class ClosedEnd:
-        def recv(self):
-            raise EOFError
-
-        def close(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing, "Process", DeadChild)
-    monkeypatch.setattr(multiprocessing, "Pipe",
-                        lambda duplex: (ClosedEnd(), ClosedEnd()))
+    # real children that die as soon as they are forked, before they write
+    pids = forked_children(monkeypatch, child=lambda: os._exit(1))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     code = main(["sweep", "--n", "4", "--threads", "4"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == ("error: a sweep worker process died before "
                             "sending its records\n")
-    assert [c.calls for c in children] == [["start", "terminate", "join"]] * 3
+    assert len(pids) == 3
+    assert_no_child_left()
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block outlasts seconds."""
+    def hang(signum, frame):
+        raise TimeoutError("the sweep waited on a dead or stuck worker")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sweep_reads_a_real_dead_worker_as_an_error(monkeypatch):
     # one real child, which exits at once without sending: the parent must
     # see the pipe close, not wait for ever
-    def die(jobs, conn):
+    def die(jobs, fd):
         os._exit(1)
-
-    def hang(signum, frame):
-        raise TimeoutError("the sweep waited on a dead worker")
 
     monkeypatch.setattr(importlib.import_module("compnum.sweep"),
                         "_send_records", die)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(60)
-    try:
-        with pytest.raises(ChildProcessError):
-            sweep(list(enumerate_small_graphs(4)), threads=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with deadline(60), pytest.raises(ChildProcessError):
+        sweep(list(enumerate_small_graphs(4)), threads=2)
+    assert_no_child_left()
+
+
+def test_sweep_kills_and_reaps_a_child_it_no_longer_waits_for(monkeypatch):
+    # the first child dies at once; the second stalls past the deadline
+    # without sending, so the sweep must kill it, not wait, and reap both
+    pids = forked_children(monkeypatch)
+
+    def die_or_stall(jobs, fd):
+        if len(pids) == 2:
+            time.sleep(120)  # past the deadline below
+        os._exit(1)
+
+    monkeypatch.setattr(importlib.import_module("compnum.sweep"),
+                        "_send_records", die_or_stall)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with deadline(60), pytest.raises(ChildProcessError):
+        sweep(list(enumerate_small_graphs(4)), threads=3)
+    assert len(pids) == 2
+    assert_no_child_left()
+
+
+def test_cli_sweep_stdout_and_report_bytes_match_with_a_forked_child(
+        tmp_path):
+    # stdout is a pipe, so block-buffered: a child that flushed a buffer it
+    # inherited or went on to print would add bytes
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"report{threads}.json"
+        # two CPUs, so that --threads 2 forks one child on any machine
+        done = subprocess.run(
+            [sys.executable, "-c", "import os, runpy; "
+             "os.cpu_count = lambda: 2; "
+             "runpy.run_module('compnum', run_name='__main__')",
+             "sweep", "--n", "5", "--threads", threads, "--out", str(path)],
+            env=env, capture_output=True, timeout=120)
+        outputs.append((done.returncode, done.stdout, done.stderr,
+                        path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2] == b""
+    assert json.loads(outputs[0][1])["graphs"] == 34
 
 
 def test_sweep_small_n4_clean():
