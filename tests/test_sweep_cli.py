@@ -93,7 +93,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sweep_forks_no_more_processes_than_jobs(monkeypatch):
+def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
     pids = forked_children(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     graphs = list(enumerate_small_graphs(3))
