@@ -5,8 +5,8 @@ Usage: python demos/02_exact_invariants.py
 
 from compnum import (Graph, add_isolated, competition_graph,
                      competition_number, max_predators_with,
-                     min_edge_clique_cover, min_prey_count,
-                     primary_predator_index, theta_e)
+                     min_edge_clique_cover, primary_predator_index,
+                     theta_e)
 
 ZOO = {
     "triangle": Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]),
@@ -22,9 +22,9 @@ print(f"{'graph':<10} {'theta_e':>7} {'k':>3} {'p':>3} {'min prey':>8}")
 print("-" * 36)
 for name, graph in ZOO.items():
     k, witness = competition_number(graph)
-    p, _ = primary_predator_index(graph)
+    p, p_witness = primary_predator_index(graph)
     print(f"{name:<10} {theta_e(graph):>7} {k:>3} {p:>3} "
-          f"{min_prey_count(graph):>8}")
+          f"{p_witness.prey_count:>8}")
 
 print()
 print("Every witness is verified: its competition graph is recomputed and")

@@ -5,10 +5,9 @@ Usage: python demos/04_bounds_and_plane_formula.py
 
 import json
 
-from compnum import (Graph, best_union_tail, bounds_report, clique_census,
-                     competition_number, min_edge_clique_cover, opsut_bound,
-                     planar_formula_check, predator_bound,
-                     primary_predator_index, union_tail_bound)
+from compnum import (Graph, bounds_report, clique_census, competition_number,
+                     min_edge_clique_cover, opsut_bound, planar_formula_check,
+                     predator_bound, primary_predator_index, union_tail_bounds)
 from compnum.fixtures import effective_cover_example_graph
 
 print("=" * 64)
@@ -29,9 +28,11 @@ print("=" * 64)
 c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 cover = min_edge_clique_cover(c4)
 # no digraph is needed; the cover is checked against the graph it covers
-for i in range(1, len(cover) + 1):
-    print(f"  k={i}: bound {union_tail_bound(c4, cover, i)}")
-print("best:", best_union_tail(c4, cover), " exact p:",
+tail = union_tail_bounds(c4, cover)
+for i, bound in enumerate(tail, 1):
+    print(f"  k={i}: bound {bound}")
+# the best index is the first that reaches the largest bound
+print("best:", (tail.index(max(tail)) + 1, max(tail)), " exact p:",
       primary_predator_index(c4)[0])
 
 print()

@@ -5,18 +5,19 @@ is never negative, callers wanting a usable floor should clamp at zero.
 The union-tail bound is deliberately strengthened over its per-labeling
 statement: it minimizes the union size over all subsets of the given
 cardinality, so it is sound without knowing any accompanying digraph
-("subset-min variant").  It takes the graph along with the cover and
-checks the cover against it: only a minimum cover of maximal cliques has
-a bound.
+("subset-min variant").  `union_tail_bounds` answers every index from one
+depth-first search that grows subsets of the cover in index order and
+extends a subset only while its union is below the least union known for
+the largest size its extensions reach.  It takes the graph along with the
+cover and checks the cover against it once: only a minimum cover of
+maximal cliques has bounds.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .cliques import every_clique_has_occupied_edge, is_diamond_free, maximal_cliques
 from .ecc import cover_checks, min_edge_clique_cover, theta_e
-from .graph import Graph
+from .graph import Graph, mask_of
 from .realizer import competition_number, primary_predator_index
 
 
@@ -32,29 +33,32 @@ def predator_bound(graph: Graph, p: int) -> int:
     return theta_e(graph) - graph.n + p
 
 
-def union_tail_bound(graph: Graph, cover, k: int) -> int:
-    """Subset-min union-tail bound on the predator count.
-
-    For a minimum cover of the graph by t maximal cliques and 1 <= k <= t,
-    returns min over (t - k + 1)-subsets S of |union of S|, minus t, plus k.
-    """
+def union_tail_bounds(graph: Graph, cover) -> tuple[int, ...]:
+    """Subset-min union-tail bounds on the predator count, the bound for
+    index k at position k - 1: for a minimum cover of the graph by t
+    maximal cliques, the least union of any t - k + 1 of its cliques,
+    minus t, plus k."""
     if not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
-    t = len(cover)
-    if not 1 <= k <= t:
-        raise ValueError(f"index k must lie in 1..{t}")
-    best = min(len(set().union(*subset))
-               for subset in combinations(cover, t - k + 1))
-    return best - t + k
+    masks = [mask_of(c) for c in cover]
+    t = len(masks)
+    # least[j]: the fewest vertices any j cliques seen so far span; each
+    # subset's prefixes are seen before it, so least never falls as j grows
+    least = [0] + [graph.n + 1] * t
 
+    def grow(start: int, size: int, union: int) -> None:
+        for i in range(start, t):
+            merged = union | masks[i]
+            span = merged.bit_count()
+            if span < least[size + 1]:
+                least[size + 1] = span
+            # a union only grows, so extend only while the largest size
+            # the extensions reach can still gain
+            if span < least[size + t - i]:
+                grow(i + 1, size + 1, merged)
 
-def best_union_tail(graph: Graph, cover) -> tuple[int, int]:
-    """The index k maximizing the union-tail bound of a minimum cover of the
-    graph by maximal cliques (smallest k on ties)."""
-    if not cover:
-        raise ValueError("empty cover has no union-tail bound")
-    return max(((k, union_tail_bound(graph, cover, k))
-                for k in range(1, len(cover) + 1)), key=lambda kv: kv[1])
+    grow(0, 0, 0)
+    return tuple(least[t - k + 1] - t + k for k in range(1, t + 1))
 
 
 def clique_census(graph: Graph) -> tuple[int, int, int]:
@@ -107,11 +111,7 @@ def bounds_report(graph: Graph) -> dict:
     k, _ = competition_number(graph)
     p, _ = primary_predator_index(graph)
     theta = theta_e(graph)
-    tail = []
-    if theta > 0:
-        cover = min_edge_clique_cover(graph)
-        tail = [(i, union_tail_bound(graph, cover, i))
-                for i in range(1, theta + 1)]
+    tail = union_tail_bounds(graph, min_edge_clique_cover(graph))
     try:
         census = list(clique_census(graph))
     except ValueError:
@@ -138,8 +138,8 @@ def bounds_report(graph: Graph) -> dict:
         "opsut_usable": max(opsut, 0) if graph.edge_count else 0,
         "predator_bound": predator,
         "predator_bound_usable": max(predator, 0),
-        "union_tail": {str(i): bound for i, bound in tail},
-        "union_tail_best": list(max(tail, key=lambda kv: kv[1]))
+        "union_tail": {str(i): bound for i, bound in enumerate(tail, 1)},
+        "union_tail_best": [tail.index(max(tail)) + 1, max(tail)]
         if tail else None,
         "union_tail_variant": "subset-min variant",
         "census": census,

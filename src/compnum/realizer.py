@@ -334,10 +334,3 @@ def primary_predator_index(graph: Graph) -> tuple[int, Realization]:
     if result is None:
         raise RuntimeError("no realization at the competition number")
     return result
-
-
-def min_prey_count(graph: Graph) -> int:
-    """Minimum number of nonzero-in-degree vertices over realizations at
-    the competition number; always at least theta_e."""
-    p, witness = primary_predator_index(graph)
-    return witness.prey_count

@@ -29,7 +29,7 @@ from .realizer import competition_number, primary_predator_index
 
 
 def graph_record(args) -> dict:
-    """Worker: compute one graph's record.  Top level for picklability."""
+    """Compute one graph's record from a (graph, checks) job."""
     graph, checks = args
     record: dict = {
         "graph6": serialize_graph6(graph),

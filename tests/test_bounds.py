@@ -1,11 +1,12 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
-from compnum.bounds import (best_union_tail, bounds_report, clique_census,
-                            opsut_bound, planar_formula_check, predator_bound,
-                            union_tail_bound)
+from compnum.bounds import (bounds_report, clique_census, opsut_bound,
+                            planar_formula_check, predator_bound,
+                            union_tail_bounds)
 from compnum.cliques import chordality, is_diamond_free
 from compnum.constructions import hall_certificate
 from compnum.ecc import min_edge_clique_cover, theta_e
@@ -13,6 +14,8 @@ from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Graph
 from compnum.realizer import competition_number, primary_predator_index
 from compnum.smallgraphs import enumerate_small_graphs
+from test_exact_search_pins import cycle, grid, rg
+from test_lower_bounds import atlas7, small_graphs, sweep_pool
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -35,23 +38,48 @@ def test_predator_bound_examples():
     assert predator_bound(edgeless, 5) == 0 == competition_number(edgeless)[0]
 
 
+def scanned_union_tails(cover) -> tuple[int, ...]:
+    """Test oracle: for each index k, the least union over every
+    (t - k + 1)-subset of the t cover cliques, minus t, plus k."""
+    t = len(cover)
+    return tuple(min(len(set().union(*subset))
+                     for subset in combinations(cover, t - k + 1)) - t + k
+                 for k in range(1, t + 1))
+
+
+def best_of(tail) -> tuple[int, int]:
+    """The first index reaching the largest bound, with that bound."""
+    return tail.index(max(tail)) + 1, max(tail)
+
+
 def test_union_tail_bounds_c4():
-    cover = min_edge_clique_cover(C4)
-    assert union_tail_bound(C4, cover, 3) == 2
-    assert union_tail_bound(C4, cover, 4) == 2
-    assert union_tail_bound(C4, cover, 1) == 1
-    assert best_union_tail(C4, cover) == (2, 2)
-    with pytest.raises(ValueError):
-        union_tail_bound(C4, cover, 0)
-    with pytest.raises(ValueError):
-        union_tail_bound(C4, cover, 5)
+    tail = union_tail_bounds(C4, min_edge_clique_cover(C4))
+    assert tail == (1, 2, 2, 2)
+    assert best_of(tail) == (2, 2)
 
 
 def test_union_tail_k1_is_vertex_count_identity():
     for g in (C4, K3, BOWTIE, effective_cover_example_graph()):
         cover = min_edge_clique_cover(g)
         support = len({v for c in cover for v in c})
-        assert union_tail_bound(g, cover, 1) == support - len(cover) + 1
+        assert union_tail_bounds(g, cover)[0] == support - len(cover) + 1
+
+
+def test_union_tail_bounds_match_the_subset_scan_on_small_graphs():
+    graphs = [g for g in small_graphs() + atlas7() + sweep_pool()
+              if g.edge_count]
+    assert len(graphs) == 1545
+    for g in graphs:
+        cover = min_edge_clique_cover(g)
+        assert union_tail_bounds(g, cover) == scanned_union_tails(cover), g
+
+
+@pytest.mark.parametrize("graph", [cycle(12), grid(3, 4), rg(16, .5, 53)],
+                         ids=["C12", "grid-3-4", "rg-16-53"])
+def test_union_tail_bounds_match_the_subset_scan_where_the_search_prunes(
+        graph):
+    cover = min_edge_clique_cover(graph)
+    assert union_tail_bounds(graph, cover) == scanned_union_tails(cover)
 
 
 def test_union_tail_never_exceeds_exact_p_on_effective_graphs():
@@ -66,7 +94,7 @@ def test_union_tail_never_exceeds_exact_p_on_effective_graphs():
                 continue
             cover = min_edge_clique_cover(g)
             p, _ = primary_predator_index(g)
-            assert best_union_tail(g, cover)[1] <= p
+            assert max(union_tail_bounds(g, cover)) <= p
 
 
 def test_clique_census():
@@ -114,13 +142,13 @@ def test_bounds_report_worked_example():
     assert report["union_tail_variant"] == "subset-min variant"
 
 
-def test_bounds_report_union_tail_best_matches_best_union_tail():
+def test_bounds_report_union_tail_best_is_the_first_best_index():
     for n in range(2, 7):
         for g in enumerate_small_graphs(n):
             if g.edge_count == 0:
                 continue
-            best = best_union_tail(g, min_edge_clique_cover(g))
-            assert bounds_report(g)["union_tail_best"] == list(best)
+            tail = scanned_union_tails(min_edge_clique_cover(g))
+            assert bounds_report(g)["union_tail_best"] == list(best_of(tail))
 
 
 def test_bounds_report_planar_case():

@@ -20,8 +20,8 @@ from compnum.graph import Digraph, Graph, add_isolated
 from compnum.io import serialize_edge_list
 
 from test_constructions import BOWTIE
-from test_exact_search_pins import (C4_PLUS_3, K4_PLUS_3, cycle, path, rg,
-                                    sha256, star)
+from test_exact_search_pins import (C4_PLUS_3, K4_PLUS_3, cycle, grid, path,
+                                    rg, sha256, star)
 
 PETERSEN = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                             + [(i, i + 5) for i in range(5)]
@@ -37,6 +37,10 @@ GRAPHS = {
     "bowtie": BOWTIE,
     "petersen": PETERSEN,
     "fixture": effective_cover_example_graph(),
+    "P20": path(20),
+    "C20": cycle(20),
+    "grid3x5": grid(3, 5),
+    "rg16-53": rg(16, .5, 53),
 }
 
 # each graph command reads the edge list g.edges
@@ -134,6 +138,11 @@ PINNED = {
     ("fixture", "bounds"): "bb77311fdf25484460d127e7abbce0608113c84175ea9ed309519c22343b76ea",
     ("fixture", "planar-check"): "c231a6f7062af8661e72688610439cfa4e1386a10fbd81920a8d339f8346626a",
     ("fixture", "hall-cert"): "f4ccd63d5549c74fbe510b28c03ae1d024464182163a2ef4c509f66414846b36",
+    # theta_e 18 to 22, taken while the report scanned every cover subset
+    ("P20", "bounds"): "e29f3d17c706d012b4c5c8f73e450168f6ac24074a57fa38e95d56194bcbab1c",
+    ("C20", "bounds"): "d26d25a7eccac9d8327004ae5d7d8bedf094040d70ebfdf784ad95ff2cd74614",
+    ("grid3x5", "bounds"): "bf4e38defb35e353e5e8eb60b52c421c93736202dcf7c4eaa974c6153c982650",
+    ("rg16-53", "bounds"): "3e4b4b46d1e906e538ca055370b639383351c1927638f3538c1368f7f5b6c79a",
 }
 
 # commands on the nine-vertex fixture's files

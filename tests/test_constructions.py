@@ -5,7 +5,7 @@ import pytest
 from conftest import EXPECTED_SINKS
 
 from compnum import constructions, realizer
-from compnum.bounds import best_union_tail, union_tail_bound
+from compnum.bounds import union_tail_bounds
 from compnum.cliques import chordality, every_vertex_on_occupied_edge
 from compnum.constructions import (NotChordalError, chordal_realizer,
                                    hall_certificate, rebuild_star,
@@ -389,9 +389,8 @@ def test_hall_certificate_rejects_bad_inputs():
     lambda cover: hall_certificate(C4, cover,
                                    competition_number(C4)[1].digraph),
     lambda cover: simplicial_family_realizer(C4, cover, [0, 2, 3]),
-    lambda cover: union_tail_bound(C4, cover, 1),
-    lambda cover: best_union_tail(C4, cover),
-], ids=["hall", "simplicial-family", "union-tail", "best-union-tail"])
+    lambda cover: union_tail_bounds(C4, cover),
+], ids=["hall", "simplicial-family", "union-tail"])
 def test_a_cover_is_checked_against_the_graph_where_it_is_used(cover, use):
     with pytest.raises(ValueError, match="^cover must be a minimum cover of "
                                          "maximal cliques$"):

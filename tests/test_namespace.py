@@ -23,9 +23,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 HOMES = {
-    "bounds": ("best_union_tail", "bounds_report", "clique_census",
-               "opsut_bound", "planar_formula_check", "predator_bound",
-               "union_tail_bound"),
+    "bounds": ("bounds_report", "clique_census", "opsut_bound",
+               "planar_formula_check", "predator_bound", "union_tail_bounds"),
     "cliques": ("chordality", "every_clique_has_occupied_edge",
                 "every_vertex_on_occupied_edge", "is_diamond_free",
                 "maximal_cliques", "simplicial_vertices"),
@@ -38,8 +37,8 @@ HOMES = {
     "io": ("FormatError", "parse_edge_list", "parse_graph6",
            "parse_graph6_lines", "serialize_edge_list", "serialize_graph6"),
     "realizer": ("Realization", "RealizationError", "competition_number",
-                 "max_predators_with", "min_prey_count",
-                 "primary_predator_index", "realizable_with"),
+                 "max_predators_with", "primary_predator_index",
+                 "realizable_with"),
     "smallgraphs": ("enumerate_small_graphs",),
     "sweep": ("sweep",),
 }

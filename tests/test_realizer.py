@@ -9,8 +9,7 @@ from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Digraph, Graph, add_isolated, competition_graph
 from compnum.realizer import (RealizationError, _Search, certify_realization,
                               competition_number, max_predators_with,
-                              min_prey_count, primary_predator_index,
-                              realizable_with)
+                              primary_predator_index, realizable_with)
 from compnum.smallgraphs import enumerate_small_graphs
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -98,9 +97,9 @@ def test_primary_predator_index_values():
 
 
 def test_min_prey_values():
-    assert min_prey_count(K3) == 1
-    assert min_prey_count(C4) == 4
-    assert min_prey_count(Graph(3, (0, 0, 0))) == 0
+    assert primary_predator_index(K3)[1].prey_count == 1
+    assert primary_predator_index(C4)[1].prey_count == 4
+    assert primary_predator_index(Graph(3, (0, 0, 0)))[1].prey_count == 0
 
 
 def test_max_predators_with_examples():
