@@ -46,16 +46,18 @@ with k = k(G) that is the primary predator index.  States left before
 the first plan hold no plan, so the walk never enters them again, and a
 plan with theta_e prey ends it.
 
-Every witness comes out of one path, ``_realize``: it walks the
+Every witness comes out of one path, ``_witnesses``: it walks the
 isolate-free core with the graph's own isolates added to the budget of
-k, builds the chosen plan's digraph in the graph's own numbering, and
-certifies it: re-checks it against the competition-graph definition and
-gives it an acyclic labeling.  The competition number's ascent asks for
-the witness at each k, so its last step is the witness.  ``_realize``
-keeps its last results, and when the first plan has the fewest prey it
-hands out the k witness as the p witness, built once.  Each core's
-search keeps every walk's result keyed by isolate budget, which later
-queries on the core reuse; a walk's own state dies with the walk.
+k, builds the digraphs of the walk's first plan and of its fewest-prey
+plan in the graph's own numbering, and certifies them: re-checks each
+against the competition-graph definition and gives it an acyclic
+labeling.  When the first plan has the fewest prey, it is built and
+certified once and serves as both witnesses.  ``_ascent`` asks for the
+witnesses at each k from a floor up and keeps its answer per graph:
+k(G) with its two witnesses, which ``competition_number`` and
+``primary_predator_index`` read.  Each core's search keeps every walk's
+result keyed by isolate budget, which later queries on the core and on
+the graph reuse; a walk's own state dies with the walk.
 """
 
 from __future__ import annotations
@@ -235,7 +237,8 @@ class _Search:
         """The options that cover some of the uncovered edges ``rem`` and
         leave at most ``room`` cliques' worth, as (members, edge mask).
         Each is tested when the walk reaches it and is also appended to
-        ``fits``, which later vertices replay."""
+        ``fits``, which later vertices replay: a walk often ends at a
+        theta_e-prey plan before a node's later options are asked."""
         at_most = self.solver.at_most
         for _, members, _, em in options:
             if em & rem and at_most(rem & ~em, room):
@@ -262,14 +265,13 @@ def _search(graph: Graph) -> _Search:
     return _Search(graph)
 
 
-@lru_cache(maxsize=QUERY_GRAPHS)
-def _realize(graph: Graph, k: int,
-             fewest: bool) -> tuple[int, Realization] | None:
-    """The total and the certified witness of the walk's first plan, or of
-    its plan with the fewest prey, for the graph plus k isolates, or None
-    when there is none; when the first plan has the fewest prey, both are
-    the one witness object.  The walk runs on the core with the graph's
-    own isolates added to the budget; the built digraph's vertices are the
+def _witnesses(graph: Graph,
+               k: int) -> tuple[Realization, Realization] | None:
+    """The certified witnesses of the walk's first plan and of its plan
+    with the fewest prey, for the graph plus k isolates, or None when there
+    is none; when the first plan has the fewest prey, both are the one
+    witness object.  The walk runs on the core with the graph's own
+    isolates added to the budget; a built digraph's vertices are the
     core's, then those isolates, then the k added ones."""
     if k < 0:
         raise ValueError("isolate count must be nonnegative")
@@ -279,58 +281,55 @@ def _realize(graph: Graph, k: int,
     found = search.best(k + len(isolates))
     if found is None:
         return None
-    if fewest and found[1] is found[0]:
-        return _realize(graph, k, False)
-    total, plan = found[fewest]
     mapping = keep + isolates + tuple(range(graph.n, graph.n + k))
-    return total, certify_realization(graph, search.build(plan, mapping), k)
-
-
-def realizable_with(graph: Graph, k: int) -> Realization | None:
-    """A verified realization of the graph plus k isolates, or None."""
-    found = _realize(graph, k, False)
-    return None if found is None else found[1]
+    witnesses = []
+    for total, plan in found[:1] if found[1] is found[0] else found:
+        witness = certify_realization(graph, search.build(plan, mapping), k)
+        if witness.prey_count != total:
+            raise RuntimeError("witness prey count differs from the walk's "
+                               "total")
+        witnesses.append(witness)
+    return witnesses[0], witnesses[-1]
 
 
 @lru_cache(maxsize=QUERY_GRAPHS)
-def competition_number(graph: Graph) -> tuple[int, Realization]:
+def _ascent(graph: Graph) -> tuple[int, tuple[Realization, Realization]]:
     """The least k for which the graph plus k isolates is the competition
-    graph of an acyclic digraph, with a verified witness.
+    graph of an acyclic digraph, with ``_witnesses`` at that k.
 
-    The ascent asks for a witness at k = floor, floor + 1, ... and returns
-    the first.  The floor is 0 for an edgeless graph, else Opsut's bound
-    theta_e - n + 2, raised to 1 when no vertex is isolated: the minimal
-    vertex of any acyclic labeling sends no arcs, so a competition graph
-    of an acyclic digraph always has an isolated vertex.
+    The ascent asks for the witnesses at k = floor, floor + 1, ... and
+    returns the first.  The floor is 0 for an edgeless graph, else Opsut's
+    bound theta_e - n + 2, raised to 1 when no vertex is isolated: the
+    minimal vertex of any acyclic labeling sends no arcs, so a competition
+    graph of an acyclic digraph always has an isolated vertex.
     """
     theta = theta_e(graph)
     floor = (max(theta - graph.n + 2, 0 if graph.isolated_vertices() else 1)
              if theta else 0)
     for k in range(floor, theta + 1):
-        witness = realizable_with(graph, k)
-        if witness is not None:
-            return k, witness
+        witnesses = _witnesses(graph, k)
+        if witnesses is not None:
+            return k, witnesses
     raise RuntimeError("no realization found up to the cover-size bound")
+
+
+def competition_number(graph: Graph) -> tuple[int, Realization]:
+    """The least k for which the graph plus k isolates is the competition
+    graph of an acyclic digraph, with a verified witness."""
+    k, (first, _) = _ascent(graph)
+    return k, first
 
 
 def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     """Maximum number of in-degree-0 vertices over realizations with a
     given isolate count k (not necessarily the competition number), with a
     witness attaining it.  Returns None when no realization exists."""
-    found = _realize(graph, k, True)
-    if found is None:
-        return None
-    m_star, witness = found
-    if witness.prey_count != m_star:
-        raise RuntimeError("witness prey count differs from the walk's total")
-    return graph.n + k - m_star, witness
+    found = _witnesses(graph, k)
+    return None if found is None else (found[1].predator_count, found[1])
 
 
-@lru_cache(maxsize=QUERY_GRAPHS)
 def primary_predator_index(graph: Graph) -> tuple[int, Realization]:
     """Maximum number of in-degree-0 vertices over all acyclic digraphs
     whose competition graph is the graph plus k(G) isolates."""
-    result = max_predators_with(graph, competition_number(graph)[0])
-    if result is None:
-        raise RuntimeError("no realization at the competition number")
-    return result
+    _, (_, fewest) = _ascent(graph)
+    return fewest.predator_count, fewest

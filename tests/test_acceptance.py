@@ -22,7 +22,7 @@ from compnum.graph import Graph, add_isolated, competition_graph
 from compnum.io import (parse_edge_list, parse_graph6, serialize_edge_list,
                         serialize_graph6)
 from compnum.realizer import (competition_number, max_predators_with,
-                              primary_predator_index, realizable_with)
+                              primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import sweep
 
@@ -60,10 +60,9 @@ def test_criterion_2_oracle_equivalence():
         for g in enumerate_small_graphs(n):
             for k in range(3):
                 oracle = dag_oracle(g, k, cap=6)
-                witness = realizable_with(g, k)
                 best = max_predators_with(g, k)
                 instances += 1
-                if (witness is not None) != oracle.realizable:
+                if (best is not None) != oracle.realizable:
                     mismatches.append((serialize_graph6(g), k, "decision"))
                 elif oracle.realizable and best[0] != oracle.max_predators:
                     mismatches.append((serialize_graph6(g), k, "predators"))

@@ -22,15 +22,15 @@ from compnum.ecc import (_CoverSolver, cover_checks, cover_solver,
                          make_cover, min_edge_clique_cover, theta_e)
 from compnum.graph import Graph, add_isolated, bits
 from compnum.io import parse_graph6, serialize_graph6
-from compnum.realizer import (_realize, _Search, _search, certify_realization,
-                              competition_number, max_predators_with,
-                              primary_predator_index, realizable_with)
+from compnum.realizer import (_ascent, _Search, _search, _witnesses,
+                              certify_realization, competition_number,
+                              max_predators_with, primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
 
 ATLAS7 = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas7.g6"
 
 # the caches that hold a query's walks and witnesses
-QUERY_CACHES = (_search, _realize, competition_number, primary_predator_index)
+QUERY_CACHES = (_search, _ascent)
 
 
 def rg(n: int, p: float, seed: int) -> Graph:
@@ -111,7 +111,7 @@ PINNED = {
 
 
 # seed: k, the most predators with k + 1 isolates, and sha256 of the JSON
-# witness arcs of max_predators_with and realizable_with at k + 1.
+# witness arcs of max_predators_with and of _witnesses' first plan at k + 1.
 PINNED_ABOVE_K = {
     1: (3, 3, "9e22bdedce76f0bac9c28c126f8312761c399a9e6c0e85cd80e4686ffa16ec38",
         "5a4e2c901f5986e9f081f6196f3fbbd92f0827e671bc8f993dda3a6ae23959e1"),
@@ -182,7 +182,7 @@ def test_witnesses_above_the_competition_number_are_pinned(seed):
     p, witness = max_predators_with(graph, k + 1)
     assert p == predators
     assert sha256(json.dumps(witness.witness_arcs())) == max_hash
-    witness = realizable_with(graph, k + 1)
+    witness = _witnesses(graph, k + 1)[0]
     assert sha256(json.dumps(witness.witness_arcs())) == feasible_hash
 
 
@@ -209,8 +209,8 @@ def test_graph_isolates_outnumbering_the_ascent_answer(tmp_path, capsys):
 def count_walks(monkeypatch) -> list:
     """The isolate budget of every placement walk from here on, with the
     walks of earlier queries forgotten."""
-    _search.cache_clear()
-    _realize.cache_clear()
+    for cached in QUERY_CACHES:
+        cached.cache_clear()
     calls = []
     walk = _Search._walk
 
@@ -262,7 +262,7 @@ def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     cover_solver.cache_clear()
     calls = count_walks(monkeypatch)
     graph = rg(16, .5, 53)
-    k, _ = competition_number.__wrapped__(graph)
+    k = _ascent.__wrapped__(graph)[0]
     assert k == 5
     assert calls == [4, 5]
     assert cover_table_entries(graph) == 14_739
@@ -304,14 +304,15 @@ def test_ascent_starts_from_the_bound_on_the_graph_itself(graph, isolates,
     # isolate, so k = 0 is the first step: one walk whose budget is the
     # graph's own isolates, and no step below it on the core.
     calls = count_walks(monkeypatch)
-    assert competition_number.__wrapped__(graph)[0] == 0
+    assert _ascent.__wrapped__(graph)[0] == 0
     assert calls == [isolates]
 
 
 def test_one_walk_per_budget_gives_the_k_and_the_p_witness(monkeypatch):
     # The walk's first plan is the k witness and its plan with the fewest
     # prey the p witness.  When the first plan has theta_e prey, none has
-    # fewer, so both are the same plan, built and certified once.
+    # fewer, so both are the same plan, built and certified once.  The
+    # ascent that finds k certifies both, so p then certifies nothing new.
     graphs = [g for n in range(7) for g in enumerate_small_graphs(n)]
     graphs += map(parse_graph6, ATLAS7.read_text(encoding="ascii").split())
     calls = count_walks(monkeypatch)
@@ -320,10 +321,12 @@ def test_one_walk_per_budget_gives_the_k_and_the_p_witness(monkeypatch):
         for cached in QUERY_CACHES:
             cached.cache_clear()
         calls.clear()
-        p, witness = primary_predator_index(graph)
+        k, first = competition_number(graph)
         assert len(calls) == len(set(calls))
         walked = list(calls)
-        k, first = competition_number(graph)
+        misses = certify_realization.cache_info().misses
+        p, witness = primary_predator_index(graph)
+        assert certify_realization.cache_info().misses == misses
         expected, expected_witness = max_predators_with(graph, k)
         assert calls == walked
         assert (witness is first) == (first.prey_count == theta_e(graph))
@@ -353,7 +356,7 @@ def test_edgeless_witnesses_are_pinned(n):
     k, witness = competition_number(graph)
     assert (k, witness.digraph.n, witness.witness_arcs()) == (0, n, [])
     for k in range(3):
-        witness = realizable_with(graph, k)
+        witness = _witnesses(graph, k)[0]
         assert (witness.k, witness.digraph.n, witness.witness_arcs()) == (k, n + k, [])
         assert (witness.prey_count, witness.predator_count) == (0, n + k)
         predators, witness = max_predators_with(graph, k)

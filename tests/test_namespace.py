@@ -37,8 +37,7 @@ HOMES = {
     "io": ("FormatError", "parse_edge_list", "parse_graph6",
            "parse_graph6_lines", "serialize_edge_list", "serialize_graph6"),
     "realizer": ("Realization", "RealizationError", "competition_number",
-                 "max_predators_with", "primary_predator_index",
-                 "realizable_with"),
+                 "max_predators_with", "primary_predator_index"),
     "smallgraphs": ("enumerate_small_graphs",),
     "sweep": ("sweep",),
 }

@@ -5,25 +5,44 @@ core and must stay byte-identical."""
 
 import gc
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 from itertools import combinations
 
 import pytest
 
+import compnum
 from compnum import ALL_CHECKS
-from compnum.cliques import edge_clique_counts, maximal_clique_masks
-from compnum.ecc import _CoverSolver, cover_solver, min_edge_clique_cover, theta_e
+from compnum.ecc import _CoverSolver, min_edge_clique_cover, theta_e
 from compnum.graph import Graph
 from compnum.io import serialize_graph6
-from compnum.realizer import (_realize, _search, certify_realization,
-                              competition_number, primary_predator_index)
+from compnum.realizer import certify_realization, primary_predator_index
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import graph_record
 from test_exact_search_pins import rg
 
-CACHES = (maximal_clique_masks, cover_solver, _search, _realize,
-          competition_number, primary_predator_index, edge_clique_counts)
+
+def library_caches() -> list:
+    """Every functools cache in the compnum modules, found as
+    bench/check.py's clear_caches finds them, so that a cache added later
+    is held to the bound below without being listed here."""
+    modules = [compnum] + [importlib.import_module(f"compnum.{info.name}")
+                           for info in pkgutil.iter_modules(compnum.__path__)
+                           if info.name != "__main__"]
+    found = []
+    for module in modules:
+        for obj in vars(module).values():
+            inner = list(vars(obj).values()) if isinstance(obj, type) else []
+            for item in [obj] + inner:
+                if (callable(getattr(item, "cache_clear", None))
+                        and item not in found):
+                    found.append(item)
+    return found
+
+
+CACHES = library_caches()
 
 # a query's graph and its isolate-free core
 QUERY_GRAPHS = 2
@@ -117,7 +136,7 @@ def test_sweep_records_certify_each_witness_once():
     # and the record's Hall check, which skips a p witness that is the k
     # witness, asks for no second one (944 calls before certification was
     # cached, and 832 while p built that plan's digraph again).
-    for cached in CACHES + (certify_realization,):
+    for cached in CACHES:
         cached.cache_clear()
     for graph in enumerate_small_graphs(6):
         assert graph_record((graph, ALL_CHECKS))["error"] is None
@@ -128,10 +147,11 @@ def test_sweep_records_certify_each_witness_once():
 def test_caches_hold_one_query_only():
     for seed in range(20):
         primary_predator_index(rg(10, .5, seed))
+    assert certify_realization in CACHES
     for cached in CACHES:
-        assert cached.cache_info().currsize <= QUERY_GRAPHS, cached.__name__
-    # a k and a p witness per graph
-    assert certify_realization.cache_info().currsize <= 2 * QUERY_GRAPHS
+        # certification keeps a k and a p witness per graph
+        limit = QUERY_GRAPHS * (2 if cached is certify_realization else 1)
+        assert cached.cache_info().currsize <= limit, cached.__name__
     gc.collect()
     alive = sum(isinstance(obj, _CoverSolver) for obj in gc.get_objects())
     assert alive <= QUERY_GRAPHS

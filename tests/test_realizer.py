@@ -7,9 +7,9 @@ from conftest import dag_oracle, random_graph, raw_dag_oracle
 from compnum.ecc import theta_e
 from compnum.fixtures import effective_cover_example_graph
 from compnum.graph import Digraph, Graph, add_isolated, competition_graph
-from compnum.realizer import (RealizationError, _Search, certify_realization,
-                              competition_number, max_predators_with,
-                              primary_predator_index, realizable_with)
+from compnum.realizer import (RealizationError, _Search, _witnesses,
+                              certify_realization, competition_number,
+                              max_predators_with, primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -39,21 +39,25 @@ def test_clique_options_are_the_prefix_maximal_cliques():
                 maximal, key=lambda c: (-len(c), c))
 
 
-def test_realizable_with_k2():
-    assert realizable_with(K2, 0) is None
-    witness = realizable_with(K2, 1)
-    assert witness.digraph.arcs == ((0, 2), (1, 2))
-    assert witness.prey_count == 1 and witness.predator_count == 2
+def test_k2_witnesses():
+    assert max_predators_with(K2, 0) is None
+    first, fewest = _witnesses(K2, 1)
+    assert first is fewest
+    assert first.digraph.arcs == ((0, 2), (1, 2))
+    assert first.prey_count == 1 and first.predator_count == 2
 
 
 def test_realizable_witnesses_verify():
+    # both witnesses at k: the walk's first plan and its fewest-prey plan
     for n in range(1, 6):
         for g in enumerate_small_graphs(n):
-            k, witness = competition_number(g)
-            assert competition_graph(witness.digraph) == add_isolated(g, k)
-            labels = witness.labeling
-            assert all(labels[u] > labels[v] for u, v in witness.digraph.arcs)
-            assert witness.prey_count + witness.predator_count == g.n + k
+            k, _ = competition_number(g)
+            for witness in _witnesses(g, k):
+                assert competition_graph(witness.digraph) == add_isolated(g, k)
+                labels = witness.labeling
+                assert all(labels[u] > labels[v]
+                           for u, v in witness.digraph.arcs)
+                assert witness.prey_count + witness.predator_count == g.n + k
 
 
 def test_certification_cache_never_vouches_for_another_digraph():
@@ -138,13 +142,10 @@ def test_search_matches_oracle_small():
         for g in enumerate_small_graphs(n):
             for k in range(3):
                 oracle = dag_oracle(g, k)
-                witness = realizable_with(g, k)
-                assert (witness is not None) == oracle.realizable
                 best = max_predators_with(g, k)
+                assert (best is not None) == oracle.realizable
                 if oracle.realizable:
                     assert best[0] == oracle.max_predators
-                else:
-                    assert best is None
 
 
 def test_search_matches_oracle_everywhere_the_oracle_reaches():
@@ -152,9 +153,10 @@ def test_search_matches_oracle_everywhere_the_oracle_reaches():
         for g in enumerate_small_graphs(n):
             for k in range(0, 7 - n):
                 oracle = dag_oracle(g, k, cap=6)
-                assert (realizable_with(g, k) is not None) == oracle.realizable
+                best = max_predators_with(g, k)
+                assert (best is not None) == oracle.realizable
                 if oracle.realizable:
-                    assert max_predators_with(g, k)[0] == oracle.max_predators
+                    assert best[0] == oracle.max_predators
 
 
 def test_theorem_floors_all_graphs_up_to_six():

@@ -2,8 +2,8 @@
 
 For every graph with n <= 6, every graph of the n = 7 atlas and every
 graph of the golden sweep pool, the digest covers k and the arcs and
-labels of its witness, p and the arcs of its witness, the witness of
-``realizable_with`` at k + 1, and the count and witness of
+labels of its witness, p and the arcs of its witness, the first-plan
+witness of ``_witnesses`` at k + 1, and the count and witness of
 ``max_predators_with`` at k + 1.  A change to the search's order or
 pruning that moves any of these witnesses changes the digest.
 """
@@ -12,15 +12,15 @@ import hashlib
 import json
 
 from compnum.io import serialize_graph6
-from compnum.realizer import (competition_number, max_predators_with,
-                              primary_predator_index, realizable_with)
+from compnum.realizer import (_witnesses, competition_number,
+                              max_predators_with, primary_predator_index)
 from test_lower_bounds import atlas7, small_graphs, sweep_pool
 
 
 def witness_record(graph) -> list:
     k, k_witness = competition_number(graph)
     p, p_witness = primary_predator_index(graph)
-    above = realizable_with(graph, k + 1)
+    above = _witnesses(graph, k + 1)[0]
     predators, above_best = max_predators_with(graph, k + 1)
     return [serialize_graph6(graph), k, k_witness.witness_arcs(),
             list(k_witness.labeling), p, p_witness.witness_arcs(),
