@@ -48,7 +48,7 @@ print("=" * 64)
 c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 k, witness = competition_number(c5)
 print("C5: k =", k, "and the first witness has", witness.prey_count, "prey")
-rebuilt = rebuild_star(c5, witness)
+rebuilt = rebuild_star(c5, witness.digraph)
 print("after the rebuild:", rebuilt.prey_count, "prey =", theta_e(c5),
       "= theta_e, sinks", [w for _, w in rebuilt.sink_map])
 

@@ -46,8 +46,7 @@ cases = {
     "house": Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (2, 4)]),
 }
 for name, graph in cases.items():
-    p, _ = primary_predator_index(graph)
-    result = planar_formula_check(graph, p)
+    result = planar_formula_check(graph)
     print(f"{name:<8} census {clique_census(graph)} faces {result['faces']} "
           f"formula k {result['k_formula']} exact k {result['k_exact']} "
           f"consistent {result['consistent']}")

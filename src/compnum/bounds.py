@@ -76,15 +76,17 @@ def clique_census(graph: Graph) -> tuple[int, int, int]:
     return counts[2], counts[3], counts[4]
 
 
-def planar_formula_check(graph: Graph, p: int) -> dict:
+def planar_formula_check(graph: Graph) -> dict:
     """Evaluate the face-count formula for a connected diamond-free plane
-    graph: k = f + p - 2*c3 - 5*c4 - 2 with f = |E| - n + 2.
+    graph: k = f + p - 2*c3 - 5*c4 - 2 with f = |E| - n + 2 and p the
+    exact primary predator index.
 
     Planarity itself is the caller's assertion; only the edge-count sanity
-    check |E| <= 3n - 6 (for n >= 3) guards it.  Returns the record
-    {faces, k_formula, theta_from_census, k_exact, consistent}; ``consistent``
-    requires both that the formula reproduces the exact competition number
-    and that theta_e equals |E| - 2*c3 - 5*c4.
+    check |E| <= 3n - 6 (for n >= 3) guards it.  Every check on the input
+    runs before the exact search.  Returns the record {faces, k_formula,
+    theta_from_census, k_exact, p, consistent}; ``consistent`` requires
+    both that the formula reproduces the exact competition number and that
+    theta_e equals |E| - 2*c3 - 5*c4.
     """
     if graph.n == 0:
         raise ValueError("graph must have at least one vertex")
@@ -96,12 +98,13 @@ def planar_formula_check(graph: Graph, p: int) -> dict:
     if graph.n >= 3 and graph.edge_count > 3 * graph.n - 6:
         raise ValueError("edge count exceeds the planar bound 3n - 6")
     c2, c3, c4 = clique_census(graph)
+    k_exact, _ = competition_number(graph)
+    p, _ = primary_predator_index(graph)
     faces = graph.edge_count - graph.n + 2
     k_formula = faces + p - 2 * c3 - 5 * c4 - 2
     theta_census = graph.edge_count - 2 * c3 - 5 * c4
-    k_exact, _ = competition_number(graph)
     return {"faces": faces, "k_formula": k_formula,
-            "theta_from_census": theta_census, "k_exact": k_exact,
+            "theta_from_census": theta_census, "k_exact": k_exact, "p": p,
             "consistent": k_formula == k_exact and theta_census == theta_e(graph)}
 
 
@@ -117,7 +120,7 @@ def bounds_report(graph: Graph) -> dict:
     except ValueError:
         census = None
     try:
-        planar = planar_formula_check(graph, p)
+        planar = planar_formula_check(graph)
     except ValueError:
         planar = {}
     occupied = None

@@ -7,8 +7,9 @@ check failed (a library bug either way, so it must surface, as one error
 line), 3 the sweep found a counterexample to the concluding equality
 (reported as a finding, not a failure), 1 for usage errors, a file that
 cannot be read or written, a failed verification, a dead sweep worker or a
-closed stdout.  Each command imports the library modules it calls, so a
-process loads only the modules of its own command.
+closed stdout.  Each subcommand's parser holds its handler as the ``run``
+default.  Each command imports the library modules it calls, so a process
+loads only the modules of its own command.
 """
 
 import argparse
@@ -78,33 +79,40 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("compete", help="competition graph of a digraph")
+    sub.set_defaults(run=_cmd_compete)
     _add_input_flags(sub)
 
-    for name, help_text in (("theta", "edge clique cover number"),
-                            ("knumber", "competition number with witness"),
-                            ("pindex", "primary predator index with witness"),
-                            ("cover", "minimum edge clique cover")):
+    for name, help_text, run in (
+            ("theta", "edge clique cover number", _cmd_theta),
+            ("knumber", "competition number with witness", _cmd_knumber),
+            ("pindex", "primary predator index with witness", _cmd_knumber),
+            ("cover", "minimum edge clique cover", _cmd_cover)):
         sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(run=run)
         _add_input_flags(sub, formats=("g6", "edges"))
         sub.add_argument("--witness", action="store_true")
 
     sub = subs.add_parser("realize", help="decide realizability with k isolates")
+    sub.set_defaults(run=_cmd_realize)
     _add_input_flags(sub, formats=("g6", "edges"))
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--witness", action="store_true")
 
     sub = subs.add_parser("chordal-build",
                           help="effective cover construction for chordal input")
+    sub.set_defaults(run=_cmd_chordal_build)
     _add_input_flags(sub, formats=("g6", "edges"))
 
     sub = subs.add_parser("rebuild-star",
                           help="rewire a realization to exactly theta_e prey")
+    sub.set_defaults(run=_cmd_rebuild_star)
     _add_input_flags(sub, formats=("g6", "edges"))
     sub.add_argument("--digraph", help="optional arc-list realization; "
                                        "computed exactly when omitted")
 
     sub = subs.add_parser("verify-effective",
                           help="verify an effective competition cover triple")
+    sub.set_defaults(run=_cmd_verify_effective)
     sub.add_argument("--graph", required=True)
     sub.add_argument("--format", choices=("g6", "edges"), default="edges")
     sub.add_argument("--cover", required=True, help="cover JSON file")
@@ -113,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("hall-cert",
                           help="saturating prey matching for a cover")
+    sub.set_defaults(run=_cmd_hall_cert)
     sub.add_argument("--graph", required=True)
     sub.add_argument("--format", choices=("g6", "edges"), default="edges")
     sub.add_argument("--cover", help="cover JSON; minimum cover when omitted")
@@ -121,14 +130,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true")
 
     sub = subs.add_parser("bounds", help="all bounds for a graph")
+    sub.set_defaults(run=_cmd_bounds)
     _add_input_flags(sub, formats=("g6", "edges"))
 
     sub = subs.add_parser("planar-check",
                           help="face-count formula for connected diamond-free "
                                "plane graphs")
+    sub.set_defaults(run=_cmd_planar_check)
     _add_input_flags(sub, formats=("g6", "edges"))
 
     sub = subs.add_parser("sweep", help="exhaustive theorem sweep")
+    sub.set_defaults(run=_cmd_sweep)
     sub.add_argument("--n", type=int, help="enumerate all graphs on n vertices")
     sub.add_argument("--in", dest="infile",
                      help="graph6 stream instead of built-in enumeration")
@@ -232,18 +244,11 @@ def _cmd_chordal_build(args) -> int:
 
 def _cmd_rebuild_star(args) -> int:
     from .constructions import rebuild_star
-    from .realizer import (RealizationError, certify_realization,
-                           competition_number)
+    from .realizer import competition_number
     graph = _load_graph(args.infile, args.format)
-    if args.digraph:
-        digraph = _load_digraph(args.digraph, "arcs")
-        try:
-            base = certify_realization(graph, digraph, digraph.n - graph.n)
-        except RealizationError as exc:
-            raise ValueError(str(exc)) from None
-    else:
-        _, base = competition_number(graph)
-    rebuilt = rebuild_star(graph, base)
+    digraph = (_load_digraph(args.digraph, "arcs") if args.digraph
+               else competition_number(graph)[1].digraph)
+    rebuilt = rebuild_star(graph, digraph)
     _emit(_realization_payload(rebuilt), args.json)
     return 0
 
@@ -284,11 +289,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_planar_check(args) -> int:
     from .bounds import planar_formula_check
-    from .realizer import primary_predator_index
     graph = _load_graph(args.infile, args.format)
-    p, _ = primary_predator_index(graph)
-    result = planar_formula_check(graph, p)
-    _emit({**result, "p": p}, args.json)
+    result = planar_formula_check(graph)
+    _emit(result, args.json)
     return 0 if result["consistent"] else 2
 
 
@@ -299,11 +302,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError("give exactly one of --n or --in")
     if args.infile is not None:
         graphs = parse_graph6_lines(_read(args.infile))
-        if args.connected:
-            graphs = [g for g in graphs if g.is_connected()]
     else:
         from .smallgraphs import enumerate_small_graphs
-        graphs = list(enumerate_small_graphs(args.n, args.connected))
+        graphs = list(enumerate_small_graphs(args.n))
+    if args.connected:
+        graphs = [g for g in graphs if g.is_connected()]
     checks = ALL_CHECKS if args.checks == "all" else (args.checks,)
     report = sweep(graphs, checks, threads=args.threads)
     if args.out:
@@ -317,30 +320,13 @@ def _cmd_sweep(args) -> int:
     return 3 if summary.get("conjecture", {}).get("counterexamples") else 0
 
 
-_HANDLERS = {
-    "compete": _cmd_compete,
-    "theta": _cmd_theta,
-    "knumber": _cmd_knumber,
-    "pindex": _cmd_knumber,
-    "cover": _cmd_cover,
-    "realize": _cmd_realize,
-    "chordal-build": _cmd_chordal_build,
-    "rebuild-star": _cmd_rebuild_star,
-    "verify-effective": _cmd_verify_effective,
-    "hall-cert": _cmd_hall_cert,
-    "bounds": _cmd_bounds,
-    "planar-check": _cmd_planar_check,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
         finally:
             sys.stdout.flush()  # argparse exits right after printing --help
-        code = _HANDLERS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except ValueError as exc:

@@ -61,6 +61,15 @@ def _check_buildable(graph: Graph) -> None:
         raise ValueError("strip isolated vertices before building")
 
 
+def _certified(graph: Graph, digraph: Digraph) -> Realization:
+    """A digraph handed in as a realization of the graph plus its extra
+    vertices as isolates, certified; a failed check is a ValueError."""
+    try:
+        return certify_realization(graph, digraph, digraph.n - graph.n)
+    except RealizationError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _effective(graph: Graph, cover, sinks, n: int, name: str) -> Realization:
     """Verify the digraph on n vertices in which cover clique i feeds
     sinks[i], and return its realization; a failed check, or a sink map
@@ -125,22 +134,24 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, tuple]:
 # occupied-edge graphs
 
 
-def rebuild_star(graph: Graph, realization: Realization) -> Realization:
+def rebuild_star(graph: Graph, digraph: Digraph) -> Realization:
     """Rewire any realization into one with exactly theta_e prey.
 
-    Requires that in every maximal clique each vertex lies on an edge
-    occupied by that clique (then the maximal cliques are the unique
-    minimum cover).  Every clique is redirected at the common out-neighbour,
-    of smallest label in the input's acyclic labeling, of the endpoints of
-    its occupied edges; the input labeling stays acyclic for the result.
+    The digraph must realize the graph plus its extra vertices as isolates;
+    it is certified first, as in ``hall_certificate``.  Requires that in
+    every maximal clique each vertex lies on an edge occupied by that
+    clique (then the maximal cliques are the unique minimum cover).  Every
+    clique is redirected at the common out-neighbour, of smallest label in
+    its certified labeling, of the endpoints of its occupied edges; that
+    labeling stays acyclic for the result.
     """
+    realization = _certified(graph, digraph)
     ok, witness = every_vertex_on_occupied_edge(graph)
     if not ok:
         clique, vertex = witness
         raise ValueError(
             f"vertex {vertex} of maximal clique {clique} lies on no edge "
             f"occupied by it")
-    certify_realization(graph, realization.digraph, realization.k)
 
     cliques = [tuple(bits(c)) for c in maximal_clique_masks(graph)
                if c.bit_count() >= 2]
@@ -149,7 +160,6 @@ def rebuild_star(graph: Graph, realization: Realization) -> Realization:
             "maximal cliques do not form a minimum cover despite the "
             "occupied-edge hypothesis")
     labels = realization.labeling
-    digraph = realization.digraph
     counts = edge_clique_counts(graph)
     arcs = []
     sink_map = []
@@ -300,10 +310,7 @@ def hall_certificate(graph: Graph, cover, digraph: Digraph) -> dict:
     exists for a genuine realization, so a missing matching aborts loudly."""
     if not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
-    try:
-        certify_realization(graph, digraph, digraph.n - graph.n)
-    except RealizationError as exc:
-        raise ValueError(str(exc)) from None
+    _certified(graph, digraph)
     sets = []
     for c in cover:
         mask = mask_of(c)

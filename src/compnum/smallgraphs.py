@@ -41,7 +41,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return Graph.from_edges(n, [p for p, w in weights.items() if mask & w])
 
 
-def enumerate_small_graphs(n: int, connected_only: bool = False):
+def enumerate_small_graphs(n: int):
     """Yield one canonical representative per isomorphism class of graphs
     on n vertices, in ascending canonical order."""
     if n < 0:
@@ -61,7 +61,4 @@ def enumerate_small_graphs(n: int, connected_only: bool = False):
         on = list(bits(mask))
         for t in tables:
             seen[sum(map(t.__getitem__, on))] = 1
-        graph = graph_from_mask(n, mask)
-        if connected_only and not graph.is_connected():
-            continue
-        yield graph
+        yield graph_from_mask(n, mask)

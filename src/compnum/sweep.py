@@ -76,7 +76,7 @@ def graph_record(args) -> dict:
                 out["effective_equality"] = equality
             strong, _ = every_vertex_on_occupied_edge(core)
             if strong:
-                rebuilt = rebuild_star(core, kc_witness)
+                rebuilt = rebuild_star(core, kc_witness.digraph)
                 out["star_rebuild"] = rebuilt.prey_count == theta_e(core)
                 out["effective_equality"] = equality
             if chordal or strong:
@@ -84,7 +84,7 @@ def graph_record(args) -> dict:
 
         if "planar" in checks:
             try:
-                result = planar_formula_check(graph, p)
+                result = planar_formula_check(graph)
             except ValueError:
                 pass
             else:

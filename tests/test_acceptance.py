@@ -76,7 +76,7 @@ def test_criterion_3_theorem_sweep():
     start = time.time()
     graphs = []
     for n in range(1, 7):
-        graphs.extend(enumerate_small_graphs(n, connected_only=True))
+        graphs.extend(filter(Graph.is_connected, enumerate_small_graphs(n)))
     report = sweep(graphs, checks=("floors",), threads=1)
     violations = report["summary"]["violations"]
     elapsed = time.time() - start
@@ -92,7 +92,7 @@ def test_criterion_4_effective_cover_equality():
     checked = 0
     failures = []
     for n in range(2, 7):
-        for g in enumerate_small_graphs(n, connected_only=True):
+        for g in filter(Graph.is_connected, enumerate_small_graphs(n)):
             if g.edge_count == 0:
                 continue
             chordal, _ = chordality(g)
@@ -110,7 +110,7 @@ def test_criterion_4_effective_cover_equality():
                 if not cert["valid"]:
                     failures.append((serialize_graph6(g), "chordal build"))
             if diamond_free:
-                rebuilt = rebuild_star(g, k_witness)
+                rebuilt = rebuild_star(g, k_witness.digraph)
                 cover = min_edge_clique_cover(g)
                 cert = verify_effective_cover(g, cover, rebuilt.digraph)
                 if not cert["valid"]:
@@ -193,11 +193,10 @@ def test_criterion_5_plane_graph_formula():
             failures.append((name, "not a valid case"))
             continue
         k, _ = competition_number(g)
-        p, _ = primary_predator_index(g)
         if g.n + k > 10:
             failures.append((name, "search size"))
             continue
-        result = planar_formula_check(g, p)
+        result = planar_formula_check(g)
         if (result["k_formula"] != k
                 or result["theta_from_census"] != theta_e(g)):
             failures.append((name, "formula"))

@@ -85,7 +85,7 @@ def test_union_tail_bounds_match_the_subset_scan_where_the_search_prunes(
 def test_union_tail_never_exceeds_exact_p_on_effective_graphs():
     from compnum.cliques import every_vertex_on_occupied_edge
     for n in range(2, 6):
-        for g in enumerate_small_graphs(n, connected_only=True):
+        for g in filter(Graph.is_connected, enumerate_small_graphs(n)):
             if g.edge_count == 0:
                 continue
             chordal, _ = chordality(g)
@@ -108,27 +108,30 @@ def test_clique_census():
 
 def test_planar_formula_examples():
     single = Graph(1, (0,))
-    res = planar_formula_check(single, 1)
-    assert (res["faces"], res["k_formula"], res["consistent"]) == (1, 0, True)
-    res = planar_formula_check(C4, 2)
-    assert (res["faces"], res["k_formula"], res["k_exact"]) == (2, 2, 2)
+    res = planar_formula_check(single)
+    assert (res["faces"], res["k_formula"], res["p"], res["consistent"]) == (
+        1, 0, 1, True)
+    res = planar_formula_check(C4)
+    assert (res["faces"], res["k_formula"], res["k_exact"], res["p"]) == (
+        2, 2, 2, 2)
     assert res["consistent"]
-    res = planar_formula_check(P4, 2)
-    assert (res["faces"], res["k_formula"], res["k_exact"]) == (1, 1, 1)
+    res = planar_formula_check(P4)
+    assert (res["faces"], res["k_formula"], res["k_exact"], res["p"]) == (
+        1, 1, 1, 2)
     assert res["consistent"]
 
 
 def test_planar_formula_rejections():
     disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
-        planar_formula_check(disconnected, 2)
+        planar_formula_check(disconnected)
     diamond = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     with pytest.raises(ValueError):
-        planar_formula_check(diamond, 2)
+        planar_formula_check(diamond)
     k7ish = Graph.from_edges(7, [(u, v) for u in range(7)
                                  for v in range(u + 1, 7)])
     with pytest.raises(ValueError):
-        planar_formula_check(k7ish, 2)
+        planar_formula_check(k7ish)
 
 
 def test_bounds_report_worked_example():
@@ -162,7 +165,7 @@ def test_bounds_report_planar_case():
 def test_census_sum_equals_theta_on_planar_diamond_free():
     from compnum.cliques import maximal_cliques
     for n in range(2, 7):
-        for g in enumerate_small_graphs(n, connected_only=True):
+        for g in filter(Graph.is_connected, enumerate_small_graphs(n)):
             if g.edge_count == 0 or not is_diamond_free(g)[0]:
                 continue
             if n >= 3 and g.edge_count > 3 * n - 6:
@@ -175,7 +178,7 @@ def test_census_sum_equals_theta_on_planar_diamond_free():
 
 def test_bound_ordering_invariants():
     for n in range(2, 6):
-        for g in enumerate_small_graphs(n, connected_only=True):
+        for g in filter(Graph.is_connected, enumerate_small_graphs(n)):
             p, _ = primary_predator_index(g)
             k, _ = competition_number(g)
             assert predator_bound(g, p) >= opsut_bound(g)
@@ -191,9 +194,11 @@ def test_report_records_are_pinned():
         p, p_witness = primary_predator_index(g)
         _, k_witness = competition_number(g)
         try:
-            planar = planar_formula_check(g, p)
+            planar = planar_formula_check(g)
         except ValueError as exc:
             planar = str(exc)
+        else:  # the pinned digest hashes the record without "p"
+            assert planar.pop("p") == p
         cover = min_edge_clique_cover(g)
         rows.append([
             bounds_report(g), planar,

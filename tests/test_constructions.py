@@ -88,13 +88,13 @@ def test_chordal_realizer_exhaustive():
 
 def test_rebuild_star_c4():
     k, witness = competition_number(C4)
-    rebuilt = rebuild_star(C4, witness)
+    rebuilt = rebuild_star(C4, witness.digraph)
     assert rebuilt.prey_count == 4 and rebuilt.predator_count == 2
 
 
 def test_rebuild_star_bowtie():
     k, witness = competition_number(BOWTIE)
-    rebuilt = rebuild_star(BOWTIE, witness)
+    rebuilt = rebuild_star(BOWTIE, witness.digraph)
     assert (BOWTIE.n, k, theta_e(BOWTIE)) == (5, 1, 2)
     assert rebuilt.prey_count == 2 and rebuilt.predator_count == 4
     assert primary_predator_index(BOWTIE)[0] == 4
@@ -102,7 +102,7 @@ def test_rebuild_star_bowtie():
 
 def test_rebuild_star_k3_single_clique():
     k, witness = competition_number(K3)
-    rebuilt = rebuild_star(K3, witness)
+    rebuilt = rebuild_star(K3, witness.digraph)
     assert rebuilt.prey_count == 1
     assert competition_graph(rebuilt.digraph) == add_isolated(K3, 1)
 
@@ -114,7 +114,7 @@ def test_rebuild_star_rejects_missing_occupied_vertex():
     assert not ok
     k, witness = competition_number(octa)
     with pytest.raises(ValueError):
-        rebuild_star(octa, witness)
+        rebuild_star(octa, witness.digraph)
 
 
 def test_rebuild_star_exhaustive_diamond_free():
@@ -126,7 +126,7 @@ def test_rebuild_star_exhaustive_diamond_free():
             if not is_diamond_free(g)[0]:
                 continue
             k, witness = competition_number(g)
-            rebuilt = rebuild_star(g, witness)
+            rebuilt = rebuild_star(g, witness.digraph)
             assert rebuilt.prey_count == theta_e(g)
             cover = min_edge_clique_cover(g)
             cert = verify_effective_cover(g, cover, rebuilt.digraph)

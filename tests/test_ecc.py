@@ -91,6 +91,8 @@ def test_make_cover_rejects_non_clique():
     # a repeated vertex pairs with itself, which is no edge
     with pytest.raises(ValueError, match=r"^\(0, 1, 1\) is not a clique$"):
         make_cover(K3, [[1, 0, 1]])
+    with pytest.raises(ValueError, match="^empty clique in cover$"):
+        make_cover(K3, [[]])
 
 
 def test_output_covers_consist_of_maximal_cliques():

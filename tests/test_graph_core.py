@@ -26,6 +26,11 @@ def test_from_edges_rejects_duplicates_and_range():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_add_isolated_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="isolate count must be nonnegative"):
+        add_isolated(Graph(1, (0,)), -1)
+
+
 def test_edge_count_is_half_degree_sum():
     rng = random.Random(7)
     for _ in range(50):

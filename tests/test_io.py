@@ -40,16 +40,18 @@ def test_graph6_worked_example_roundtrip():
 
 
 def test_graph6_errors():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="malformed header"):
         parse_graph6(">>sparse6<<A_")
-    with pytest.raises(FormatError):
-        parse_graph6("B")          # truncated payload
-    with pytest.raises(FormatError):
-        parse_graph6("A" + chr(30))  # out-of-range character
-    with pytest.raises(FormatError):
-        parse_graph6("A_w")        # trailing data
-    with pytest.raises(FormatError):
-        parse_graph6("A" + chr(63 + 1))  # nonzero padding bits
+    with pytest.raises(FormatError, match="truncated graph6 bit payload"):
+        parse_graph6("B")
+    # ">" is below the range; a control character would be stripped
+    with pytest.raises(FormatError,
+                       match="graph6 character out of range: '>'"):
+        parse_graph6("A>")
+    with pytest.raises(FormatError, match="trailing data"):
+        parse_graph6("A_w")
+    with pytest.raises(FormatError, match="nonzero padding bits"):
+        parse_graph6("A" + chr(63 + 1))
 
 
 def test_graph6_long_size_field():
@@ -98,6 +100,24 @@ def test_edge_list_errors():
         parse_edge_list("2 2\n0 1\n")
     with pytest.raises(FormatError):
         parse_edge_list("nope\n")
+
+
+@pytest.mark.parametrize("function,argument,message", [
+    (parse_graph6, "", "empty graph6 string"),
+    (parse_edge_list, "\n", "empty edge list"),
+    (parse_edge_list, "a b\n", "malformed header line: 'a b'"),
+    (parse_edge_list, "-1 0\n", "negative counts in header"),
+    (parse_edge_list, "3 1\n0 > 1 > 2\n", "malformed arc line"),
+    (parse_edge_list, "3 1\n0 1 2\n", "malformed edge line"),
+    (parse_edge_list, "2 1\n0 x\n", "malformed line: '0 x'"),
+    (parse_edge_list, "2 2\n0 > 1\n0 > 1\n", "duplicate arc"),
+    (_encode_g6_size, -1, "vertex count must be nonnegative"),
+    (_encode_g6_size, 2 ** 36, "graph too large for graph6"),
+])
+def test_malformed_input_is_rejected_with_its_message(function, argument,
+                                                      message):
+    with pytest.raises(ValueError, match=message):
+        function(argument)
 
 
 def test_roundtrip_seeded_sample():

@@ -60,6 +60,18 @@ def test_realizable_witnesses_verify():
                 assert witness.prey_count + witness.predator_count == g.n + k
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: certify_realization(
+        K2, Digraph.from_arcs(4, [(0, 2), (1, 2)]), 1),
+     RealizationError, "^digraph has 4 vertices, expected 3$"),
+    (lambda: max_predators_with(K2, -1),
+     ValueError, "^isolate count must be nonnegative$"),
+], ids=["vertex-count", "negative-k"])
+def test_realizer_rejects_inconsistent_counts(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_certification_cache_never_vouches_for_another_digraph():
     k, witness = competition_number(C4)
     assert certify_realization(C4, witness.digraph, k) == witness

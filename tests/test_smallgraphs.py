@@ -14,7 +14,8 @@ KNOWN_COUNTS = {1: (1, 1), 2: (2, 1), 3: (4, 2), 4: (11, 6),
 def test_class_counts(n):
     total, connected = KNOWN_COUNTS[n]
     assert sum(1 for _ in enumerate_small_graphs(n)) == total
-    assert sum(1 for _ in enumerate_small_graphs(n, connected_only=True)) == connected
+    assert sum(1 for g in enumerate_small_graphs(n)
+               if g.is_connected()) == connected
 
 
 def test_representatives_are_canonical_and_ordered():
@@ -47,8 +48,10 @@ def test_canonical_graph_invariant_under_relabeling():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capped at 6 vertices"):
         list(enumerate_small_graphs(7))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        list(enumerate_small_graphs(-1))
 
 
 def test_zero_and_one_vertex():

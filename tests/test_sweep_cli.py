@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -11,16 +12,17 @@ import time
 
 import pytest
 
-from compnum.cli import main
-from compnum.constructions import verify_effective_cover
+from compnum.cli import build_parser, main
+from compnum.constructions import rebuild_star, verify_effective_cover
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
 from compnum.graph import Digraph, Graph
-from compnum.io import serialize_edge_list, serialize_graph6
-from compnum.realizer import RealizationError
+from compnum.io import parse_edge_list, serialize_edge_list, serialize_graph6
+from compnum.realizer import RealizationError, _ascent
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import _worker_count, sweep
+from test_exact_search_pins import rg
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -215,7 +217,8 @@ def test_cli_sweep_stdout_and_report_bytes_match_with_a_forked_child(
 
 
 def test_sweep_small_n4_clean():
-    report = sweep(enumerate_small_graphs(4, True), threads=1)
+    report = sweep(filter(Graph.is_connected, enumerate_small_graphs(4)),
+                   threads=1)
     assert not report["summary"]["violations"]
     assert report["summary"]["conjecture"]["counterexamples"] == []
     assert report["summary"]["graphs"] == 6
@@ -285,6 +288,14 @@ def test_cli_usage_errors_exit_1_with_one_error_line(capsys, fixture_files,
     code = main([arg.format(**names) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
+
+
+def test_every_subcommand_parser_holds_its_handler():
+    (subs,) = [action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    assert subs.choices
+    for name, sub in subs.choices.items():
+        assert callable(sub.get_default("run")), name
 
 
 def test_cli_reads_stdin_and_keeps_connected_graphs(capsys, monkeypatch):
@@ -373,7 +384,8 @@ def test_cli_constructions(capsys, tmp_path):
     assert code == 0 and payload["prey"] == 4 and payload["predators"] == 2
 
 
-@pytest.mark.parametrize("command", ["rebuild-star", "hall-cert"])
+@pytest.mark.parametrize("command", ["rebuild-star", "hall-cert",
+                                     "rebuild_star"])
 @pytest.mark.parametrize("arcs,error", [
     # 0 > 4, 1 > 4 gives only the edge 01, not the path 0-1-2-3
     ("5 2\n0 > 4\n1 > 4\n", "competition graph mismatch"),
@@ -385,6 +397,12 @@ def test_cli_rebuild_star_rejects_a_digraph_that_does_not_realize(
     graph.write_text("4 3\n0 1\n1 2\n2 3\n")
     digraph = tmp_path / "d.arcs"
     digraph.write_text(arcs)
+    if command == "rebuild_star":  # the library call, which certifies alike
+        with pytest.raises(ValueError) as caught:
+            rebuild_star(parse_edge_list(graph.read_text()),
+                         parse_edge_list(arcs))
+        assert str(caught.value) == error
+        return
     flag = "--in" if command == "rebuild-star" else "--graph"
     code = main([command, flag, str(graph), "--digraph", str(digraph)])
     captured = capsys.readouterr()
@@ -547,6 +565,22 @@ def test_cli_planar_check(capsys, tmp_path):
     assert payload["faces"] == 2 and payload["k_formula"] == 2
 
 
+def test_cli_planar_check_rejects_input_before_the_exact_search(
+        capsys, tmp_path):
+    # rg(15, .5, 16) plus a disjoint edge: the exact search on it takes
+    # seconds, the connectivity check none
+    graph = rg(15, .5, 16)
+    path = tmp_path / "g.edges"
+    path.write_text(serialize_edge_list(Graph.from_edges(
+        17, list(graph.edges()) + [(15, 16)])))
+    misses = _ascent.cache_info().misses
+    code = main(["planar-check", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", "error: graph must be connected\n")
+    assert _ascent.cache_info().misses == misses
+
+
 def test_cli_sweep(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out = run_cli(capsys, "sweep", "--n", "4", "--connected",
@@ -561,7 +595,7 @@ def test_cli_sweep(capsys, tmp_path):
 
 def test_cli_sweep_graph6_stream(capsys, tmp_path):
     lines = [serialize_graph6(g)
-             for g in enumerate_small_graphs(3, connected_only=True)]
+             for g in filter(Graph.is_connected, enumerate_small_graphs(3))]
     path = tmp_path / "stream.g6"
     path.write_text("\n".join(lines) + "\n")
     code, out = run_cli(capsys, "sweep", "--in", str(path),
