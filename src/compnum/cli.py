@@ -244,12 +244,9 @@ def _cmd_chordal_build(args) -> int:
 
 def _cmd_rebuild_star(args) -> int:
     from .constructions import rebuild_star
-    from .realizer import competition_number
     graph = _load_graph(args.infile, args.format)
-    digraph = (_load_digraph(args.digraph, "arcs") if args.digraph
-               else competition_number(graph)[1].digraph)
-    rebuilt = rebuild_star(graph, digraph)
-    _emit(_realization_payload(rebuilt), args.json)
+    digraph = _load_digraph(args.digraph, "arcs") if args.digraph else None
+    _emit(_realization_payload(rebuild_star(graph, digraph)), args.json)
     return 0
 
 
@@ -266,16 +263,9 @@ def _cmd_verify_effective(args) -> int:
 
 def _cmd_hall_cert(args) -> int:
     from .constructions import hall_certificate
-    from .ecc import min_edge_clique_cover
-    from .realizer import competition_number
     graph = _load_graph(args.graph, args.format)
-    cover = (_load_cover(graph, args.cover) if args.cover
-             else min_edge_clique_cover(graph))
-    if args.digraph:
-        digraph = _load_digraph(args.digraph, "arcs")
-    else:
-        _, witness = competition_number(graph)
-        digraph = witness.digraph
+    cover = _load_cover(graph, args.cover) if args.cover else None
+    digraph = _load_digraph(args.digraph, "arcs") if args.digraph else None
     _emit(hall_certificate(graph, cover, digraph), args.json)
     return 0
 

@@ -61,9 +61,12 @@ def _check_buildable(graph: Graph) -> None:
         raise ValueError("strip isolated vertices before building")
 
 
-def _certified(graph: Graph, digraph: Digraph) -> Realization:
-    """A digraph handed in as a realization of the graph plus its extra
-    vertices as isolates, certified; a failed check is a ValueError."""
+def _certified(graph: Graph, digraph: Digraph | None = None) -> Realization:
+    """The realization a construction works on: the handed-in digraph,
+    certified to realize the graph plus its extra vertices as isolates (a
+    ValueError if not), or else the competition number's witness."""
+    if digraph is None:
+        return competition_number(graph)[1]
     try:
         return certify_realization(graph, digraph, digraph.n - graph.n)
     except RealizationError as exc:
@@ -134,24 +137,26 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, tuple]:
 # occupied-edge graphs
 
 
-def rebuild_star(graph: Graph, digraph: Digraph) -> Realization:
+def rebuild_star(graph: Graph, digraph: Digraph | None = None) -> Realization:
     """Rewire any realization into one with exactly theta_e prey.
 
-    The digraph must realize the graph plus its extra vertices as isolates;
-    it is certified first, as in ``hall_certificate``.  Requires that in
-    every maximal clique each vertex lies on an edge occupied by that
-    clique (then the maximal cliques are the unique minimum cover).  Every
-    clique is redirected at the common out-neighbour, of smallest label in
-    its certified labeling, of the endpoints of its occupied edges; that
-    labeling stays acyclic for the result.
+    A digraph handed in is certified first, as in ``hall_certificate``.
+    Requires that in every maximal clique each vertex lies on an edge
+    occupied by that clique (then the maximal cliques are the unique
+    minimum cover); only then is the default, the competition number's
+    witness, taken.  Every clique is redirected at the common
+    out-neighbour, of smallest label in its certified labeling, of the
+    endpoints of its occupied edges; that labeling stays acyclic.
     """
-    realization = _certified(graph, digraph)
+    realization = None if digraph is None else _certified(graph, digraph)
     ok, witness = every_vertex_on_occupied_edge(graph)
     if not ok:
         clique, vertex = witness
         raise ValueError(
             f"vertex {vertex} of maximal clique {clique} lies on no edge "
             f"occupied by it")
+    realization = realization or _certified(graph)
+    digraph = realization.digraph
 
     cliques = [tuple(bits(c)) for c in maximal_clique_masks(graph)
                if c.bit_count() >= 2]
@@ -302,15 +307,19 @@ def _verify(graph: Graph, cover, digraph: Digraph):
     return record, labeling
 
 
-def hall_certificate(graph: Graph, cover, digraph: Digraph) -> dict:
+def hall_certificate(graph: Graph, cover=None, digraph=None) -> dict:
     """Match every cover clique to a distinct prey that two of its members
     feed, as the record {sets, matching}.  The sets A_i collect, per clique,
     the common out-neighbours of pairs inside it; the matching pairs each
-    clique index with its prey.  A matching saturating the cover always
-    exists for a genuine realization, so a missing matching aborts loudly."""
-    if not all(cover_checks(graph, cover)):
+    clique index with its prey.  The cover defaults to the minimum cover,
+    and the digraph, taken after the cover checks, to k's witness.  A
+    genuine realization always has a saturating matching, so a missing
+    one aborts loudly."""
+    if cover is None:
+        cover = min_edge_clique_cover(graph)
+    elif not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
-    _certified(graph, digraph)
+    digraph = _certified(graph, digraph).digraph
     sets = []
     for c in cover:
         mask = mask_of(c)

@@ -29,6 +29,11 @@ def mask_of(members) -> int:
     return mask
 
 
+def _ints(values) -> bool:
+    """Whether ``values`` is a tuple of ints, bools excluded."""
+    return type(values) is tuple and all(type(v) is int for v in values)
+
+
 # per-graph cache size: a query touches its graph and that graph's core only
 QUERY_GRAPHS = 2
 
@@ -78,6 +83,10 @@ class Graph(Frozen):
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         self._freeze(n, rows)
+        if type(self.n) is not int:
+            raise ValueError("n must be an int")
+        if not _ints(self.rows):
+            raise ValueError("rows must be a tuple of ints")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(self.rows) != self.n:
@@ -164,6 +173,11 @@ class Digraph(Frozen):
 
     def __init__(self, n: int, arcs: tuple[tuple[int, int], ...]):
         self._freeze(n, arcs)
+        if type(self.n) is not int:
+            raise ValueError("n must be an int")
+        if type(self.arcs) is not tuple or not all(
+                _ints(arc) and len(arc) == 2 for arc in self.arcs):
+            raise ValueError("arcs must be a tuple of int pairs")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         for u, v in self.arcs:

@@ -273,6 +273,8 @@ def _witnesses(graph: Graph,
     witness object.  The walk runs on the core with the graph's own
     isolates added to the budget; a built digraph's vertices are the
     core's, then those isolates, then the k added ones."""
+    if type(k) is not int:
+        raise ValueError("k must be an int")
     if k < 0:
         raise ValueError("isolate count must be nonnegative")
     core, keep = graph.without_isolates()

@@ -59,14 +59,14 @@ def graph_record(args) -> dict:
                     predator_bound(graph, p) >= opsut_bound(graph))
             if graph.edge_count > 0:
                 cover = min_edge_clique_cover(graph)
-                hall_certificate(graph, cover, k_witness.digraph)
+                hall_certificate(graph, cover)  # with k's witness
                 # one witness when the first plan has the fewest prey
                 if p_witness is not k_witness:
                     hall_certificate(graph, cover, p_witness.digraph)
                 out["hall_certificate"] = True
 
         if "effective" in checks and core.edge_count > 0:
-            kc, kc_witness = competition_number(core)
+            kc, _ = competition_number(core)
             pc, pc_witness = primary_predator_index(core)
             equality = kc == theta_e(core) - core.n + pc
             if chordal:
@@ -76,7 +76,7 @@ def graph_record(args) -> dict:
                 out["effective_equality"] = equality
             strong, _ = every_vertex_on_occupied_edge(core)
             if strong:
-                rebuilt = rebuild_star(core, kc_witness.digraph)
+                rebuilt = rebuild_star(core)
                 out["star_rebuild"] = rebuilt.prey_count == theta_e(core)
                 out["effective_equality"] = equality
             if chordal or strong:

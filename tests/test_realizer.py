@@ -66,7 +66,10 @@ def test_realizable_witnesses_verify():
      RealizationError, "^digraph has 4 vertices, expected 3$"),
     (lambda: max_predators_with(K2, -1),
      ValueError, "^isolate count must be nonnegative$"),
-], ids=["vertex-count", "negative-k"])
+    # checked before the search runs, not after
+    (lambda: max_predators_with(K2, 1.5), ValueError, "^k must be an int$"),
+    (lambda: max_predators_with(K2, True), ValueError, "^k must be an int$"),
+], ids=["vertex-count", "negative-k", "float-k", "bool-k"])
 def test_realizer_rejects_inconsistent_counts(call, error, message):
     with pytest.raises(error, match=message):
         call()

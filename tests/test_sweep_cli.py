@@ -14,10 +14,11 @@ import pytest
 
 from compnum.cli import build_parser, main
 from compnum.constructions import rebuild_star, verify_effective_cover
+from compnum.cliques import maximal_clique_masks
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
-from compnum.graph import Digraph, Graph
+from compnum.graph import Digraph, Graph, bits
 from compnum.io import parse_edge_list, serialize_edge_list, serialize_graph6
 from compnum.realizer import RealizationError, _ascent
 from compnum.smallgraphs import enumerate_small_graphs
@@ -567,18 +568,33 @@ def test_cli_planar_check(capsys, tmp_path):
 
 def test_cli_planar_check_rejects_input_before_the_exact_search(
         capsys, tmp_path):
-    # rg(15, .5, 16) plus a disjoint edge: the exact search on it takes
-    # seconds, the connectivity check none
+    # the exact search on rg(15, .5, 16) takes seconds, each input check
+    # none: planar-check and rebuild-star reject it plus a disjoint edge,
+    # and hall-cert rejects its 27 maximal cliques as a cover (theta_e 12)
     graph = rg(15, .5, 16)
-    path = tmp_path / "g.edges"
-    path.write_text(serialize_edge_list(Graph.from_edges(
+    disjoint = tmp_path / "disjoint.edges"
+    disjoint.write_text(serialize_edge_list(Graph.from_edges(
         17, list(graph.edges()) + [(15, 16)])))
-    misses = _ascent.cache_info().misses
-    code = main(["planar-check", "--in", str(path)])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        1, "", "error: graph must be connected\n")
-    assert _ascent.cache_info().misses == misses
+    plain = tmp_path / "g.edges"
+    plain.write_text(serialize_edge_list(graph))
+    cliques = [list(bits(c)) for c in maximal_clique_masks(graph)]
+    assert len(cliques) == 27
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"cliques": cliques}))
+    for argv, error in [
+            (["planar-check", "--in", str(disjoint)],
+             "graph must be connected"),
+            (["rebuild-star", "--in", str(disjoint)],
+             "vertex 0 of maximal clique (0, 1, 4, 9, 12) lies on no edge "
+             "occupied by it"),
+            (["hall-cert", "--graph", str(plain), "--cover", str(cover)],
+             "cover must be a minimum cover of maximal cliques")]:
+        misses = _ascent.cache_info().misses
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", f"error: {error}\n"), argv[0]
+        assert _ascent.cache_info().misses == misses, argv[0]
 
 
 def test_cli_sweep(capsys, tmp_path):

@@ -147,6 +147,18 @@ def test_cached_property_values():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: Graph(-1, ()), "vertex count must be nonnegative"),
+    # fields of the wrong type fail here, not later in a query
+    (lambda: Graph(True, (0,)), "n must be an int"),
+    (lambda: Graph(2.0, (0, 0)), "n must be an int"),
+    (lambda: Graph(3, [6, 5, 3]), "rows must be a tuple of ints"),
+    (lambda: Graph(2, (0.0, 0)), "rows must be a tuple of ints"),
+    (lambda: Graph(1, (False,)), "rows must be a tuple of ints"),
+    (lambda: Digraph(True, ()), "n must be an int"),
+    (lambda: Digraph(3, [(0, 2), (1, 2)]), "arcs must be a tuple of int pairs"),
+    (lambda: Digraph(3, ([0, 2],)), "arcs must be a tuple of int pairs"),
+    (lambda: Digraph(3, ((0, 1, 2),)), "arcs must be a tuple of int pairs"),
+    (lambda: Digraph(3, ((0, 2.0),)), "arcs must be a tuple of int pairs"),
+    (lambda: Digraph(3, ((0, True),)), "arcs must be a tuple of int pairs"),
     (lambda: Graph(2, (2,)), "adjacency rows do not match vertex count"),
     (lambda: Graph(2, (4, 0)), "adjacency bit out of range in row 0"),
     (lambda: Graph(2, (0, 2)), "self-loop at vertex 1"),
