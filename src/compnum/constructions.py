@@ -10,8 +10,10 @@ a simplicial-vertex-rich subfamily); a verifier checks arbitrary claimed
 triples; and a Hall-style certificate extracts, from any realization, a
 system of distinct prey matched to the cover.
 
-Builders never trust their construction: every output is re-verified
-against the competition-graph definition before it is returned.
+Builders never trust their construction: every output goes through one
+check, which certifies the digraph with ``certify_realization`` and
+requires a minimum cover of maximal cliques with one prey per clique; the
+check runs no exact search, and the chordal builder runs none at all.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from .cliques import (chordality, edge_clique_counts,
                       every_vertex_on_occupied_edge, maximal_clique_masks,
                       occupied_pairs, simplicial_vertices)
-from .ecc import cover_checks, make_cover, min_edge_clique_cover, theta_e
+from .ecc import cover_checks, make_cover, min_edge_clique_cover
 from .graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
                     clique_rows, competition_graph, mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
@@ -73,20 +75,24 @@ def _certified(graph: Graph, digraph: Digraph | None = None) -> Realization:
         raise ValueError(str(exc)) from None
 
 
-def _effective(graph: Graph, cover, sinks, n: int, name: str) -> Realization:
-    """Verify the digraph on n vertices in which cover clique i feeds
-    sinks[i], and return its realization; a failed check, or a sink map
-    other than the intended one, raises."""
+def _effective(graph: Graph, cover, sinks, k: int, name: str) -> Realization:
+    """Certify the digraph on graph.n + k vertices in which cover clique i
+    feeds sinks[i], a minimum cover of maximal cliques, and return its
+    realization.  As many prey as cliques make the sinks distinct, so each
+    sink's in-neighbourhood is its own clique.  A failed check raises."""
     arcs = [(v, w) for clique, w in zip(cover, sinks) for v in clique]
-    digraph = Digraph.from_arcs(n, arcs)
-    cert, labeling = _verify(graph, cover, digraph)
-    sink_map = tuple(enumerate(sinks))
-    if not cert["valid"] or cert["sink_map"] != [list(p) for p in sink_map]:
-        raise RealizationError(f"{name} construction failed: "
-                               f"{cert['failure'] or 'sink map differs'}")
-    # the checks imply certify_realization's, as prey = theta_e
-    return Realization(digraph, n - graph.n, labeling, len(sinks),
-                       n - len(sinks), sink_map)
+    digraph = Digraph.from_arcs(graph.n + k, arcs)
+    try:
+        realization = certify_realization(graph, digraph, k,
+                                          tuple(enumerate(sinks)))
+        if realization.prey_count != len(cover):
+            raise RealizationError("prey count differs from cover size")
+        if not all(cover_checks(graph, cover)):
+            raise RealizationError("cover is not a minimum cover of maximal "
+                                   "cliques")
+    except RealizationError as exc:
+        raise RealizationError(f"{name} construction failed: {exc}") from None
+    return realization
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +108,10 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, tuple]:
     neighbourhood of its earliest vertex, and points that neighbourhood at
     the vertex one position earlier (the first clique at a fresh isolate).
     The result realizes the graph with one added isolate and exactly
-    theta_e prey.
+    theta_e prey.  One isolate is k(G), so no search is run: the vertex
+    labeled 1 in an acyclic labeling sends no arcs, so it is isolated in
+    the competition graph, and as the graph has no isolated vertex it is
+    an added one (k >= 1); the certified digraph gives k <= 1.
     """
     _check_buildable(graph)
     chordal, order = chordality(graph)
@@ -130,7 +139,7 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, tuple]:
         if not sinks and nk != 1:
             raise RealizationError("first cover clique misses the first vertex")
         sinks.append(n if nk == 1 else order[nk - 2])
-    return _effective(graph, cover, sinks, n + 1, "chordal"), cover
+    return _effective(graph, cover, sinks, 1, "chordal"), cover
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +155,7 @@ def rebuild_star(graph: Graph, digraph: Digraph | None = None) -> Realization:
     minimum cover); only then is the default, the competition number's
     witness, taken.  Every clique is redirected at the common
     out-neighbour, of smallest label in its certified labeling, of the
-    endpoints of its occupied edges; that labeling stays acyclic.
+    endpoints of its occupied edges, and the result is certified.
     """
     realization = None if digraph is None else _certified(graph, digraph)
     ok, witness = every_vertex_on_occupied_edge(graph)
@@ -160,36 +169,17 @@ def rebuild_star(graph: Graph, digraph: Digraph | None = None) -> Realization:
 
     cliques = [tuple(bits(c)) for c in maximal_clique_masks(graph)
                if c.bit_count() >= 2]
-    if len(cliques) != theta_e(graph):
-        raise RealizationError(
-            "maximal cliques do not form a minimum cover despite the "
-            "occupied-edge hypothesis")
-    labels = realization.labeling
     counts = edge_clique_counts(graph)
-    arcs = []
-    sink_map = []
-    for idx, clique in enumerate(cliques):
+    sinks = []
+    for clique in cliques:
         candidates = set()
         for u, v in occupied_pairs(counts, clique):
             candidates.update(bits(digraph.out_rows[u] & digraph.out_rows[v]))
         if not candidates:
             raise RealizationError(
                 f"no common out-neighbour for the occupied edges of {clique}")
-        sink = min(candidates, key=lambda w: labels[w])
-        sink_map.append((idx, sink))
-        arcs.extend((v, sink) for v in clique)
-
-    sinks = [w for _, w in sink_map]
-    if len(set(sinks)) != len(sinks):
-        raise RealizationError("rebuilt sinks are not pairwise distinct")
-    star = Digraph.from_arcs(digraph.n, arcs)
-    if any(labels[u] <= labels[v] for u, v in star.arcs):
-        raise RealizationError(
-            "input labeling is no longer acyclic on the rebuilt digraph")
-    rebuilt = certify_realization(graph, star, realization.k, tuple(sink_map))
-    if rebuilt.prey_count != theta_e(graph):
-        raise RealizationError("rebuilt digraph does not have theta_e prey")
-    return rebuilt
+        sinks.append(min(candidates, key=lambda w: realization.labeling[w]))
+    return _effective(graph, cliques, sinks, realization.k, "star")
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +201,8 @@ def simplicial_family_realizer(graph: Graph, cover, family) -> Realization:
     _check_buildable(graph)
     if not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
+    if not all(type(i) is int for i in family):
+        raise ValueError("family indices must be ints")
     family = sorted(set(family))
     theta = len(cover)
     if any(not 0 <= i < theta for i in family):
@@ -248,7 +240,7 @@ def simplicial_family_realizer(graph: Graph, cover, family) -> Realization:
         used.add(pool[0])
         sinks[ordered[j]] = pool[0]
         reachable |= set(cover[ordered[j]])
-    return _effective(graph, cover, sinks, graph.n + k, "simplicial-family")
+    return _effective(graph, cover, sinks, k, "simplicial-family")
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +252,6 @@ def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
     competition cover, as the record {valid, failure, checks, sink_map}:
     every condition is named in checks, failure gives the first that
     fails, and sink_map pairs each clique index with its sink."""
-    return _verify(graph, cover, digraph)[0]
-
-
-def _verify(graph: Graph, cover, digraph: Digraph):
-    """verify_effective_cover's record and the digraph's acyclic labeling
-    (or directed cycle)."""
     try:
         made, cliques_ok = make_cover(graph, cover), True
     except ValueError:
@@ -274,7 +260,7 @@ def _verify(graph: Graph, cover, digraph: Digraph):
         cover_checks(graph, made) if cliques_ok else (False, False, False))
     k, _ = competition_number(graph)
     iso_ok = digraph.n == graph.n + k
-    acyclic, labeling = acyclic_labeling(digraph)
+    acyclic, _ = acyclic_labeling(digraph)
     prey = [v for v in range(digraph.n) if digraph.in_rows[v]]
     adjacency = []
     for c in made:
@@ -300,11 +286,10 @@ def _verify(graph: Graph, cover, digraph: Digraph):
          "no distinct sink assignment covers the cliques"),
     )
     failure = next((message for _, ok, message in table if not ok), None)
-    record = {"valid": failure is None, "failure": failure,
-              "checks": {name: ok for name, ok, _ in table},
-              "sink_map": None if failure
-              else [[i, w] for i, w in enumerate(match)]}
-    return record, labeling
+    return {"valid": failure is None, "failure": failure,
+            "checks": {name: ok for name, ok, _ in table},
+            "sink_map": None if failure
+            else [[i, w] for i, w in enumerate(match)]}
 
 
 def hall_certificate(graph: Graph, cover=None, digraph=None) -> dict:

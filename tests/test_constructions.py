@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -15,7 +16,8 @@ from compnum.ecc import make_cover, min_edge_clique_cover, theta_e
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
-from compnum.graph import Digraph, Graph, add_isolated, bits, competition_graph
+from compnum.graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
+                           competition_graph)
 from compnum.realizer import (RealizationError, competition_number,
                               primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
@@ -76,7 +78,10 @@ def test_chordal_realizer_exhaustive():
                 continue
             if not chordality(g)[0]:
                 continue
+            misses = realizer._ascent.cache_info().misses
             realization, cover = chordal_realizer(g)
+            # one isolate is k(G) by the floor argument: no search is run
+            assert realizer._ascent.cache_info().misses == misses
             assert realization.prey_count == theta_e(g)
             cert = verify_effective_cover(g, cover, realization.digraph)
             assert cert["valid"]
@@ -156,15 +161,19 @@ def test_simplicial_family_c4():
     assert realization.k == 2 and realization.prey_count == 4
 
 
-def test_simplicial_family_preconditions():
-    cover = min_edge_clique_cover(C4)
-    with pytest.raises(ValueError):
-        simplicial_family_realizer(C4, cover, [0, 1])      # wrong size
-    with pytest.raises(ValueError):
-        simplicial_family_realizer(C4, cover, [0, 1, 9])   # out of range
-    incomplete = make_cover(C4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        simplicial_family_realizer(C4, incomplete, [0, 1, 2])
+@pytest.mark.parametrize("cover, family, message", [
+    (min_edge_clique_cover(C4), [0, 1], "family must have"),
+    (min_edge_clique_cover(C4), [0, 1, 9], "family indices out of range"),
+    (make_cover(C4, [(0, 1), (1, 2), (2, 3)]), [0, 1, 2], "cover must be"),
+    # an index that is not an int, a bool included
+    (min_edge_clique_cover(C4), [0, 2.0, 3], "family indices must be ints"),
+    (min_edge_clique_cover(C4), ["0", 2, 3], "family indices must be ints"),
+    (min_edge_clique_cover(C4), [True, 2, 3], "family indices must be ints"),
+], ids=["wrong-size", "out-of-range", "incomplete-cover", "index-a-float",
+        "index-a-str", "index-a-bool"])
+def test_simplicial_family_preconditions(cover, family, message):
+    with pytest.raises(ValueError, match=message):
+        simplicial_family_realizer(C4, cover, family)
 
 
 def test_simplicial_family_rejects_simplicial_shortage():
@@ -181,22 +190,26 @@ def test_simplicial_family_rejects_simplicial_shortage():
 BULL = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 
 
-@pytest.mark.parametrize("build", [
-    lambda: chordal_realizer(BULL),
-    lambda: simplicial_family_realizer(C4, min_edge_clique_cover(C4), [0, 2, 3]),
-], ids=["chordal", "simplicial-family"])
-def test_builders_refuse_a_sink_map_other_than_their_own(monkeypatch, build):
-    verify = constructions._verify
+# a central triangle whose three edges each lie in one more triangle: four
+# maximal cliques, but the three outer ones cover every edge
+SUN = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4),
+                           (2, 4), (0, 5), (2, 5)])
 
-    def shifted(graph, cover, digraph):
-        cert, labeling = verify(graph, cover, digraph)
-        sinks = [w for _, w in cert["sink_map"]]
-        rotated = [[i, w] for i, w in enumerate(sinks[1:] + sinks[:1])]
-        return {**cert, "sink_map": rotated}, labeling
 
-    monkeypatch.setattr(constructions, "_verify", shifted)
-    with pytest.raises(RealizationError, match="construction failed"):
-        build()
+@pytest.mark.parametrize("graph, cover, sinks, k, reason", [
+    (P3, ((0, 1), (1, 2)), [2, 0], 0, "digraph contains a cycle: (0, 2)"),
+    (P3, ((0, 1), (1, 2)), [3, 3], 1, "competition graph mismatch"),
+    (P3, ((0, 1), (0, 1), (1, 2)), [3, 3, 4], 2,
+     "prey count differs from cover size"),
+    (SUN, ((0, 1, 2), (0, 1, 3), (1, 2, 4), (0, 2, 5)), [6, 7, 8, 9], 4,
+     "cover is not a minimum cover of maximal cliques"),
+], ids=["cyclic-sinks", "repeated-sink", "repeated-clique-and-sink",
+        "cover-not-minimum"])
+def test_builders_refuse_what_is_not_an_effective_cover(graph, cover, sinks,
+                                                        k, reason):
+    with pytest.raises(RealizationError, match="^test construction failed: "
+                                               + re.escape(reason) + "$"):
+        constructions._effective(graph, cover, sinks, k, "test")
 
 
 # ------------------------------------------------------------ verification
@@ -214,10 +227,11 @@ def test_verify_effective_cover_worked_example():
 
 def _verified_fixture():
     d = effective_cover_example_digraph()
-    cert, labeling = constructions._verify(effective_cover_example_graph(),
-                                           effective_cover_example_cover(), d)
+    cert = verify_effective_cover(effective_cover_example_graph(),
+                                  effective_cover_example_cover(), d)
     assert cert["valid"]
-    return d, labeling
+    # the test's own binding, which the call counts below do not see
+    return d, acyclic_labeling(d)[1]
 
 
 def _built(realization):
@@ -225,7 +239,7 @@ def _built(realization):
 
 
 def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
-    # and each builder, whose verify step reuses the check's labeling
+    # and each builder, which certifies its digraph once
     calls = Counter()
 
     def counted(name, fn):
@@ -241,7 +255,8 @@ def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
             (effective_cover_example_graph(), _verified_fixture),
             (BULL, lambda: _built(chordal_realizer(BULL)[0])),
             (C4, lambda: _built(simplicial_family_realizer(
-                C4, min_edge_clique_cover(C4), [0, 1, 2])))):
+                C4, min_edge_clique_cover(C4), [0, 1, 2]))),
+            (BOWTIE, lambda: _built(rebuild_star(BOWTIE)))):
         competition_number(graph)
         calls.clear()
         digraph, labeling = build()
@@ -328,11 +343,11 @@ CYCLIC = Digraph.from_arcs(5, [(0, 2), (1, 3), (2, 3), (3, 2)])
 def test_verify_effective_cover_rejects_a_cycle():
     assert competition_graph(CYCLIC) == add_isolated(TWO_K2, 1)
     cover = make_cover(TWO_K2, [(0, 3), (1, 2)])
-    cert, cycle = constructions._verify(TWO_K2, cover, CYCLIC)
-    assert cert == verify_effective_cover(TWO_K2, cover, CYCLIC)
+    cert = verify_effective_cover(TWO_K2, cover, CYCLIC)
     assert not cert["valid"] and cert["failure"] == "digraph contains a cycle"
     assert _failed(cert) == ["digraph is acyclic"]
-    assert cert["sink_map"] is None and cycle == (2, 3)
+    assert cert["sink_map"] is None
+    assert acyclic_labeling(CYCLIC) == (False, (2, 3))
 
 
 def _failed(cert) -> list[str]:
