@@ -10,10 +10,11 @@ a simplicial-vertex-rich subfamily); a verifier checks arbitrary claimed
 triples; and a Hall-style certificate extracts, from any realization, a
 system of distinct prey matched to the cover.
 
-Builders never trust their construction: every output goes through one
-check, which certifies the digraph with ``certify_realization`` and
-requires a minimum cover of maximal cliques with one prey per clique; the
-check runs no exact search, and the chordal builder runs none at all.
+Builders never trust their construction and keep no checks of their own:
+every output goes through one check, which certifies the digraph with
+``certify_realization`` and requires a minimum cover of maximal cliques
+with one prey per clique; the check runs no exact search, and the chordal
+builder runs none at all.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 from .cliques import (chordality, edge_clique_counts,
                       every_vertex_on_occupied_edge, maximal_clique_masks,
                       occupied_pairs, simplicial_vertices)
-from .ecc import cover_checks, make_cover, min_edge_clique_cover
+from .ecc import cover_checks, make_cover, min_edge_clique_cover, theta_e
 from .graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
                     clique_rows, competition_graph, mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
-                       competition_number)
+                       competition_number, k_floor)
 
 
 class NotChordalError(ValueError):
@@ -106,12 +107,14 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, tuple]:
     maximal cliques reordered by the sorted position tuples of their
     members, identifies each cover clique with the closed later
     neighbourhood of its earliest vertex, and points that neighbourhood at
-    the vertex one position earlier (the first clique at a fresh isolate).
-    The result realizes the graph with one added isolate and exactly
-    theta_e prey.  One isolate is k(G), so no search is run: the vertex
-    labeled 1 in an acyclic labeling sends no arcs, so it is isolated in
-    the competition graph, and as the graph has no isolated vertex it is
-    an added one (k >= 1); the certified digraph gives k <= 1.
+    the vertex one position earlier (the first clique, which holds the
+    simplicial v1, at a fresh isolate); the certification of the output
+    decides both facts, so neither is checked here.  The result realizes
+    the graph with one added isolate and exactly theta_e prey.  One
+    isolate is k(G), so no search is run: the vertex labeled 1 in an
+    acyclic labeling sends no arcs, so it is isolated in the competition
+    graph, and as the graph has no isolated vertex it is an added one
+    (k >= 1); the certified digraph gives k <= 1.
     """
     _check_buildable(graph)
     chordal, order = chordality(graph)
@@ -122,23 +125,8 @@ def chordal_realizer(graph: Graph) -> tuple[Realization, tuple]:
     cover = tuple(sorted(min_edge_clique_cover(graph),
                          key=lambda c: tuple(sorted(pos[v] for v in c))))
 
-    n = graph.n
-    sinks = []
-    suffix = [0] * (n + 2)
-    mask = 0
-    for i in range(n, 0, -1):
-        mask |= 1 << order[i - 1]
-        suffix[i] = mask
-    for clique in cover:
-        nk = min(pos[v] for v in clique)
-        head = order[nk - 1]
-        closed = ((1 << head) | graph.rows[head]) & suffix[nk]
-        if closed != mask_of(clique):
-            raise RealizationError(
-                f"cover clique {clique} is not a closed later neighbourhood")
-        if not sinks and nk != 1:
-            raise RealizationError("first cover clique misses the first vertex")
-        sinks.append(n if nk == 1 else order[nk - 2])
+    sinks = [graph.n if nk == 1 else order[nk - 2]
+             for nk in (min(pos[v] for v in clique) for clique in cover)]
     return _effective(graph, cover, sinks, 1, "chordal"), cover
 
 
@@ -155,7 +143,8 @@ def rebuild_star(graph: Graph, digraph: Digraph | None = None) -> Realization:
     minimum cover); only then is the default, the competition number's
     witness, taken.  Every clique is redirected at the common
     out-neighbour, of smallest label in its certified labeling, of the
-    endpoints of its occupied edges, and the result is certified.
+    endpoints of its occupied edges (in a certified realization every edge
+    has a common prey), and the result is certified.
     """
     realization = None if digraph is None else _certified(graph, digraph)
     ok, witness = every_vertex_on_occupied_edge(graph)
@@ -175,9 +164,6 @@ def rebuild_star(graph: Graph, digraph: Digraph | None = None) -> Realization:
         candidates = set()
         for u, v in occupied_pairs(counts, clique):
             candidates.update(bits(digraph.out_rows[u] & digraph.out_rows[v]))
-        if not candidates:
-            raise RealizationError(
-                f"no common out-neighbour for the occupied edges of {clique}")
         sinks.append(min(candidates, key=lambda w: realization.labeling[w]))
     return _effective(graph, cliques, sinks, realization.k, "star")
 
@@ -230,7 +216,7 @@ def simplicial_family_realizer(graph: Graph, cover, family) -> Realization:
     for slot in range(k):
         sinks[ordered[slot]] = graph.n + slot
     used: set[int] = set()
-    reachable: set[int] = set(cover[ordered[k - 1]]) if k >= 1 else set()
+    reachable = set(cover[ordered[k - 1]])
     for j in range(k, theta):
         pool = sorted((simplicial & reachable) - used)
         if not pool:
@@ -258,8 +244,9 @@ def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
         made, cliques_ok = (), False
     covers, maximal, minimum = (
         cover_checks(graph, made) if cliques_ok else (False, False, False))
-    k, _ = competition_number(graph)
-    iso_ok = digraph.n == graph.n + k
+    j = digraph.n - graph.n  # below k's floor, no exact search is needed
+    iso_ok = (j >= k_floor(graph, theta_e(graph))
+              and j == competition_number(graph)[0])
     acyclic, _ = acyclic_labeling(digraph)
     prey = [v for v in range(digraph.n) if digraph.in_rows[v]]
     adjacency = []
@@ -277,7 +264,7 @@ def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
         ("isolate count equals competition number", iso_ok,
          "isolate count differs from k"),
         ("competition graph matches",
-         iso_ok and competition_graph(digraph) == add_isolated(graph, k),
+         iso_ok and competition_graph(digraph) == add_isolated(graph, j),
          "competition graph mismatch"),
         ("digraph is acyclic", acyclic, "digraph contains a cycle"),
         ("prey count equals cover size", len(prey) == len(cover),
@@ -305,17 +292,12 @@ def hall_certificate(graph: Graph, cover=None, digraph=None) -> dict:
     elif not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
     digraph = _certified(graph, digraph).digraph
-    sets = []
-    for c in cover:
-        mask = mask_of(c)
-        members = tuple(v for v in range(digraph.n)
-                        if (digraph.in_rows[v] & mask).bit_count() >= 2)
-        if not members:
-            raise ValueError(f"clique {c} has no fed prey; not a realization")
-        sets.append(members)
-    match = _max_bipartite_matching([list(s) for s in sets])
+    sets = tuple(tuple(v for v in range(digraph.n)
+                       if (digraph.in_rows[v] & mask).bit_count() >= 2)
+                 for mask in map(mask_of, cover))
+    match = _max_bipartite_matching(sets)
     if any(w is None for w in match):
         raise RuntimeError(
             "no matching saturates the cover cliques; this contradicts a "
             "proven guarantee and indicates a library bug")
-    return {"sets": tuple(sets), "matching": tuple(enumerate(match))}
+    return {"sets": sets, "matching": tuple(enumerate(match))}

@@ -294,21 +294,24 @@ def _witnesses(graph: Graph,
     return witnesses[0], witnesses[-1]
 
 
+def k_floor(graph: Graph, theta: int) -> int:
+    """A floor on k(G) from theta = theta_e(G): 0 for an edgeless graph,
+    else Opsut's bound theta_e - n + 2, raised to 1 when no vertex is
+    isolated: the minimal vertex of any acyclic labeling sends no arcs, so
+    a competition graph of an acyclic digraph always has an isolated
+    vertex."""
+    return (max(theta - graph.n + 2, 0 if graph.isolated_vertices() else 1)
+            if theta else 0)
+
+
 @lru_cache(maxsize=QUERY_GRAPHS)
 def _ascent(graph: Graph) -> tuple[int, tuple[Realization, Realization]]:
     """The least k for which the graph plus k isolates is the competition
-    graph of an acyclic digraph, with ``_witnesses`` at that k.
-
-    The ascent asks for the witnesses at k = floor, floor + 1, ... and
-    returns the first.  The floor is 0 for an edgeless graph, else Opsut's
-    bound theta_e - n + 2, raised to 1 when no vertex is isolated: the
-    minimal vertex of any acyclic labeling sends no arcs, so a competition
-    graph of an acyclic digraph always has an isolated vertex.
-    """
+    graph of an acyclic digraph, with ``_witnesses`` at that k: the ascent
+    asks for the witnesses at k = ``k_floor``, k_floor + 1, ... and returns
+    the first."""
     theta = theta_e(graph)
-    floor = (max(theta - graph.n + 2, 0 if graph.isolated_vertices() else 1)
-             if theta else 0)
-    for k in range(floor, theta + 1):
+    for k in range(k_floor(graph, theta), theta + 1):
         witnesses = _witnesses(graph, k)
         if witnesses is not None:
             return k, witnesses

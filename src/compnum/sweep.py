@@ -68,18 +68,16 @@ def graph_record(args) -> dict:
         if "effective" in checks and core.edge_count > 0:
             kc, _ = competition_number(core)
             pc, pc_witness = primary_predator_index(core)
-            equality = kc == theta_e(core) - core.n + pc
             if chordal:
                 realization, _ = chordal_realizer(core)
                 out["chordal_construction"] = (
                     realization.prey_count == theta_e(core))
-                out["effective_equality"] = equality
             strong, _ = every_vertex_on_occupied_edge(core)
             if strong:
                 rebuilt = rebuild_star(core)
                 out["star_rebuild"] = rebuilt.prey_count == theta_e(core)
-                out["effective_equality"] = equality
             if chordal or strong:
+                out["effective_equality"] = kc == theta_e(core) - core.n + pc
                 out["prey_equals_theta"] = pc_witness.prey_count == theta_e(core)
 
         if "planar" in checks:

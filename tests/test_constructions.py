@@ -3,11 +3,12 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from conftest import EXPECTED_SINKS
+from conftest import EXPECTED_SINKS, occupied_edges_by_scan
 
 from compnum import constructions, realizer
 from compnum.bounds import union_tail_bounds
-from compnum.cliques import chordality, every_vertex_on_occupied_edge
+from compnum.cliques import (chordality, every_vertex_on_occupied_edge,
+                             maximal_cliques)
 from compnum.constructions import (NotChordalError, chordal_realizer,
                                    hall_certificate, rebuild_star,
                                    simplicial_family_realizer,
@@ -21,6 +22,7 @@ from compnum.graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
 from compnum.realizer import (RealizationError, competition_number,
                               primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
+from test_lower_bounds import atlas7, small_graphs, sweep_pool
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -86,6 +88,62 @@ def test_chordal_realizer_exhaustive():
             cert = verify_effective_cover(g, cover, realization.digraph)
             assert cert["valid"]
             assert primary_predator_index(g)[0] == g.n + 1 - theta_e(g)
+
+
+GRAPH_SETS = pytest.mark.parametrize("graphs", [
+    small_graphs, atlas7, sweep_pool], ids=["n<=6", "atlas7", "sweep-pool"])
+
+
+@GRAPH_SETS
+def test_chordal_cover_cliques_are_closed_later_neighbourhoods(graphs):
+    # chordal_realizer's sink rule relies on this without checking it: in
+    # its perfect elimination ordering each cover clique is the closed
+    # later neighbourhood of its earliest vertex, and the first cover
+    # clique holds the first vertex, which is simplicial
+    cores = dict.fromkeys(core for g in graphs()
+                          for core in [g.without_isolates()[0]]
+                          if core.edge_count and chordality(core)[0])
+    for core in cores:
+        _, cover = chordal_realizer(core)
+        order = chordality(core)[1]
+        pos = {v: i for i, v in enumerate(order)}
+        for clique in cover:
+            head = min(clique, key=pos.get)
+            later = {u for u in bits(core.rows[head]) if pos[u] > pos[head]}
+            assert set(clique) == {head} | later, (core, clique)
+        assert order[0] in cover[0], core
+    assert len(cores) == {"small_graphs": 93, "atlas7": 392,
+                          "sweep_pool": 29}[graphs.__name__]
+
+
+@GRAPH_SETS
+def test_certified_witnesses_feed_every_clique_the_builders_read(graphs):
+    # rebuild_star and hall_certificate rely on these without checking
+    # them: in a certified realization of a graph where every vertex of a
+    # maximal clique lies on an edge that clique occupies, the ends of
+    # some occupied edge of each clique share a prey, and in any certified
+    # realization each minimum-cover clique feeds a prey with two members
+    occupied_edge_graphs = 0
+    for g in graphs():
+        if not g.edge_count:
+            continue
+        cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
+        occupied = [occupied_edges_by_scan(g, c) for c in cliques]
+        hypothesis = all(set(c) == {v for edge in edges for v in edge}
+                         for c, edges in zip(cliques, occupied))
+        occupied_edge_graphs += hypothesis
+        masks = [sum(1 << v for v in c) for c in min_edge_clique_cover(g)]
+        for witness in (competition_number(g)[1],
+                        primary_predator_index(g)[1]):
+            out, into = witness.digraph.out_rows, witness.digraph.in_rows
+            if hypothesis:
+                assert all(any(out[u] & out[v] for u, v in edges)
+                           for edges in occupied), g
+            assert all(any((into[w] & mask).bit_count() >= 2
+                           for w in range(witness.digraph.n))
+                       for mask in masks), g
+    assert occupied_edge_graphs == {"small_graphs": 173, "atlas7": 655,
+                                    "sweep_pool": 69}[graphs.__name__]
 
 
 # ------------------------------------------------------------ rebuild star

@@ -570,7 +570,9 @@ def test_cli_planar_check_rejects_input_before_the_exact_search(
         capsys, tmp_path):
     # the exact search on rg(15, .5, 16) takes seconds, each input check
     # none: planar-check and rebuild-star reject it plus a disjoint edge,
-    # and hall-cert rejects its 27 maximal cliques as a cover (theta_e 12)
+    # hall-cert rejects its 27 maximal cliques as a cover (theta_e 12), and
+    # verify-effective rejects them with a 3-vertex digraph, whose isolate
+    # count, -12, lies below k's floor
     graph = rg(15, .5, 16)
     disjoint = tmp_path / "disjoint.edges"
     disjoint.write_text(serialize_edge_list(Graph.from_edges(
@@ -581,19 +583,32 @@ def test_cli_planar_check_rejects_input_before_the_exact_search(
     assert len(cliques) == 27
     cover = tmp_path / "cover.json"
     cover.write_text(json.dumps({"cliques": cliques}))
-    for argv, error in [
-            (["planar-check", "--in", str(disjoint)],
+    small = tmp_path / "d.arcs"
+    small.write_text(serialize_edge_list(Digraph.from_arcs(3, [(0, 2),
+                                                               (1, 2)])))
+    checks = {"cliques are cliques": True, "covers all edges": True,
+              "cover minimum": False, "all cliques maximal": True,
+              "isolate count equals competition number": False,
+              "competition graph matches": False, "digraph is acyclic": True,
+              "prey count equals cover size": False, "sinks assigned": False}
+    record = json.dumps({"checks": checks, "failure": "cover not minimum",
+                         "sink_map": None, "valid": False},
+                        indent=2, sort_keys=True)
+    for argv, out, error in [
+            (["planar-check", "--in", str(disjoint)], "",
              "graph must be connected"),
-            (["rebuild-star", "--in", str(disjoint)],
+            (["rebuild-star", "--in", str(disjoint)], "",
              "vertex 0 of maximal clique (0, 1, 4, 9, 12) lies on no edge "
              "occupied by it"),
-            (["hall-cert", "--graph", str(plain), "--cover", str(cover)],
-             "cover must be a minimum cover of maximal cliques")]:
+            (["hall-cert", "--graph", str(plain), "--cover", str(cover)], "",
+             "cover must be a minimum cover of maximal cliques"),
+            (["verify-effective", "--graph", str(plain), "--cover", str(cover),
+              "--digraph", str(small), "--json"], record + "\n", None)]:
         misses = _ascent.cache_info().misses
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (
-            1, "", f"error: {error}\n"), argv[0]
+            1, out, f"error: {error}\n" if error else ""), argv[0]
         assert _ascent.cache_info().misses == misses, argv[0]
 
 
