@@ -53,11 +53,14 @@ plan in the graph's own numbering, and certifies them: re-checks each
 against the competition-graph definition and gives it an acyclic
 labeling.  When the first plan has the fewest prey, it is built and
 certified once and serves as both witnesses.  ``_ascent`` asks for the
-witnesses at each k from a floor up and keeps its answer per graph:
-k(G) with its two witnesses, which ``competition_number`` and
-``primary_predator_index`` read.  Each core's search keeps every walk's
-result keyed by isolate budget, which later queries on the core and on
-the graph reuse; a walk's own state dies with the walk.
+witnesses at each k from the suffix floor ``k_floor`` up and keeps its
+answer per graph: k(G) with its two witnesses, which
+``competition_number`` and ``primary_predator_index`` read.  The floor
+starts at Opsut's theta_e - n + 2 and rises past every budget that the
+two vertices placed last refute, so no walk is spent on such a budget.
+Each core's search keeps every walk's result keyed by isolate budget,
+which later queries on the core and on the graph reuse; a walk's own
+state dies with the walk.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ from functools import lru_cache
 
 from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
-from .graph import (QUERY_GRAPHS, Digraph, Frozen, Graph, add_isolated,
-                    acyclic_labeling, bits, competition_graph)
+from .graph import (QUERY_GRAPHS, Digraph, Frozen, Graph, acyclic_labeling,
+                    bits, clique_rows)
 
 
 class RealizationError(RuntimeError):
@@ -103,8 +106,8 @@ def certify_realization(graph: Graph, digraph: Digraph, k: int,
     if digraph.n != graph.n + k:
         raise RealizationError(
             f"digraph has {digraph.n} vertices, expected {graph.n + k}")
-    comp = competition_graph(digraph)
-    if comp != add_isolated(graph, k):
+    # the competition graph's rows against G's plus k isolates' empty ones
+    if clique_rows(digraph.n, digraph.in_rows) != graph.rows + (0,) * k:
         raise RealizationError("competition graph mismatch")
     acyclic, labeling = acyclic_labeling(digraph)
     if not acyclic:
@@ -273,10 +276,6 @@ def _witnesses(graph: Graph,
     witness object.  The walk runs on the core with the graph's own
     isolates added to the budget; a built digraph's vertices are the
     core's, then those isolates, then the k added ones."""
-    if type(k) is not int:
-        raise ValueError("k must be an int")
-    if k < 0:
-        raise ValueError("isolate count must be nonnegative")
     core, keep = graph.without_isolates()
     search = _search(core)
     isolates = graph.isolated_vertices()
@@ -295,13 +294,40 @@ def _witnesses(graph: Graph,
 
 
 def k_floor(graph: Graph, theta: int) -> int:
-    """A floor on k(G) from theta = theta_e(G): 0 for an edgeless graph,
-    else Opsut's bound theta_e - n + 2, raised to 1 when no vertex is
-    isolated: the minimal vertex of any acyclic labeling sends no arcs, so
-    a competition graph of an acyclic digraph always has an isolated
-    vertex."""
-    return (max(theta - graph.n + 2, 0 if graph.isolated_vertices() else 1)
-            if theta else 0)
+    """A floor on k(G), at most theta = theta_e(G): 0 for an edgeless
+    graph, else the least k from Opsut's theta_e - n + 2 up whose walk
+    budget b, k plus the graph's own isolates, the last two core vertices
+    do not refute.
+
+    Order a realization's vertices so that every arc runs forward.  An
+    edge of G lies in the in-neighbourhood, a clique, of a vertex after
+    both its ends.  After the last core vertex t come only the b isolates,
+    so t's edges have a cover by b cliques; after the one before it, s,
+    come t and the isolates, so the edges at s or t have a cover by b + 1.
+    A budget that no pair (t, s) passes is refuted; with b = 0 no star
+    passes, so a graph with an edge and no isolate has k >= 1.  The pair
+    is searched for lazily: a feasible budget usually costs three cover
+    questions, a refuted one at most n + |F| n, F being the vertices whose
+    star fits b."""
+    if not theta:
+        return 0
+    core, _ = graph.without_isolates()
+    solver = cover_solver(core)
+    at_most = solver.at_most
+    stars = [0] * core.n  # each core vertex's edges, in the solver's numbering
+    for i, (u, v) in enumerate(solver.edges):
+        stars[u] |= 1 << i
+        stars[v] |= 1 << i
+
+    def refuted(b: int) -> bool:
+        return not any(at_most(last | before, b + 1)
+                       for t, last in enumerate(stars) if at_most(last, b)
+                       for s, before in enumerate(stars) if s != t)
+
+    k, isolates = max(theta - graph.n + 2, 0), graph.n - core.n
+    while k < theta and refuted(k + isolates):
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=QUERY_GRAPHS)
@@ -328,7 +354,14 @@ def competition_number(graph: Graph) -> tuple[int, Realization]:
 def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     """Maximum number of in-degree-0 vertices over realizations with a
     given isolate count k (not necessarily the competition number), with a
-    witness attaining it.  Returns None when no realization exists."""
+    witness attaining it.  Returns None when no realization exists, and
+    without a walk when k lies below ``k_floor``."""
+    if type(k) is not int:
+        raise ValueError("k must be an int")
+    if k < 0:
+        raise ValueError("isolate count must be nonnegative")
+    if k < k_floor(graph, theta_e(graph)):
+        return None
     found = _witnesses(graph, k)
     return None if found is None else (found[1].predator_count, found[1])
 

@@ -12,6 +12,8 @@ consume an external graph6 stream instead.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import combinations, permutations
 
 from .graph import Graph, bits
@@ -25,15 +27,19 @@ def _pair_weights(n: int) -> dict[tuple[int, int], int]:
     return {p: 1 << (nbits - 1 - i) for i, p in enumerate(pairs)}
 
 
-def _permutation_tables(n: int):
-    """For each vertex permutation, a table whose entry b is the weight of
-    the image of the pair of weight 2**b; a mask's image is the sum of the
-    entries at its set bits."""
+def _image_lanes(n: int) -> tuple[list[int], int]:
+    """Per pair bit b, one int that packs, in a 16-bit lane per vertex
+    permutation, the weight of the image of the pair of weight 2**b, and
+    the number of permutations.  A mask's images under every permutation
+    are the lanes of the sum of its bits' ints: an image is below 2**15
+    for n <= 6, so no lane carries into the next."""
     weights = _pair_weights(n)
     either = {**weights, **{(v, u): w for (u, v), w in weights.items()}}
-    low_first = list(weights)[::-1]
-    for perm in permutations(range(n)):
-        yield [either[perm[u], perm[v]] for u, v in low_first]
+    perms = list(permutations(range(n)))
+    lanes = [int.from_bytes(array("H", [either[p[u], p[v]] for p in perms])
+                            .tobytes(), sys.byteorder)
+             for u, v in reversed(weights)]
+    return lanes, len(perms)
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -50,15 +56,13 @@ def enumerate_small_graphs(n: int):
         raise ValueError(
             f"built-in enumeration is capped at {MAX_BUILTIN_N} vertices; "
             f"feed a graph6 stream for larger sweeps")
-    if n == 0:
-        yield Graph(0, ())
-        return
-    tables = list(_permutation_tables(n))
-    seen = bytearray(1 << len(tables[0]))
+    lanes, perms = _image_lanes(n)
+    seen = bytearray(1 << len(lanes))
     for mask in range(len(seen)):
         if seen[mask]:
             continue
-        on = list(bits(mask))
-        for t in tables:
-            seen[sum(map(t.__getitem__, on))] = 1
+        images = sum(lanes[b] for b in bits(mask))
+        for image in set(array("H", images.to_bytes(2 * perms,
+                                                     sys.byteorder))):
+            seen[image] = 1
         yield graph_from_mask(n, mask)

@@ -297,7 +297,10 @@ def _built(realization):
 
 
 def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
-    # and each builder, which certifies its digraph once
+    # and each builder, which certifies its digraph once.  The verifier
+    # builds the competition graph; the certifier compares its rows, built
+    # by clique_rows, with the graph's plus k isolates' (before, it built
+    # both graphs, and this test counted its competition_graph calls)
     calls = Counter()
 
     def counted(name, fn):
@@ -306,9 +309,12 @@ def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for module in (constructions, realizer):
-        for name in ("competition_graph", "acyclic_labeling"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for module, check in ((constructions, "competition_graph"),
+                          (realizer, "clique_rows")):
+        monkeypatch.setattr(module, check, counted("competition graph",
+                                                   getattr(module, check)))
+        monkeypatch.setattr(module, "acyclic_labeling", counted(
+            "acyclic_labeling", getattr(module, "acyclic_labeling")))
     for graph, build in (
             (effective_cover_example_graph(), _verified_fixture),
             (BULL, lambda: _built(chordal_realizer(BULL)[0])),
@@ -319,7 +325,7 @@ def test_verify_effective_cover_checks_the_digraph_once(monkeypatch):
         calls.clear()
         digraph, labeling = build()
         assert all(labeling[u] > labeling[v] for u, v in digraph.arcs)
-        assert calls == {"competition_graph": 1, "acyclic_labeling": 1}
+        assert calls == {"competition graph": 1, "acyclic_labeling": 1}
 
 
 def test_verify_effective_cover_non_minimum():

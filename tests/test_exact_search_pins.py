@@ -254,18 +254,20 @@ def test_cover_of_a_dense_graph_stays_small():
 
 def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     # rg(16, .5, 53) has theta_e = 18 and k = 5, so the ascent tries k = 4
-    # (the floor 18 - 16 + 2) and 5.  The walk at k = 5 is the witness's;
-    # no third search rebuilds it.  Its exact cover memo held up to 200,000
-    # entries before the walk put threshold questions to the solver, and
-    # its tables 16,327 before theta_e came from the threshold decision,
-    # and 15,029 while the solver also kept an upper-bound table.
+    # (the floor 18 - 16 + 2, which its last two vertices do not refute)
+    # and 5.  The walk at k = 5 is the witness's; no third search rebuilds
+    # it.  Its exact cover memo held up to 200,000 entries before the walk
+    # put threshold questions to the solver, and its tables 16,327 before
+    # theta_e came from the threshold decision, 15,029 while the solver
+    # also kept an upper-bound table, and 14,739 before the floor asked
+    # about the stars of the vertices placed last.
     cover_solver.cache_clear()
     calls = count_walks(monkeypatch)
     graph = rg(16, .5, 53)
     k = _ascent.__wrapped__(graph)[0]
     assert k == 5
     assert calls == [4, 5]
-    assert cover_table_entries(graph) == 14_739
+    assert cover_table_entries(graph) == 14_747
 
 
 def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
@@ -274,8 +276,9 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     # deleted, decided 17 of this query's _bound calls and none on the
     # small graphs: sets whose cover was found above their lower bound and
     # asked again.  While the walks for k asked no theta_e goal, the query
-    # asked 1,701 questions, and while p built the k witness's plan again
-    # when that plan had the fewest prey, 1,737.
+    # asked 1,701 questions, while p built the k witness's plan again
+    # when that plan had the fewest prey 1,737, and before the floor asked
+    # about the stars of the vertices placed last 1,702.
     for cached in QUERY_CACHES + (cover_solver, certify_realization):
         cached.cache_clear()
     graph = rg(16, .5, 53)
@@ -291,7 +294,7 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     primary_predator_index(graph)
     monkeypatch.undo()
     fresh = _CoverSolver(graph.without_isolates()[0])
-    assert len(asked) == 1_702
+    assert len(asked) == 1_704
     for uncovered, t, answer in asked:
         assert answer == (fresh.size(uncovered) <= t), (uncovered, t)
 
@@ -446,13 +449,15 @@ def test_placement_search_work_counts(monkeypatch):
     # 274,859 entries, and before theta_e came from the threshold decision
     # their tables held 16,327 and 13,285.  While the solver also kept an
     # upper-bound table, their tables held 15,029 and 11,289 entries after
-    # 17,970 and 13,194 _bound calls.
+    # 17,970 and 13,194 _bound calls.  Before the floor asked about the
+    # stars of the vertices placed last, the two took 18,049 and 13,203
+    # _bound calls and held 14,739 and 11,280 entries.
     tree = pindex_work(prufer_tree(60, 0), monkeypatch)
     assert tree["size"] + tree["at_most"] < 5_000
     assert tree["bron_kerbosch"] < 1_500
     assert pindex_work(path(400), monkeypatch)["bron_kerbosch"] < 2_000
-    for graph, bound, entries in ((rg(16, .5, 53), 18_049, 14_739),
-                                  (rg(17, .5, 1), 13_203, 11_280)):
+    for graph, bound, entries in ((rg(16, .5, 53), 18_057, 14_747),
+                                  (rg(17, .5, 1), 13_274, 11_342)):
         assert pindex_work(graph, monkeypatch)["bound"] == bound
         assert cover_table_entries(graph) == entries
 
@@ -463,14 +468,16 @@ def test_predator_index_continues_the_competition_walk(monkeypatch):
     # the fewest prey; states it left before the first plan stay dead.
     # With a second walk at k = 3 for p, replaying the first one's dead
     # prefix, the query took 4 walks, 36,200 at_most calls and 35,305
-    # realizer.bits steps.
+    # realizer.bits steps.  Before the floor refuted k = 1 from the
+    # vertices placed last, it walked k = 1 too: 3 walks, 18,311 at_most
+    # calls and 22,714 steps.
     work = pindex_work(rg(15, .5, 18), monkeypatch)
-    assert (work["walks"], work["at_most"], work["bits"]) == (3, 18_311, 22_714)
+    assert (work["walks"], work["at_most"], work["bits"]) == (2, 18_004, 22_274)
 
 
 @pytest.mark.parametrize("name,bound,packings,steps,questions", [
-    ("tree-60-0", 868, 53, 1_688, 999), ("P400", 400, 1, 1_198, 1_604),
-    ("C400", 798, 398, 1_200, 1_606), ("L100", 5_150, 99, 992, 1_002)])
+    ("tree-60-0", 871, 55, 1_688, 1_001), ("P400", 403, 3, 1_198, 1_606),
+    ("C400", 803, 400, 1_200, 1_608), ("L100", 5_156, 101, 992, 1_004)])
 def test_sparse_search_work_counts(name, bound, packings, steps, questions,
                                    monkeypatch):
     # A forced edge's child takes its packing from its parent, and the
@@ -480,7 +487,10 @@ def test_sparse_search_work_counts(name, bound, packings, steps, questions,
     # p's witness is the k witness itself when the walk's first plan has
     # the fewest prey.  While p built that plan's digraph again, the four
     # took 1,690, 1,200, 1,204 and 1,192 steps and 1,059, 2,004, 2,007 and
-    # 1,301 at_most calls.
+    # 1,301 at_most calls.  Before the floor asked about the stars of the
+    # vertices placed last, they took 868, 400, 798 and 5,150 _bound
+    # calls, 53, 1, 398 and 99 packings and 999, 1,604, 1,606 and 1,002
+    # at_most calls.
     work = pindex_work(PINNED_SPARSE[name][0], monkeypatch)
     assert (work["bound"], work["packings"], work["bits"],
             work["at_most"]) == (bound, packings, steps, questions)
@@ -536,5 +546,6 @@ def test_forced_edges_pass_on_their_packing(monkeypatch):
         for mask, lo in solver._lower.items():
             assert lo <= fresh.size(mask), (graph, mask)
         passed_on += len(found)
-    # 55,506 while p reused a k witness with theta_e prey
-    assert passed_on == 55_511
+    # 55,506 while p reused a k witness with theta_e prey, and 55,511
+    # before the floor refuted budgets from the vertices placed last
+    assert passed_on == 52_787
