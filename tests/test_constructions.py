@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from collections import Counter
 from itertools import combinations
@@ -492,3 +494,31 @@ def test_hall_certificate_never_fails_exhaustively():
                             primary_predator_index(g)[1]):
                 cert = hall_certificate(g, cover, witness.digraph)
                 assert len(cert["matching"]) == len(cover)
+
+
+def test_verifier_records_and_star_rebuilds_are_pinned():
+    # the hash was taken before the verifier compared adjacency rows
+    # instead of building two graphs, and before rebuild_star read the
+    # occupied edges from one listing in the clique layer
+    reprs = []
+    for g in small_graphs():
+        if not g.edge_count:
+            continue
+        k_witness = competition_number(g)[1].digraph
+        digraphs = (k_witness, primary_predator_index(g)[1].digraph,
+                    Digraph.from_arcs(k_witness.n, k_witness.arcs[:-1]),
+                    Digraph.from_arcs(k_witness.n + 1, k_witness.arcs),
+                    Digraph.from_arcs(g.n - 1, ()))
+        covers = (min_edge_clique_cover(g),
+                  tuple(c for c in maximal_cliques(g) if len(c) >= 2))
+        for cover in covers:
+            for digraph in digraphs:
+                record = verify_effective_cover(g, cover, digraph)
+                reprs.append(json.dumps(record, sort_keys=True))
+        core, _ = g.without_isolates()
+        if every_vertex_on_occupied_edge(core)[0]:
+            rebuilt = rebuild_star(core)
+            reprs.append(repr((rebuilt.digraph.arcs, rebuilt.sink_map)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == ("0bfe6a0634b07e14d69af74ef50d9515"
+                      "0dd9064163140c60c574d941fba85afa")
