@@ -226,8 +226,7 @@ def _realization_payload(realization, cover=None) -> dict:
         "prey": realization.prey_count,
         "predators": realization.predator_count,
         "witness_arcs": realization.witness_arcs(),
-        "sink_map": None if realization.sink_map is None
-        else [[i, w] for i, w in realization.sink_map],
+        "sink_map": [[i, w] for i, w in realization.sink_map],
     }
     if cover is not None:
         payload["cover"] = _cover_payload(cover)
@@ -314,6 +313,10 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse's usage errors exit 2, which
+            if exc.code:           # here means a failed theorem check
+                return 1
+            raise  # --help
         finally:
             sys.stdout.flush()  # argparse exits right after printing --help
         code = args.run(args)

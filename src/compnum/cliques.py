@@ -103,29 +103,32 @@ def edge_clique_counts(graph: Graph) -> Counter:
                    for pair in combinations(bits(c), 2))
 
 
-def occupied_pairs(counts: Counter, members) -> list[tuple[int, int]]:
-    """The pairs of ascending ``members`` whose clique count is 1."""
-    return [pair for pair in combinations(members, 2) if counts[pair] == 1]
+def occupied_edges_by_clique(graph: Graph):
+    """Each maximal clique with an edge, in canonical order, as ascending
+    members with the pairs of them whose edge no other maximal clique
+    covers (the edges it occupies); lazily, so a caller may stop early."""
+    counts = edge_clique_counts(graph)
+    for c in maximal_clique_masks(graph):
+        if c.bit_count() >= 2:
+            members = tuple(bits(c))
+            yield members, [pair for pair in combinations(members, 2)
+                            if counts[pair] == 1]
 
 
 def every_clique_has_occupied_edge(graph: Graph) -> bool:
     """Each maximal clique (of size >= 2) covers at least one edge that no
     other maximal clique covers."""
-    counts = edge_clique_counts(graph)
-    return all(occupied_pairs(counts, tuple(bits(c)))
-               for c in maximal_clique_masks(graph) if c.bit_count() >= 2)
+    return all(pairs for _, pairs in occupied_edges_by_clique(graph))
 
 
 def every_vertex_on_occupied_edge(graph: Graph) -> tuple[bool, tuple | None]:
     """Stronger condition: in each maximal clique, every vertex is an
     endpoint of an edge occupied by that clique.  Returns (ok, witness)
     where the witness names the offending (clique, vertex) pair."""
-    counts = edge_clique_counts(graph)
-    for c in maximal_clique_masks(graph):
-        members = tuple(bits(c))
-        bare = c & ~mask_of(chain.from_iterable(occupied_pairs(counts, members)))
-        if c.bit_count() >= 2 and bare:
-            return False, (members, next(bits(bare)))
+    for members, pairs in occupied_edges_by_clique(graph):
+        bare = set(members).difference(*pairs)
+        if bare:
+            return False, (members, min(bare))
     return True, None
 
 

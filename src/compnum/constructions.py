@@ -14,17 +14,17 @@ Builders never trust their construction and keep no checks of their own:
 every output goes through one check, which certifies the digraph with
 ``certify_realization`` and requires a minimum cover of maximal cliques
 with one prey per clique; the check runs no exact search, and the chordal
-builder runs none at all.
+builder runs none at all.  The verifier compares adjacency rows as that
+certifier does; the star rebuild reads the clique layer's occupied edges.
 """
 
 from __future__ import annotations
 
-from .cliques import (chordality, edge_clique_counts,
-                      every_vertex_on_occupied_edge, maximal_clique_masks,
-                      occupied_pairs, simplicial_vertices)
+from .cliques import (chordality, every_vertex_on_occupied_edge,
+                      occupied_edges_by_clique, simplicial_vertices)
 from .ecc import cover_checks, make_cover, min_edge_clique_cover, theta_e
-from .graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
-                    clique_rows, competition_graph, mask_of)
+from .graph import (Digraph, Graph, acyclic_labeling, bits, clique_rows,
+                    mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
                        competition_number, k_floor)
 
@@ -154,18 +154,13 @@ def rebuild_star(graph: Graph, digraph: Digraph | None = None) -> Realization:
             f"vertex {vertex} of maximal clique {clique} lies on no edge "
             f"occupied by it")
     realization = realization or _certified(graph)
-    digraph = realization.digraph
+    out, label = realization.digraph.out_rows, realization.labeling
 
-    cliques = [tuple(bits(c)) for c in maximal_clique_masks(graph)
-               if c.bit_count() >= 2]
-    counts = edge_clique_counts(graph)
-    sinks = []
-    for clique in cliques:
-        candidates = set()
-        for u, v in occupied_pairs(counts, clique):
-            candidates.update(bits(digraph.out_rows[u] & digraph.out_rows[v]))
-        sinks.append(min(candidates, key=lambda w: realization.labeling[w]))
-    return _effective(graph, cliques, sinks, realization.k, "star")
+    listing = list(occupied_edges_by_clique(graph))
+    sinks = [min((w for u, v in pairs for w in bits(out[u] & out[v])),
+                 key=label.__getitem__) for _, pairs in listing]
+    return _effective(graph, [clique for clique, _ in listing], sinks,
+                      realization.k, "star")
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +243,10 @@ def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
     iso_ok = (j >= k_floor(graph, theta_e(graph))
               and j == competition_number(graph)[0])
     acyclic, _ = acyclic_labeling(digraph)
-    prey = [v for v in range(digraph.n) if digraph.in_rows[v]]
-    adjacency = []
-    for c in made:
-        mask = mask_of(c)
-        adjacency.append([w for w in prey if digraph.in_rows[w] & mask == mask])
-    match = _max_bipartite_matching(adjacency)
+    rows = digraph.in_rows  # a clique's candidate sinks are the prey it feeds
+    match = _max_bipartite_matching([
+        [w for w, row in enumerate(rows) if row & mask == mask]
+        for mask in map(mask_of, made)])
 
     table = (  # (check name, result, failure message), in reporting order
         ("cliques are cliques", cliques_ok, "cover contains a non-clique"),
@@ -264,10 +257,10 @@ def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
         ("isolate count equals competition number", iso_ok,
          "isolate count differs from k"),
         ("competition graph matches",
-         iso_ok and competition_graph(digraph) == add_isolated(graph, j),
+         iso_ok and clique_rows(digraph.n, rows) == graph.rows + (0,) * j,
          "competition graph mismatch"),
         ("digraph is acyclic", acyclic, "digraph contains a cycle"),
-        ("prey count equals cover size", len(prey) == len(cover),
+        ("prey count equals cover size", sum(map(bool, rows)) == len(cover),
          "prey count differs from cover size"),
         ("sinks assigned", cliques_ok and all(w is not None for w in match),
          "no distinct sink assignment covers the cliques"),

@@ -5,11 +5,11 @@ from itertools import combinations, permutations
 from conftest import (find_diamond_by_scan, find_hole_by_scan, mcs_order_by_scan,
                       occupied_edges_by_scan, random_graph)
 
-from compnum.cliques import (_find_hole, _mcs_order, chordality, edge_clique_counts,
+from compnum.cliques import (_find_hole, _mcs_order, chordality,
                              every_clique_has_occupied_edge,
                              every_vertex_on_occupied_edge, is_diamond_free,
                              is_induced_cycle, maximal_cliques,
-                             maximal_cliques_through, occupied_pairs,
+                             maximal_cliques_through, occupied_edges_by_clique,
                              simplicial_vertices,
                              verify_elimination_ordering)
 from compnum.ecc import cover_checks, make_cover
@@ -100,8 +100,8 @@ def test_diamond_witness_is_least_induced_diamond():
 
 def occupied_edges(graph, clique):
     """The occupied edges of a maximal clique along the library's own path,
-    the one rebuild_star and both occupied-edge predicates take."""
-    return occupied_pairs(edge_clique_counts(graph), tuple(sorted(clique)))
+    the listing rebuild_star and both occupied-edge predicates read."""
+    return dict(occupied_edges_by_clique(graph))[tuple(sorted(clique))]
 
 
 def test_occupied_edges():

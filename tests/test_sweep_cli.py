@@ -291,6 +291,26 @@ def test_cli_usage_errors_exit_1_with_one_error_line(capsys, fixture_files,
     assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["knumber"], "compnum knumber: error: the following arguments are "
+     "required: --in"),
+    (["knumber", "--in", "{edges}", "--format", "arcs"],
+     "compnum knumber: error: argument --format: invalid choice: 'arcs'"),
+    (["realize", "--in", "{edges}", "--k", "x"],
+     "compnum realize: error: argument --k: invalid int value: 'x'"),
+    ([], "compnum: error: the following arguments are required: command"),
+], ids=["missing-in", "arcs-format", "k-not-int", "no-command"])
+def test_cli_argparse_errors_exit_1_with_argparse_text(capsys, fixture_files,
+                                                       argv, error):
+    # exit 2 means a failed theorem check, so argparse's own 2 becomes 1
+    names = {name: str(path) for name, path in fixture_files.items()}
+    code = main([arg.format(**names) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("usage: compnum")
+    assert captured.err.splitlines()[-1].startswith(error)
+
+
 def test_every_subcommand_parser_holds_its_handler():
     (subs,) = [action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction)]
