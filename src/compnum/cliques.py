@@ -248,8 +248,6 @@ def _hole_candidates(graph: Graph):
 
 
 def _shortest_path(graph: Graph, src: int, dst: int, allowed: int):
-    if not ((allowed >> src) & 1 and (allowed >> dst) & 1):
-        return None
     prev = {src: None}
     frontier = [src]
     while frontier:

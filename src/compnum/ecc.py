@@ -44,7 +44,10 @@ class _CoverSolver:
         self.clique_masks = maximal_clique_masks(graph)
         hits = edge_clique_counts(graph)
         self.edges = sorted(graph.edges(), key=lambda e: (hits[e], e))
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
+        self.stars = [0] * graph.n  # per vertex, the edges at it
+        for i, (u, v) in enumerate(self.edges):
+            self.stars[u] |= 1 << i
+            self.stars[v] |= 1 << i
         self.full_mask = (1 << len(self.edges)) - 1
         self.clique_edge_masks = [self.edge_mask_of(bits(c)) for c in self.clique_masks]
         self.cliques_per_edge: list[list[int]] = [[] for _ in self.edges]
@@ -60,12 +63,11 @@ class _CoverSolver:
 
     def edge_mask_of(self, members) -> int:
         """Bitmask, over this solver's edge numbering, of the edges inside
-        the clique ``members``."""
-        members = sorted(members)
-        em = 0
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                em |= 1 << self.edge_index[(u, v)]
+        the clique ``members``: each member's edges to those before it."""
+        em = seen = 0
+        for v in members:
+            em |= self.stars[v] & seen
+            seen |= self.stars[v]
         return em
 
     def size(self, uncovered: int) -> int:
@@ -132,7 +134,7 @@ class _CoverSolver:
 
     def lex_min_cover(self, uncovered: int) -> tuple[int, ...]:
         """Lexicographically least minimum cover of the edge set, returned
-        as clique indices in ascending order.
+        as the chosen cliques' vertex masks in canonical order.
 
         Each step takes the lowest-index clique that lies in some minimum
         cover of the uncovered edges.  No earlier clique lies in a minimum
@@ -146,7 +148,7 @@ class _CoverSolver:
             for idx in range(lo, len(self.clique_masks)):
                 em = self.clique_edge_masks[idx]
                 if self.at_most(uncovered & ~em, budget - 1):
-                    chosen.append(idx)
+                    chosen.append(self.clique_masks[idx])
                     uncovered &= ~em
                     budget -= 1
                     lo = idx + 1
@@ -172,8 +174,8 @@ def min_edge_clique_cover(graph: Graph) -> tuple[tuple[int, ...], ...]:
     sorted tuple of sorted vertex tuples."""
     core, keep = graph.without_isolates()
     solver = cover_solver(core)
-    indices = solver.lex_min_cover(solver.full_mask)
-    return tuple(tuple(keep[v] for v in bits(solver.clique_masks[i])) for i in indices)
+    cover = solver.lex_min_cover(solver.full_mask)
+    return tuple(tuple(keep[v] for v in bits(c)) for c in cover)
 
 
 def make_cover(graph: Graph, cliques) -> tuple[tuple[int, ...], ...]:

@@ -257,8 +257,8 @@ class _Search:
         leftover = self.solver.lex_min_cover(rem)
         if len(leftover) > len(mapping) - self.n:
             raise RealizationError("isolate budget exceeded by plan")
-        for j, idx in enumerate(leftover, self.n):
-            arcs.extend((v, j) for v in bits(self.solver.clique_masks[idx]))
+        for j, clique in enumerate(leftover, self.n):
+            arcs.extend((v, j) for v in bits(clique))
         return Digraph.from_arcs(len(mapping),
                                  [(mapping[u], mapping[v]) for u, v in arcs])
 
@@ -313,11 +313,7 @@ def k_floor(graph: Graph, theta: int) -> int:
         return 0
     core, _ = graph.without_isolates()
     solver = cover_solver(core)
-    at_most = solver.at_most
-    stars = [0] * core.n  # each core vertex's edges, in the solver's numbering
-    for i, (u, v) in enumerate(solver.edges):
-        stars[u] |= 1 << i
-        stars[v] |= 1 << i
+    at_most, stars = solver.at_most, solver.stars
 
     def refuted(b: int) -> bool:
         return not any(at_most(last | before, b + 1)

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 from conftest import naive_min_cover, naive_theta_e
+from test_lower_bounds import atlas7, small_graphs, sweep_pool
 
+from compnum.cliques import maximal_cliques_through
 from compnum.ecc import (_CoverSolver, cover_checks, make_cover,
                          min_edge_clique_cover, theta_e)
 from compnum.fixtures import effective_cover_example_graph
-from compnum.graph import Graph
+from compnum.graph import Graph, bits
 from compnum.io import parse_graph6
 from compnum.smallgraphs import enumerate_small_graphs
 
@@ -149,3 +151,32 @@ def test_cover_questions_match_brute_force_in_any_order():
                 assert solver.size(m) == exact[m], (g6, m)
             else:
                 assert solver.at_most(m, t) == (exact[m] <= t), (g6, m, t)
+
+
+@pytest.mark.parametrize("graphs", [small_graphs, atlas7, sweep_pool],
+                         ids=["n<=6", "atlas7", "sweep-pool"])
+def test_stars_are_the_one_incidence_table(graphs):
+    # Each vertex's star holds exactly its edges in the solver's numbering;
+    # a clique's edge mask read off the stars equals the one built pair by
+    # pair from that numbering, for every maximal clique and for the
+    # cliques through w on the prefix below w and on all other vertices;
+    # and the cover comes back as vertex masks in canonical order.
+    for graph in graphs():
+        core, keep = graph.without_isolates()
+        solver = _CoverSolver(core)
+        index = {e: i for i, e in enumerate(solver.edges)}
+        assert solver.stars == [
+            sum(1 << i for i, e in enumerate(solver.edges) if v in e)
+            for v in range(core.n)]
+        cliques = list(solver.clique_masks)
+        for w in range(core.n):
+            for prefix in ((1 << w) - 1, core.vertex_mask & ~(1 << w)):
+                cliques += maximal_cliques_through(core, w, prefix)
+        for c in cliques:
+            pairwise = sum(1 << index[pair]
+                           for pair in combinations(bits(c), 2))
+            assert solver.edge_mask_of(reversed(list(bits(c)))) == pairwise
+        cover = solver.lex_min_cover(solver.full_mask)
+        assert list(cover) == sorted(cover, key=solver.clique_masks.index)
+        assert tuple(tuple(keep[v] for v in bits(c)) for c in cover) == (
+            min_edge_clique_cover(graph))

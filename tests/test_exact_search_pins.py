@@ -224,8 +224,9 @@ def count_walks(monkeypatch) -> list:
 
 def cover_table_entries(graph: Graph) -> int:
     """Entries in every table of the graph's cover solver: the exact memo,
-    the lower-bound table and the per-edge ones.  It reads private attributes
-    until the search exposes its work counters."""
+    the lower-bound table and the per-edge one.  It reads private attributes
+    until the search exposes its work counters.  While the solver also kept
+    a per-edge index dict, each count held one more entry per edge."""
     return sum(len(table) for table in vars(cover_solver(graph)).values()
                if isinstance(table, dict))
 
@@ -236,6 +237,7 @@ def test_cover_of_a_dense_graph_stays_small():
     # recursion of its own, the solver's tables held 5,090,526 entries
     # after theta_e and 7,226,453 after min_edge_clique_cover, and while it
     # also kept an upper-bound table, 26,589 after min_edge_clique_cover.
+    # While it kept a per-edge index dict of the 124 edges, 11,740 and 26,550.
     rnd = random.Random(31)
     for n in range(8, 21):
         for p in (.2, .4, .6):
@@ -247,9 +249,9 @@ def test_cover_of_a_dense_graph_stays_small():
     covers, _, minimum = cover_checks(graph, make_cover(graph, maximal))
     assert (len(maximal), covers, minimum) == (76, True, False)
     assert theta_e(graph) == 18
-    assert cover_table_entries(graph) == 11_740
+    assert cover_table_entries(graph) == 11_616
     assert len(min_edge_clique_cover(graph)) == 18
-    assert cover_table_entries(graph) == 26_550
+    assert cover_table_entries(graph) == 26_426
 
 
 def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
@@ -260,14 +262,15 @@ def test_ascent_searches_once_per_step_and_cover_memo_stays_small(monkeypatch):
     # put threshold questions to the solver, and its tables 16,327 before
     # theta_e came from the threshold decision, 15,029 while the solver
     # also kept an upper-bound table, and 14,739 before the floor asked
-    # about the stars of the vertices placed last.
+    # about the stars of the vertices placed last; 14,747 while the solver
+    # also kept a per-edge index dict of the 64 edges.
     cover_solver.cache_clear()
     calls = count_walks(monkeypatch)
     graph = rg(16, .5, 53)
     k = _ascent.__wrapped__(graph)[0]
     assert k == 5
     assert calls == [4, 5]
-    assert cover_table_entries(graph) == 14_747
+    assert cover_table_entries(graph) == 14_683
 
 
 def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
@@ -451,13 +454,14 @@ def test_placement_search_work_counts(monkeypatch):
     # upper-bound table, their tables held 15,029 and 11,289 entries after
     # 17,970 and 13,194 _bound calls.  Before the floor asked about the
     # stars of the vertices placed last, the two took 18,049 and 13,203
-    # _bound calls and held 14,739 and 11,280 entries.
+    # _bound calls and held 14,739 and 11,280 entries, and while the solver
+    # also kept a per-edge index dict (64 and 67 edges), 14,747 and 11,342.
     tree = pindex_work(prufer_tree(60, 0), monkeypatch)
     assert tree["size"] + tree["at_most"] < 5_000
     assert tree["bron_kerbosch"] < 1_500
     assert pindex_work(path(400), monkeypatch)["bron_kerbosch"] < 2_000
-    for graph, bound, entries in ((rg(16, .5, 53), 18_057, 14_747),
-                                  (rg(17, .5, 1), 13_274, 11_342)):
+    for graph, bound, entries in ((rg(16, .5, 53), 18_057, 14_683),
+                                  (rg(17, .5, 1), 13_274, 11_275)):
         assert pindex_work(graph, monkeypatch)["bound"] == bound
         assert cover_table_entries(graph) == entries
 

@@ -15,15 +15,16 @@ import pytest
 from compnum.cli import build_parser, main
 from compnum.constructions import rebuild_star, verify_effective_cover
 from compnum.cliques import maximal_clique_masks
+from compnum.ecc import theta_e
 from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_digraph,
                               effective_cover_example_graph)
 from compnum.graph import Digraph, Graph, bits
 from compnum.io import parse_edge_list, serialize_edge_list, serialize_graph6
-from compnum.realizer import RealizationError, _ascent
+from compnum.realizer import RealizationError, _ascent, max_predators_with
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import _worker_count, sweep
-from test_exact_search_pins import rg
+from test_exact_search_pins import C4_PLUS_3, K4_PLUS_3, rg
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -386,6 +387,46 @@ def test_cli_realize_with_many_isolates_is_pinned(capsys, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e521f06e486c953718e131100496f84e7291181517257ae0c84e3eb8a5cdc020")
+
+
+def test_cli_realize_past_theta_e_prints_the_library_answer(capsys,
+                                                             tmp_path):
+    # From K = theta_e on, the command asks the library at theta_e and adds
+    # the further isolates as predators; its bytes are those of the
+    # library's own answer at K.
+    path = tmp_path / "g.edges"
+    graphs = [g for n in range(6) for g in enumerate_small_graphs(n)]
+    for graph in graphs + [K4_PLUS_3, C4_PLUS_3]:
+        path.write_text(serialize_edge_list(graph))
+        theta = theta_e(graph)
+        for k in range(theta, theta + 4):
+            predators, witness = max_predators_with(graph, k)
+            expected = {"realizable": True, "k": k, "max_predators": predators,
+                        "prey": witness.prey_count,
+                        "witness_arcs": witness.witness_arcs()}
+            assert run_cli(capsys, "realize", "--in", str(path), "--k",
+                           str(k), "--json", "--witness") == (
+                0, json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+
+def test_cli_realize_builds_no_digraph_past_theta_e_isolates(
+        capsys, monkeypatch, tmp_path):
+    # P3 has theta_e = 2, so no witness needs more than 3 + 2 vertices,
+    # whatever the budget
+    path = tmp_path / "p3.edges"
+    path.write_text("3 2\n0 1\n1 2\n")
+    sizes = []
+    init = Digraph.__init__
+
+    def recording(self, n, arcs):
+        sizes.append(n)
+        init(self, n, arcs)
+
+    monkeypatch.setattr(Digraph, "__init__", recording)
+    code, out = run_cli(capsys, "realize", "--in", str(path), "--k", "100000",
+                        "--json", "--witness")
+    assert code == 0 and json.loads(out)["max_predators"] == 100_001
+    assert sizes and max(sizes) <= 5
 
 
 def test_cli_constructions(capsys, tmp_path):
