@@ -25,7 +25,7 @@ def opsut_bound(graph: Graph) -> int:
     """theta_e - n + 2; the classical floor for the competition number of
     a graph with at least one edge.  An edgeless graph has k = 0, which
     the formula exceeds on K0 and K1, so its usable floor is 0."""
-    return theta_e(graph) - graph.n + 2
+    return predator_bound(graph, 2)
 
 
 def predator_bound(graph: Graph, p: int) -> int:

@@ -46,6 +46,8 @@ def _load_digraph(path: str, fmt: str):
                          "format for digraph input")
     value = parse_edge_list(_read(path))
     if not isinstance(value, Digraph):
+        if value.edge_count == 0:  # no edge lines: the arc-less digraph
+            return Digraph(value.n, ())
         raise ValueError("expected an arc list (lines 'u > v')")
     return value
 

@@ -271,6 +271,8 @@ def competition_graph(digraph: Digraph) -> Graph:
 
 def add_isolated(graph: Graph, k: int) -> Graph:
     """Return the graph together with k extra isolated vertices appended."""
+    if type(k) is not int:
+        raise ValueError("k must be an int")
     if k < 0:
         raise ValueError("isolate count must be nonnegative")
     if k == 0:

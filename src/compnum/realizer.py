@@ -118,19 +118,13 @@ def certify_realization(graph: Graph, digraph: Digraph, k: int,
     return Realization(digraph, k, labeling, prey, digraph.n - prey, sink_map)
 
 
-class _Found(Exception):
-    pass
-
-
 class _Search:
     """Exact placement search on a graph without isolated vertices."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.n
-        self.all_mask = graph.vertex_mask
         self.solver = cover_solver(graph)
-        self.full_edges = self.solver.full_mask
         self._options: dict[int, tuple] = {0: ()}
         self._walks: dict[int, tuple | None] = {}
 
@@ -173,7 +167,8 @@ class _Search:
         for any plan finds.  Every question about a leftover's cover size
         is a threshold, put to the solver's ``at_most``; only a recorded
         plan's total is computed exactly."""
-        solver, full, everyone = self.solver, self.full_edges, self.all_mask
+        solver, everyone = self.solver, self.graph.vertex_mask
+        full = solver.full_mask
         at_most = solver.at_most
         goal = solver.size(full)
         # room below counts the isolates and the vertices still unplaced
@@ -202,9 +197,7 @@ class _Search:
             if last or (fits_room and at_most(rem, k)):
                 total = used + solver.size(rem)
                 found.append((total, (list(trail), rem)))
-                if total <= goal:
-                    raise _Found
-                return
+                return total <= goal
             options = (self._clique_options(placed, trail[-1][0]) if trail
                        else ())
             # a child whose leftover needs more than room cliques can
@@ -216,22 +209,21 @@ class _Search:
                 wbit = 1 << w
                 for members, em in children:
                     trail.append((w, members))
-                    rec(placed | wbit, covered | em, used + 1, trail)
+                    if rec(placed | wbit, covered | em, used + 1, trail):
+                        return True
                     trail.pop()
                 if not (fits or fits_room):
                     break  # no later vertex has a child
                 children = fits
                 if fits_room:
                     trail.append((w, None))
-                    rec(placed | wbit, covered, used, trail)
+                    if rec(placed | wbit, covered, used, trail):
+                        return True
                     trail.pop()
             visited[state] = used if found else 0  # 0: dead to any entry
 
-        try:
-            if at_most(full, spare + 1):
-                rec(0, 0, 0, [])
-        except _Found:
-            pass
+        if at_most(full, spare + 1):
+            rec(0, 0, 0, [])
         # rec refers to itself; unbinding it frees the walk's state at once
         del rec
         return (found[0], found[-1]) if found else None

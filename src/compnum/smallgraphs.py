@@ -50,6 +50,8 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 def enumerate_small_graphs(n: int):
     """Yield one canonical representative per isomorphism class of graphs
     on n vertices, in ascending canonical order."""
+    if type(n) is not int:
+        raise ValueError("n must be an int")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > MAX_BUILTIN_N:

@@ -150,6 +150,8 @@ def _fan_out(jobs, workers: int) -> list[dict]:
 def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> dict:
     """Run the selected checks over a graph stream, as the report
     {records, summary} that ``compnum sweep --out`` writes."""
+    if threads is not None and type(threads) is not int:
+        raise ValueError("threads must be an int or None")
     checks = tuple(checks)
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:

@@ -344,13 +344,19 @@ def test_one_walk_per_budget_gives_the_k_and_the_p_witness(monkeypatch):
 
 def test_walks_leave_no_cyclic_garbage():
     # A walk's recursive closure must not keep its state alive until the
-    # cyclic collector runs.
-    search = _Search(rg(12, .5, 4))
+    # cyclic collector runs, however the walk ends: with no plan, stopped
+    # by a theta_e-prey plan, or at its end with every plan above theta_e.
+    # The totals pin which ending each walk took.
+    shared = _Search(rg(12, .5, 4))
+    endings = [(shared, 2, 12, None), (shared, 3, 12, (13, 12)),
+               (_Search(rg(14, .5, 12)), 4, 15, (16, 16))]
     gc.collect()
     gc.disable()
     try:
-        for budget in (2, 3):
-            search._walk(budget)
+        for search, budget, theta, totals in endings:
+            found = search._walk(budget)
+            assert search.solver.size(search.solver.full_mask) == theta
+            assert (found and (found[0][0], found[1][0])) == totals
         assert gc.collect() == 0
     finally:
         gc.enable()

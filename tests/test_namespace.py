@@ -2,6 +2,7 @@
 command loads and the library's explicit self-checks."""
 
 import ast
+import builtins
 import contextlib
 import glob
 import hashlib
@@ -106,6 +107,26 @@ def test_library_makes_no_assert_statements():
         found += [f"{os.path.basename(path)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_exception_the_library_defines_is_public():
+    # an exception class outside compnum.__all__ would exist only to steer
+    # control flow; the library stops by returning instead
+    classes = []
+    for path in sorted(glob.glob(os.path.join(SRC, "compnum", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        classes += [(f"{os.path.basename(path)}:{node.name}", node.name,
+                     {base.id for base in node.bases
+                      if isinstance(base, ast.Name)})
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)]
+    errors = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, Exception)}
+    for _ in classes:  # each pass reaches one more level of subclasses
+        errors |= {name for _, name, bases in classes if bases & errors}
+    assert [where for where, name, _ in classes
+            if name in errors and name not in compnum.__all__] == []
 
 
 def test_every_public_name_is_its_home_module_attribute():

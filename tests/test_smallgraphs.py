@@ -52,6 +52,9 @@ def test_enumeration_cap():
         list(enumerate_small_graphs(7))
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         list(enumerate_small_graphs(-1))
+    for n in (2.0, True):
+        with pytest.raises(ValueError, match="^n must be an int$"):
+            list(enumerate_small_graphs(n))
 
 
 def test_zero_and_one_vertex():

@@ -269,9 +269,14 @@ def test_sweep_turns_a_raised_error_into_a_violation(capsys, monkeypatch):
                                       sort_keys=True) + "\n"
 
 
-def test_sweep_rejects_an_unknown_check():
-    with pytest.raises(ValueError, match=r"^unknown checks: \['nope'\]$"):
-        sweep(enumerate_small_graphs(2), ["nope"])
+@pytest.mark.parametrize("kwargs,error", [
+    ({"checks": ["nope"]}, r"unknown checks: \['nope'\]"),
+    ({"threads": 1.5}, "threads must be an int or None"),
+    ({"threads": True}, "threads must be an int or None"),
+], ids=["unknown-check", "float-threads", "bool-threads"])
+def test_sweep_rejects_a_bad_argument(kwargs, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        sweep(enumerate_small_graphs(2), **kwargs)
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -290,6 +295,33 @@ def test_cli_usage_errors_exit_1_with_one_error_line(capsys, fixture_files,
     code = main([arg.format(**names) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["compete", "--in", "{e3}"], "3 0\n"),
+    (["compete", "--in", "{e3}", "--json"],
+     _json_text({"edges": [], "graph6": "B?", "n": 3})),
+    (["verify-effective", "--graph", "{e3}", "--cover", "{cover}",
+      "--digraph", "{e3}"], "valid\n"),
+    (["rebuild-star", "--in", "{e3}", "--digraph", "{e3}"],
+     _json_text({"k": 0, "predators": 3, "prey": 0, "sink_map": [],
+                 "witness_arcs": []})),
+    (["hall-cert", "--graph", "{e3}", "--digraph", "{e3}"],
+     _json_text({"matching": [], "sets": []})),
+], ids=["compete", "compete-json", "verify-effective", "rebuild-star",
+        "hall-cert"])
+def test_cli_reads_an_edge_list_with_no_edges_as_the_arcless_digraph(
+        capsys, tmp_path, argv, out):
+    # "3 0" has no line to tell arcs from edges; read as a digraph it is
+    # Digraph(3, ()), as the library takes it
+    names = {"e3": tmp_path / "e3.edges", "cover": tmp_path / "cover.json"}
+    names["e3"].write_text("3 0\n")
+    names["cover"].write_text(json.dumps({"cliques": []}))
+    assert run_cli(capsys, *[arg.format(**names) for arg in argv]) == (0, out)
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from compnum.graph import Digraph, Graph
+from compnum.graph import Digraph, Graph, add_isolated
 from compnum.realizer import Realization, competition_number
 
 P3_PLUS_ISOLATE = Graph(4, (2, 5, 2, 0))
@@ -154,6 +154,9 @@ def test_cached_property_values():
     (lambda: Graph(2, (0.0, 0)), "rows must be a tuple of ints"),
     (lambda: Graph(1, (False,)), "rows must be a tuple of ints"),
     (lambda: Digraph(True, ()), "n must be an int"),
+    # count arguments are ints, as Graph's n is
+    (lambda: add_isolated(Graph(1, (0,)), True), "k must be an int"),
+    (lambda: add_isolated(Graph(1, (0,)), 1.5), "k must be an int"),
     (lambda: Digraph(3, [(0, 2), (1, 2)]), "arcs must be a tuple of int pairs"),
     (lambda: Digraph(3, ([0, 2],)), "arcs must be a tuple of int pairs"),
     (lambda: Digraph(3, ((0, 1, 2),)), "arcs must be a tuple of int pairs"),
