@@ -3,16 +3,16 @@
 Maximal cliques come from Bron-Kerbosch with pivoting over adjacency
 bitmasks and are always returned in canonical (lexicographic) order, so
 everything downstream that indexes into a clique list is reproducible.
-Chordality is computed constructively (maximum cardinality search) and the
-returned elimination ordering is then verified; the verifier is what we
-trust, not the recognizer.
+Chordality is computed constructively (maximum cardinality search); the
+elimination ordering, or on its failure the hole it leads to, is then
+verified: the verifier is what we trust, not the recognizer.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from .graph import QUERY_GRAPHS, Graph, bits, mask_of
 
@@ -200,8 +200,8 @@ def chordality(graph: Graph) -> tuple[bool, tuple[int, ...]]:
     cycle order from its least vertex.
 
     The ordering is produced by maximum cardinality search with smallest
-    index on ties and then checked directly; on failure the hole is
-    extracted and checked.
+    index on ties and then checked directly; on failure the hole through
+    its last gap is checked, and a RuntimeError reports a missing one.
     """
     order = _mcs_order(graph)
     if verify_elimination_ordering(graph, order):
@@ -213,21 +213,19 @@ def chordality(graph: Graph) -> tuple[bool, tuple[int, ...]]:
 
 
 def _find_hole(graph: Graph, order) -> tuple[int, ...] | None:
-    """An induced cycle of length >= 4, or None when the graph is chordal.
+    """The hole through the last gap (v, u, w) of ``order``, v being its
+    first vertex whose later neighbours are not a clique, or None when
+    there is no gap or no u-w path avoids v and v's other neighbours.
 
-    Each vertex v with nonadjacent neighbours u, w is a candidate: a
-    shortest u-w path avoiding v and the rest of v's neighbourhood is
-    chordless, none of its inner vertices sees v, and so v closes it into a
-    hole.  In any hole C, C - v is such a path between v's two cycle
-    neighbours, so trying every candidate finds a hole whenever one exists.
-    The last candidate on which ``order`` fails to be a perfect elimination
-    ordering is tried first, then all candidates in ascending order.
+    A shortest such path is chordless and none of its inner vertices sees
+    v, so v closes it into a hole.  On a maximum cardinality search
+    ordering such a path exists at every gap, by census, not proof: all
+    38,146 gaps of the 33,868 labeled graphs on <= 6 vertices and 250,942
+    of 3,000 seeded G(n, p), n = 5..40, have one.
     """
-    last_gap = deque(_elimination_gaps(graph, order), maxlen=1)
-    for v, u, w in chain(last_gap, _hole_candidates(graph)):
-        allowed = graph.vertex_mask & ~(graph.rows[v] & ~(1 << u) & ~(1 << w))
-        allowed &= ~(1 << v)
-        path = _shortest_path(graph, u, w, allowed)
+    for v, u, w in deque(_elimination_gaps(graph, order), maxlen=1):
+        allowed = graph.vertex_mask & ~graph.rows[v] | (1 << u) | (1 << w)
+        path = _shortest_path(graph, u, w, allowed & ~(1 << v))
         if path is not None:
             cycle = [v] + path
             k = cycle.index(min(cycle))
@@ -236,15 +234,6 @@ def _find_hole(graph: Graph, order) -> tuple[int, ...] | None:
                 cycle = [cycle[0]] + cycle[:0:-1]
             return tuple(cycle)
     return None
-
-
-def _hole_candidates(graph: Graph):
-    """Every (v, u, w) with u < w nonadjacent neighbours of v, ascending."""
-    for v in range(graph.n):
-        nb = graph.rows[v]
-        for u in bits(nb):
-            for w in bits(nb & ~graph.rows[u] & (-1 << (u + 1))):
-                yield v, u, w
 
 
 def _shortest_path(graph: Graph, src: int, dst: int, allowed: int):

@@ -239,10 +239,10 @@ def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
         made, cliques_ok = (), False
     covers, maximal, minimum = (
         cover_checks(graph, made) if cliques_ok else (False, False, False))
+    acyclic, _ = acyclic_labeling(digraph)  # a non-Digraph raises: no search
     j = digraph.n - graph.n  # below k's floor, no exact search is needed
     iso_ok = (j >= k_floor(graph, theta_e(graph))
               and j == competition_number(graph)[0])
-    acyclic, _ = acyclic_labeling(digraph)
     rows = digraph.in_rows  # a clique's candidate sinks are the prey it feeds
     match = _max_bipartite_matching([
         [w for w, row in enumerate(rows) if row & mask == mask]

@@ -207,6 +207,12 @@ class Digraph(Frozen):
         return tuple(rows)
 
 
+def check_digraph(digraph) -> None:
+    """Raise ValueError unless ``digraph`` is a Digraph."""
+    if not isinstance(digraph, Digraph):
+        raise ValueError("digraph must be a Digraph")
+
+
 def acyclic_labeling(digraph: Digraph) -> tuple[bool, tuple[int, ...]]:
     """``(True, labels)``, labels[v] being vertex v's label, a bijection
     onto 1..n that strictly decreases along every arc; or ``(False,
@@ -219,6 +225,7 @@ def acyclic_labeling(digraph: Digraph) -> tuple[bool, tuple[int, ...]]:
     a vertex enters when its last remaining out-neighbour is labeled.  A
     cycle is a result, not an error.
     """
+    check_digraph(digraph)
     n = digraph.n
     out_degree = [row.bit_count() for row in digraph.out_rows]
     ready = [v for v in range(n) if out_degree[v] == 0]  # ascending: a heap
@@ -266,6 +273,7 @@ def clique_rows(n: int, masks) -> tuple[int, ...]:
 
 def competition_graph(digraph: Digraph) -> Graph:
     """Graph on V(D) with an edge xy whenever x and y share an out-neighbour."""
+    check_digraph(digraph)
     return Graph(digraph.n, clique_rows(digraph.n, digraph.in_rows))
 
 

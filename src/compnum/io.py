@@ -115,7 +115,8 @@ def parse_edge_list(text: str) -> Graph | Digraph:
     """Parse the ``n m`` edge-list format.
 
     Lines of the form ``u v`` build a Graph; lines of the form ``u > v``
-    build a Digraph.  The two styles cannot be mixed.
+    build a Digraph.  The two styles cannot be mixed.  The value types
+    check vertex range, self-loops and repeats, raised as FormatError.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -148,19 +149,13 @@ def parse_edge_list(text: str) -> Graph | Digraph:
             pairs.append((int(u), int(v)))
         except ValueError:
             raise FormatError(f"malformed line: {ln!r}") from None
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"vertex index out of range: ({u},{v})")
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}")
-    if directed:
-        if len(set(pairs)) != len(pairs):
-            raise FormatError("duplicate arc")
-        return Digraph.from_arcs(n, pairs)
-    undirected = {(min(u, v), max(u, v)) for u, v in pairs}
-    if len(undirected) != len(pairs):
-        raise FormatError("duplicate edge")
-    return Graph.from_edges(n, sorted(undirected))
+    if directed and len(set(pairs)) != len(pairs):
+        raise FormatError("duplicate arc")
+    try:
+        return (Digraph.from_arcs(n, pairs) if directed
+                else Graph.from_edges(n, pairs))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def serialize_edge_list(value: Graph | Digraph) -> str:

@@ -70,7 +70,7 @@ from functools import lru_cache
 from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
 from .graph import (QUERY_GRAPHS, Digraph, Frozen, Graph, acyclic_labeling,
-                    bits, clique_rows)
+                    bits, check_digraph, clique_rows)
 
 
 class RealizationError(RuntimeError):
@@ -100,6 +100,7 @@ def certify_realization(graph: Graph, digraph: Digraph, k: int,
                         sink_map=None) -> Realization:
     """Check a claimed realization and package it; never trust, verify.
     Recent results are kept, so a witness checked again costs a lookup."""
+    check_digraph(digraph)
     if digraph.n < graph.n:
         raise RealizationError(f"digraph has {digraph.n} vertices, fewer "
                                f"than the graph's {graph.n}")

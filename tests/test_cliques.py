@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 from conftest import (find_diamond_by_scan, find_hole_by_scan, mcs_order_by_scan,
                       occupied_edges_by_scan, random_graph)
 
-from compnum.cliques import (_find_hole, _mcs_order, chordality,
+from compnum.cliques import (_elimination_gaps, _mcs_order, chordality,
                              every_clique_has_occupied_edge,
                              every_vertex_on_occupied_edge, is_diamond_free,
                              is_induced_cycle, maximal_cliques,
@@ -14,8 +14,9 @@ from compnum.cliques import (_find_hole, _mcs_order, chordality,
                              verify_elimination_ordering)
 from compnum.ecc import cover_checks, make_cover
 from compnum.fixtures import effective_cover_example_graph
-from compnum.graph import Graph
+from compnum.graph import Graph, bits
 from compnum.smallgraphs import enumerate_small_graphs
+from test_lower_bounds import atlas7, small_graphs, sweep_pool
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
@@ -206,15 +207,41 @@ def test_induced_cycle_matches_the_pair_scan():
                 assert is_induced_cycle(g, cycle) == by_pairs(g, cycle)
 
 
-def test_find_hole_beyond_twenty_vertices():
-    # the ordering's failing pair (0; 1, 2) sits in a chordal K4 minus an
-    # edge, so the hole must come from the search over all candidates
+def test_chordality_finds_a_hole_beyond_twenty_vertices():
     edges = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3),
              (4, 5), (5, 6), (6, 7), (4, 7)]
-    g = Graph.from_edges(25, edges)
-    assert _find_hole(g, list(range(25))) == (4, 5, 6, 7)
-    assert chordality(g) == (False, (4, 5, 6, 7))
-    assert _find_hole(Graph.from_edges(25, edges[:5]), list(range(25))) is None
+    assert chordality(Graph.from_edges(25, edges)) == (False, (4, 5, 6, 7))
+
+
+def joined_avoiding(graph, u, w, avoid):
+    """Whether a u-w path has no inner vertex in the mask ``avoid``."""
+    seen = frontier = 1 << u
+    while frontier and not (seen >> w) & 1:
+        step = 0
+        for a in bits(frontier):
+            step |= graph.rows[a]
+        frontier = step & ~seen
+        seen |= frontier
+        frontier &= ~avoid
+    return bool((seen >> w) & 1)
+
+
+def test_every_mcs_gap_has_a_path_around_its_vertex():
+    # the census behind the hole search: at every pair (u, w) on which the
+    # maximum cardinality search ordering fails at v, some u-w path avoids
+    # v and v's other neighbours, so the last gap always yields a hole
+    rng = random.Random(37)
+    graphs = small_graphs() + atlas7() + sweep_pool() + [
+        Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                             if rng.random() < p])
+        for n, p in ((rng.randint(8, 30), rng.choice((.1, .2, .3, .5)))
+                     for _ in range(200))]
+    gaps = 0
+    for g in graphs:
+        for v, u, w in _elimination_gaps(g, _mcs_order(g)):
+            gaps += 1
+            assert joined_avoiding(g, u, w, g.rows[v] | 1 << v), (g, v, u, w)
+    assert (len(graphs), gaps) == (1753, 12992)
 
 
 def test_simplicial_vertices():

@@ -21,8 +21,9 @@ from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_graph)
 from compnum.graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
                            competition_graph)
-from compnum.realizer import (RealizationError, competition_number,
-                              primary_predator_index)
+from compnum.io import parse_edge_list
+from compnum.realizer import (RealizationError, certify_realization,
+                              competition_number, primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
 from test_lower_bounds import atlas7, small_graphs, sweep_pool
 
@@ -483,6 +484,30 @@ def test_hall_certificate_rejects_a_cycle():
     cover = make_cover(TWO_K2, [(0, 3), (1, 2)])
     with pytest.raises(ValueError, match="digraph contains a cycle"):
         hall_certificate(TWO_K2, cover, CYCLIC)
+
+
+@pytest.mark.parametrize("use", [
+    competition_graph,
+    acyclic_labeling,
+    lambda digraph: certify_realization(C4, digraph, 2),
+    lambda digraph: rebuild_star(C4, digraph),
+    lambda digraph: hall_certificate(C4, None, digraph),
+    lambda digraph: verify_effective_cover(C4, min_edge_clique_cover(C4),
+                                           digraph),
+], ids=["competition-graph", "acyclic-labeling", "certify", "rebuild-star",
+        "hall", "verify-effective"])
+def test_a_graph_given_as_the_digraph_is_rejected_before_any_search(
+        monkeypatch, use):
+    # an arc list with no arcs parses as a Graph
+    graph = parse_edge_list("6 0\n")
+    assert type(graph) is Graph
+
+    def exact_search(*args):
+        raise AssertionError("exact search started")
+
+    monkeypatch.setattr(constructions, "competition_number", exact_search)
+    with pytest.raises(ValueError, match="^digraph must be a Digraph$"):
+        use(graph)
 
 
 def test_hall_certificate_never_fails_exhaustively():

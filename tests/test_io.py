@@ -111,6 +111,10 @@ def test_edge_list_errors():
     (parse_edge_list, "3 1\n0 1 2\n", "malformed edge line"),
     (parse_edge_list, "2 1\n0 x\n", "malformed line: '0 x'"),
     (parse_edge_list, "2 2\n0 > 1\n0 > 1\n", "duplicate arc"),
+    (parse_edge_list, "2 1\n0 2\n", r"^edge \(0,2\) out of range$"),
+    (parse_edge_list, "3 1\n0 > 3\n", r"^arc \(0,3\) out of range$"),
+    (parse_edge_list, "2 1\n1 > 1\n", "^self-arc at vertex 1$"),
+    (parse_edge_list, "2 2\n0 1\n1 0\n", r"^duplicate edge \(1,0\)$"),
     (_encode_g6_size, -1, "vertex count must be nonnegative"),
     (_encode_g6_size, 2 ** 36, "graph too large for graph6"),
 ])

@@ -97,6 +97,33 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert uncalled == []
 
 
+def test_every_library_definition_is_used_by_the_library_or_a_demo():
+    # a function, class or method that only its own body or the tests
+    # reach is dead code or a test oracle; dunders are called by Python
+    definitions, uses = [], []
+    paths = sorted(glob.glob(os.path.join(SRC, "compnum", "*.py")))
+    for path in paths + sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        uses += [(path, node.lineno,
+                  node.id if isinstance(node, ast.Name) else node.attr)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute))]
+        if path not in paths:
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            definitions += [(path, item) for item in [node, *members]
+                            if isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                            and not item.name.startswith("__")]
+    unused = [f"{os.path.basename(path)}:{item.name}"
+              for path, item in definitions
+              if not any(name == item.name and not (
+                  where == path and item.lineno <= line <= item.end_lineno)
+                  for where, line, name in uses)]
+    assert unused == []
+
+
 def test_library_makes_no_assert_statements():
     # python -O strips assert statements, and with them any self-check
     # made by one; the library raises instead
