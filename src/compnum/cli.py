@@ -14,6 +14,7 @@ loads only the modules of its own command.
 
 import argparse
 import json
+import os
 import sys
 
 from . import ALL_CHECKS
@@ -290,25 +291,88 @@ def _cmd_planar_check(args) -> int:
     return 0 if result["consistent"] else 2
 
 
+class _Lines:
+    """A file's lines, read lazily and afresh by each iteration, so that each
+    sweep process reads the file through a descriptor of its own."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __iter__(self):
+        with open(self.path, "r", encoding="ascii") as handle:
+            yield from handle
+
+
+def _written(records, handle):
+    """Yield each record after writing it to handle as ``json.dump(report,
+    indent=2, sort_keys=True)`` writes it inside the report's "records"
+    list.  The list opens with the first record, so that no forked worker
+    inherits a filled buffer."""
+    opening = '{\n  "records": ['
+    for record in records:
+        handle.write(opening + "\n    " + json.dumps(
+            record, indent=2, sort_keys=True).replace("\n", "\n    "))
+        opening = ","
+        yield record
+    handle.write("\n  ]" if opening == "," else opening + "]")
+
+
+def _write_report(records, checks, path: str) -> dict:
+    """Stream the report to a temporary file beside path, moved over path
+    once it is complete; on any error path keeps its bytes, or stays
+    absent.  Returns the summary."""
+    from .sweep import summarize
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        handle = open(temp, "w", encoding="ascii")
+    except OSError as exc:  # name the path asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
+            summary = summarize(_written(records, handle), checks)
+            handle.write(',\n  "summary": ' + json.dumps(
+                summary, indent=2, sort_keys=True).replace("\n", "\n  ")
+                + "\n}\n")
+        try:
+            os.replace(temp, path)
+        except OSError as exc:  # such as a directory at path
+            raise OSError(exc.errno, exc.strerror, path) from None
+    except BaseException:
+        os.remove(temp)
+        raise
+    return summary
+
+
 def _cmd_sweep(args) -> int:
     from .io import parse_graph6_lines
-    from .sweep import sweep
+    from .sweep import stream_records, summarize
     if (args.n is None) == (args.infile is None):
         raise ValueError("give exactly one of --n or --in")
-    if args.infile is not None:
-        graphs = parse_graph6_lines(_read(args.infile))
-    else:
+    if args.infile is None:
         from .smallgraphs import enumerate_small_graphs
-        graphs = list(enumerate_small_graphs(args.n))
-    if args.connected:
-        graphs = [g for g in graphs if g.is_connected()]
+        items, parse = list(enumerate_small_graphs(args.n)), list
+    else:  # stdin is read whole: forked workers cannot share its offset
+        items = (sys.stdin.read().splitlines(keepends=True)
+                 if args.infile == "-" else _Lines(args.infile))
+
+        def parse(lines):
+            return parse_graph6_lines("".join(lines))
+
+    def load(chunk):
+        graphs = parse(chunk)
+        return ([g for g in graphs if g.is_connected()] if args.connected
+                else graphs)
+
     checks = ALL_CHECKS if args.checks == "all" else (args.checks,)
-    report = sweep(graphs, checks, threads=args.threads)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    summary = report["summary"]
+    records = stream_records(items, load, checks, threads=args.threads)
+    try:
+        summary = (_write_report(records, checks, args.out) if args.out
+                   else summarize(records, checks))
+    finally:
+        records.close()  # kills and reaps the workers if it ended early
     print(json.dumps(summary, indent=2, sort_keys=True))
     if summary["violations"]:
         return 2
@@ -338,7 +402,6 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # stdout's reader has gone; devnull takes what the exit flushes
-        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as exc:  # missing input, unwritable --out, dead worker

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import QUERY_GRAPHS, Graph, bits, mask_of
+from .graph import QUERY_GRAPHS, Graph, bits, check_graph, mask_of
 
 
 def _bron_kerbosch(rows, r: int, p: int, x: int, out: list[int]) -> None:
@@ -50,6 +50,7 @@ def _mask_key(mask: int) -> tuple[int, ...]:
 def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
     """Every inclusion-maximal clique exactly once, lexicographically sorted
     by member tuples.  Isolated vertices appear as singleton cliques."""
+    check_graph(graph)
     return [tuple(bits(m)) for m in maximal_clique_masks(graph)]
 
 
@@ -203,6 +204,7 @@ def chordality(graph: Graph) -> tuple[bool, tuple[int, ...]]:
     index on ties and then checked directly; on failure the hole through
     its last gap is checked, and a RuntimeError reports a missing one.
     """
+    check_graph(graph)
     order = _mcs_order(graph)
     if verify_elimination_ordering(graph, order):
         return True, tuple(order)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from .cliques import (chordality, every_vertex_on_occupied_edge,
                       occupied_edges_by_clique, simplicial_vertices)
 from .ecc import cover_checks, make_cover, min_edge_clique_cover, theta_e
-from .graph import (Digraph, Graph, acyclic_labeling, bits, clique_rows,
-                    mask_of)
+from .graph import (Digraph, Graph, acyclic_labeling, bits, check_graph,
+                    clique_rows, mask_of)
 from .realizer import (Realization, RealizationError, certify_realization,
                        competition_number, k_floor)
 
@@ -233,6 +233,7 @@ def verify_effective_cover(graph: Graph, cover, digraph: Digraph) -> dict:
     competition cover, as the record {valid, failure, checks, sink_map}:
     every condition is named in checks, failure gives the first that
     fails, and sink_map pairs each clique index with its sink."""
+    check_graph(graph)
     try:
         made, cliques_ok = make_cover(graph, cover), True
     except ValueError:

@@ -34,7 +34,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cliques import edge_clique_counts, maximal_clique_masks
-from .graph import QUERY_GRAPHS, Graph, bits, clique_rows, mask_of
+from .graph import (QUERY_GRAPHS, Graph, bits, check_graph, clique_rows,
+                    mask_of)
 
 
 class _CoverSolver:
@@ -165,6 +166,7 @@ def cover_solver(core: Graph) -> _CoverSolver:
 
 def theta_e(graph: Graph) -> int:
     """Minimum size of an edge clique cover (0 for an edgeless graph)."""
+    check_graph(graph)
     solver = cover_solver(graph.without_isolates()[0])
     return solver.size(solver.full_mask)
 

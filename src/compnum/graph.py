@@ -207,6 +207,12 @@ class Digraph(Frozen):
         return tuple(rows)
 
 
+def check_graph(graph) -> None:
+    """Raise ValueError unless ``graph`` is a Graph."""
+    if not isinstance(graph, Graph):
+        raise ValueError("graph must be a Graph")
+
+
 def check_digraph(digraph) -> None:
     """Raise ValueError unless ``digraph`` is a Digraph."""
     if not isinstance(digraph, Digraph):
@@ -279,6 +285,7 @@ def competition_graph(digraph: Digraph) -> Graph:
 
 def add_isolated(graph: Graph, k: int) -> Graph:
     """Return the graph together with k extra isolated vertices appended."""
+    check_graph(graph)
     if type(k) is not int:
         raise ValueError("k must be an int")
     if k < 0:

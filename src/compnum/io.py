@@ -13,7 +13,7 @@ line.
 
 from __future__ import annotations
 
-from .graph import Digraph, Graph
+from .graph import Digraph, Graph, check_graph
 
 
 class FormatError(ValueError):
@@ -94,6 +94,7 @@ def parse_graph6(text: str) -> Graph:
 
 
 def serialize_graph6(graph: Graph) -> str:
+    check_graph(graph)
     out = _encode_g6_size(graph.n)
     bitstream = 0
     for j in range(1, graph.n):

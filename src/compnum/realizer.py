@@ -70,7 +70,7 @@ from functools import lru_cache
 from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
 from .graph import (QUERY_GRAPHS, Digraph, Frozen, Graph, acyclic_labeling,
-                    bits, check_digraph, clique_rows)
+                    bits, check_digraph, check_graph, clique_rows)
 
 
 class RealizationError(RuntimeError):
@@ -336,6 +336,7 @@ def _ascent(graph: Graph) -> tuple[int, tuple[Realization, Realization]]:
 def competition_number(graph: Graph) -> tuple[int, Realization]:
     """The least k for which the graph plus k isolates is the competition
     graph of an acyclic digraph, with a verified witness."""
+    check_graph(graph)
     k, (first, _) = _ascent(graph)
     return k, first
 
@@ -358,5 +359,6 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
 def primary_predator_index(graph: Graph) -> tuple[int, Realization]:
     """Maximum number of in-degree-0 vertices over all acyclic digraphs
     whose competition graph is the graph plus k(G) isolates."""
+    check_graph(graph)
     _, (_, fewest) = _ascent(graph)
     return fewest.predator_count, fewest

@@ -7,10 +7,13 @@ only tallied, and any counterexample is reported verbatim in the summary
 instead of failing the sweep.
 
 The sweep may fan out across forked processes (`--threads` caps their
-count, this one included), each computing one interleaved slice of the
-stream.  A child sends its slice's records back as one marshal blob over
-its own pipe; records are merged in stream order, so parallel and serial
-runs match exactly.
+count, this one included).  The stream goes out in chunks of CHUNK items,
+round-robin: chunk 0 to this process, chunk i to child i, and so on.  Each
+process loads (parses) the graphs of its own chunks; a child sends each
+chunk's records as one marshal blob over its own pipe, whose capacity
+bounds how far it runs ahead.  Records come back in stream order, one
+chunk at a time, so parallel and serial runs match exactly and memory does
+not grow with the stream's length.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import marshal
 import os
 import sys
+from itertools import islice
 
 from . import ALL_CHECKS
 from .bounds import opsut_bound, planar_formula_check, predator_bound
@@ -97,24 +101,62 @@ def graph_record(args) -> dict:
 
 def _worker_count(threads: int | None, jobs: int) -> int:
     """Processes for a sweep, this one included: ``--threads`` (else one per
-    CPU), never more than the jobs or the CPUs, and one where the platform
-    cannot fork."""
+    CPU), never more than the stream's items or the CPUs, and one where the
+    platform cannot fork."""
     cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     return max(1, min(cpus if threads is None else threads, jobs, cpus))
 
 
+CHUNK = 16  # stream items a process loads, computes and sends at a time
+
+
+def _chunks(items):
+    """The items in lists of CHUNK, the last one shorter."""
+    items = iter(items)
+    while chunk := list(islice(items, CHUNK)):
+        yield chunk
+
+
+def _send(pipe, value) -> None:
+    # length-prefixed: marshal.loads on one read is many times faster than
+    # marshal.load on a file, which reads each field through the file
+    blob = marshal.dumps(value)
+    pipe.write(len(blob).to_bytes(8, "little") + blob)
+    pipe.flush()
+
+
 def _send_records(jobs, fd: int) -> None:
+    """Send one marshal blob per chunk of jobs, its records, then None.  A
+    chunk that fails to load sends its ValueError's message instead, last."""
     with open(fd, "wb") as pipe:
-        marshal.dump([graph_record(job) for job in jobs], pipe)
+        try:
+            for chunk in jobs:
+                _send(pipe, [graph_record(job) for job in chunk])
+        except ValueError as exc:  # graph_record turns its own into records
+            _send(pipe, str(exc))
+        else:
+            _send(pipe, None)
 
 
-def _fan_out(jobs, workers: int) -> list[dict]:
-    """The records in stream order: this process computes jobs[0::workers],
-    forked child i computes jobs[i::workers] and writes them to its own
-    pipe as one marshal blob, read here to EOF; a child that dies before it
-    has written them all is an error.  A child leaves by ``os._exit``, so
-    it flushes no buffer it inherited and runs no exit hook."""
-    records: list = [None] * len(jobs)
+def _receive(pipe):
+    """The next blob a child sent; the ValueError it reports is raised."""
+    try:
+        blob = marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
+    except (EOFError, ValueError, TypeError):
+        raise ChildProcessError("a sweep worker process died before "
+                                "sending its records") from None
+    if isinstance(blob, str):
+        raise ValueError(blob)
+    return blob
+
+
+def _fan_out(items, load, checks, workers: int):
+    """Yield the records in stream order: this process computes chunks 0,
+    workers, 2 * workers, ...; forked child i computes chunks i, i +
+    workers, ... and writes them to its own pipe, read here one blob at a
+    time; a child that dies before it has written them all is an error.  A
+    child leaves by ``os._exit``, so it flushes no buffer it inherited and
+    runs no exit hook."""
     children = []  # (pid, read end) of each child not yet reaped
     try:
         for i in range(1, workers):
@@ -126,59 +168,71 @@ def _fan_out(jobs, workers: int) -> list[dict]:
                 code = 1
                 try:
                     os.close(read)
-                    _send_records(jobs[i::workers], write)
+                    _send_records(([(graph, checks) for graph in load(chunk)]
+                                   for c, chunk in enumerate(_chunks(items))
+                                   if c % workers == i), write)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)  # so that the child's death reads as EOF here
             children.append((pid, open(read, "rb")))
-        records[0::workers] = [graph_record(job) for job in jobs[0::workers]]
-        for i, (_, pipe) in enumerate(children, 1):
-            try:  # graph_record turns its own errors into records
-                records[i::workers] = marshal.loads(pipe.read())
-            except (EOFError, ValueError):
-                raise ChildProcessError("a sweep worker process died before "
-                                        "sending its records") from None
+        for c, chunk in enumerate(_chunks(items)):
+            if c % workers:
+                yield from _receive(children[c % workers - 1][1])
+            else:
+                for graph in load(chunk):
+                    yield graph_record((graph, checks))
+        for _, pipe in children:
+            _receive(pipe)  # the None after its last chunk
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, 9)  # SIGKILL: its records are read or not wanted
             os.waitpid(pid, 0)
-    return records
 
 
-def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> dict:
-    """Run the selected checks over a graph stream, as the report
-    {records, summary} that ``compnum sweep --out`` writes."""
+def stream_records(items, load, checks=ALL_CHECKS, threads=None):
+    """An iterator over the records of a stream, in stream order.  ``items``
+    has a length and is iterated afresh by each process; ``load`` makes the
+    graphs of each chunk of items, in the process that computes them.
+    Closing the iterator, or its end, kills and reaps every child."""
     if threads is not None and type(threads) is not int:
         raise ValueError("threads must be an int or None")
     checks = tuple(checks)
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    jobs = [(graph, checks) for graph in graphs]
-    records = _fan_out(jobs, _worker_count(threads, len(jobs)))
+    return _fan_out(items, load, checks, _worker_count(threads, len(items)))
 
-    check_totals: dict[str, list[int]] = {}
+
+def summarize(records, checks) -> dict:
+    """The summary of a record stream, read in one pass: counters, the
+    violations and the concluding-equality counterexamples."""
+    totals: dict[str, dict[str, int]] = {}
+    summary: dict = {"graphs": 0, "violations": []}
+    conjecture = {"checked": 0, "equal": 0, "counterexamples": []}
     for record in records:
+        summary["graphs"] += 1
         for name, ok in record["checks"].items():
-            passed, total = check_totals.setdefault(name, [0, 0])
-            check_totals[name] = [passed + (1 if ok else 0), total + 1]
-    summary: dict = {
-        "graphs": len(records),
-        "checks": {name: {"passed": v[0], "total": v[1]}
-                   for name, v in sorted(check_totals.items())},
+            tally = totals.setdefault(name, {"passed": 0, "total": 0})
+            tally["passed"] += 1 if ok else 0
+            tally["total"] += 1
         # records that raised an error or failed a theorem check
-        "violations": [r["graph6"] for r in records
-                       if r.get("error") or not all(r["checks"].values())],
-    }
+        if record.get("error") or not all(record["checks"].values()):
+            summary["violations"].append(record["graph6"])
+        conjecture["checked"] += "conjecture_equal" in record
+        conjecture["equal"] += 1 if record.get("conjecture_equal") else 0
+        if record.get("conjecture_equal") is False:
+            conjecture["counterexamples"].append(record)
+    summary["checks"] = dict(sorted(totals.items()))
     if "conjecture" in checks:
-        counterexamples = [r for r in records
-                           if r.get("conjecture_equal") is False]
-        summary["conjecture"] = {
-            "checked": sum(1 for r in records if "conjecture_equal" in r),
-            "equal": sum(1 for r in records if r.get("conjecture_equal")),
-            "counterexamples": counterexamples,
-        }
-    return {"records": records, "summary": summary}
+        summary["conjecture"] = conjecture
+    return summary
 
+
+def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> dict:
+    """Run the selected checks over a graph stream, as the report
+    {records, summary} that ``compnum sweep --out`` writes."""
+    checks = tuple(checks)
+    records = list(stream_records(list(graphs), list, checks, threads))
+    return {"records": records, "summary": summarize(records, checks)}

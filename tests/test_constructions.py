@@ -21,7 +21,7 @@ from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_graph)
 from compnum.graph import (Digraph, Graph, acyclic_labeling, add_isolated, bits,
                            competition_graph)
-from compnum.io import parse_edge_list
+from compnum.io import parse_edge_list, serialize_graph6
 from compnum.realizer import (RealizationError, certify_realization,
                               competition_number, primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
@@ -508,6 +508,23 @@ def test_a_graph_given_as_the_digraph_is_rejected_before_any_search(
     monkeypatch.setattr(constructions, "competition_number", exact_search)
     with pytest.raises(ValueError, match="^digraph must be a Digraph$"):
         use(graph)
+
+
+@pytest.mark.parametrize("use", [
+    competition_number,
+    primary_predator_index,
+    theta_e,
+    chordality,
+    maximal_cliques,
+    lambda graph: add_isolated(graph, 1),
+    serialize_graph6,
+    lambda graph: verify_effective_cover(graph, [(0, 1)],
+                                         Digraph.from_arcs(3, [(0, 2)])),
+], ids=["knumber", "pindex", "theta", "chordality", "maximal-cliques",
+        "add-isolated", "graph6", "verify-effective"])
+def test_a_digraph_given_as_the_graph_is_rejected(use):
+    with pytest.raises(ValueError, match="^graph must be a Graph$"):
+        use(Digraph.from_arcs(3, [(0, 2), (1, 2)]))
 
 
 def test_hall_certificate_never_fails_exhaustively():

@@ -1,5 +1,7 @@
 import argparse
+import builtins
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -23,7 +25,7 @@ from compnum.graph import Digraph, Graph, bits
 from compnum.io import parse_edge_list, serialize_edge_list, serialize_graph6
 from compnum.realizer import RealizationError, _ascent, max_predators_with
 from compnum.smallgraphs import enumerate_small_graphs
-from compnum.sweep import _worker_count, sweep
+from compnum.sweep import CHUNK, _worker_count, sweep
 from test_exact_search_pins import C4_PLUS_3, K4_PLUS_3, rg
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -216,6 +218,112 @@ def test_cli_sweep_stdout_and_report_bytes_match_with_a_forked_child(
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and outputs[0][2] == b""
     assert json.loads(outputs[0][1])["graphs"] == 34
+
+
+DIED = "error: a sweep worker process died before sending its records\n"
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier report\n"],
+                         ids=["absent", "existing"])
+@pytest.mark.parametrize("bad_line, err", [
+    (None, DIED),
+    (3, "error: truncated graph6 bit payload\n"),  # in this process's chunk
+    (20, "error: truncated graph6 bit payload\n"),  # in the child's chunk
+], ids=["dead-worker", "malformed-here", "malformed-in-child"])
+def test_cli_sweep_that_fails_leaves_out_as_it_was(capsys, monkeypatch,
+                                                   tmp_path, before, bad_line,
+                                                   err):
+    lines = [serialize_graph6(g) for g in STREAM[:40]]
+    if bad_line is None:  # real children that die as soon as they are forked
+        forked_children(monkeypatch, child=lambda: os._exit(1))
+    else:
+        lines[bad_line] = "A"
+    (tmp_path / "in.g6").write_text("\n".join(lines) + "\n")
+    path = tmp_path / "report.json"
+    if before is not None:
+        path.write_bytes(before)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = main(["sweep", "--in", str(tmp_path / "in.g6"), "--threads", "2",
+                 "--out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", err)
+    assert sorted(os.listdir(tmp_path)) == (
+        ["in.g6"] if before is None else ["in.g6", "report.json"])
+    assert before is None or path.read_bytes() == before
+    assert_no_child_left()
+
+
+def test_cli_sweep_out_errors_name_the_path_given(capsys, tmp_path):
+    # the report goes to a temporary file first; errors still name --out
+    for out, code in [(tmp_path / "no-dir" / "x.json", errno.ENOENT),
+                      (tmp_path, errno.EISDIR)]:
+        assert main(["sweep", "--n", "3", "--threads", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
+POOL = [g for n in range(7) for g in enumerate_small_graphs(n)]
+
+
+@pytest.mark.parametrize("connected", [False, True],
+                         ids=["all", "connected"])
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                  2 * CHUNK * 3 + 5])
+def test_cli_sweep_matches_the_library_across_chunk_boundaries(
+        capsys, monkeypatch, tmp_path, size, connected):
+    graphs = POOL[len(POOL) - size:]  # graphs on 6 vertices and fewer
+    stream = "".join(serialize_graph6(g) + "\n" for g in graphs)
+    (tmp_path / "in.g6").write_text(stream)
+    report = sweep([g for g in graphs if g.is_connected() or not connected],
+                   threads=1)
+    summary = report["summary"]
+    code = (2 if summary["violations"] else
+            3 if summary["conjecture"]["counterexamples"] else 0)
+    want = (code, json.dumps(summary, indent=2, sort_keys=True) + "\n",
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for threads, source in [("1", "in.g6"), ("2", "in.g6"), ("3", "in.g6"),
+                            ("3", "-")]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+        out = tmp_path / f"report{threads}{source}.json"
+        argv = ["sweep", "--in", str(tmp_path / source) if source != "-"
+                else "-", "--threads", threads, "--out", str(out)]
+        code, stdout = run_cli(capsys, *argv, *["--connected"] * connected)
+        assert (code, stdout, out.read_text()) == want, (threads, source)
+    assert_no_child_left()
+
+
+def test_cli_sweep_writes_each_chunk_before_computing_the_next(
+        capsys, monkeypatch, tmp_path):
+    # the records computed but not yet written never exceed one chunk
+    computed, written = [0], [0]
+
+    def record(job):
+        computed[0] += 1
+        return {"graph6": serialize_graph6(job[0]), "checks": {},
+                "error": None}
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            write = handle.write
+
+            def counted(text):
+                written[0] += text.count('"graph6"')
+                assert computed[0] - written[0] <= CHUNK
+                return write(text)
+
+            handle.write = counted
+        return handle
+
+    real_open = builtins.open
+    monkeypatch.setattr(sys.modules["compnum.sweep"], "graph_record", record)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _ = run_cli(capsys, "sweep", "--n", "6", "--threads", "1",
+                      "--out", str(tmp_path / "report.json"))
+    assert code == 0 and computed == written == [156]
 
 
 def test_sweep_small_n4_clean():
