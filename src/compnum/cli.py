@@ -292,53 +292,40 @@ def _cmd_planar_check(args) -> int:
 
 
 class _Lines:
-    """A file's lines, read lazily and afresh by each iteration, so that each
-    sweep process reads the file through a descriptor of its own."""
+    """A regular file's lines, read lazily and afresh by each iteration, so
+    that each sweep process reads the file through a descriptor of its
+    own."""
 
     def __init__(self, path: str):
         self.path = path
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
     def __iter__(self):
         with open(self.path, "r", encoding="ascii") as handle:
             yield from handle
 
 
-def _written(records, handle):
-    """Yield each record after writing it to handle as ``json.dump(report,
-    indent=2, sort_keys=True)`` writes it inside the report's "records"
-    list.  The list opens with the first record, so that no forked worker
-    inherits a filled buffer."""
-    opening = '{\n  "records": ['
-    for record in records:
-        handle.write(opening + "\n    " + json.dumps(
-            record, indent=2, sort_keys=True).replace("\n", "\n    "))
-        opening = ","
-        yield record
-    handle.write("\n  ]" if opening == "," else opening + "]")
-
-
 def _write_report(records, checks, path: str) -> dict:
-    """Stream the report to a temporary file beside path, moved over path
-    once it is complete; on any error path keeps its bytes, or stays
-    absent.  Returns the summary."""
-    from .sweep import summarize
-    temp = f"{path}.{os.getpid()}.tmp"
+    """Stream the report to path and return its summary.  An absent path
+    or a regular file (through any symlink) gets a temporary file beside it,
+    moved over it once the report is complete, so that on any error it keeps
+    its bytes or stays absent; any other path, such as a pipe or a device,
+    is written directly, having no earlier bytes to keep."""
+    from .sweep import write_report
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii") as handle:
+            return write_report(records, checks, handle)
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.getpid()}.tmp"
     try:
         handle = open(temp, "w", encoding="ascii")
     except OSError as exc:  # name the path asked for, not the temporary
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
-            summary = summarize(_written(records, handle), checks)
-            handle.write(',\n  "summary": ' + json.dumps(
-                summary, indent=2, sort_keys=True).replace("\n", "\n  ")
-                + "\n}\n")
+            summary = write_report(records, checks, handle)
         try:
-            os.replace(temp, path)
-        except OSError as exc:  # such as a directory at path
+            os.replace(temp, target)
+        except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.remove(temp)
@@ -354,9 +341,11 @@ def _cmd_sweep(args) -> int:
     if args.infile is None:
         from .smallgraphs import enumerate_small_graphs
         items, parse = list(enumerate_small_graphs(args.n)), list
-    else:  # stdin is read whole: forked workers cannot share its offset
-        items = (sys.stdin.read().splitlines(keepends=True)
-                 if args.infile == "-" else _Lines(args.infile))
+    else:  # each process reads a regular file on its own; stdin, a pipe
+        # or a FIFO reads only once, so it is read whole before the fork
+        items = (_Lines(args.infile) if args.infile != "-"
+                 and os.path.isfile(args.infile)
+                 else _read(args.infile).splitlines(keepends=True))
 
         def parse(lines):
             return parse_graph6_lines("".join(lines))

@@ -18,6 +18,7 @@ not grow with the stream's length.
 
 from __future__ import annotations
 
+import json
 import marshal
 import os
 import sys
@@ -150,11 +151,15 @@ def _receive(pipe):
     return blob
 
 
+CHANGED = "the sweep's input changed while its processes read it"
+
+
 def _fan_out(items, load, checks, workers: int):
     """Yield the records in stream order: this process computes chunks 0,
     workers, 2 * workers, ...; forked child i computes chunks i, i +
     workers, ... and writes them to its own pipe, read here one blob at a
-    time; a child that dies before it has written them all is an error.  A
+    time; a child that dies before it has written them all, or that read
+    another number of chunks than this process, is an error.  A
     child leaves by ``os._exit``, so it flushes no buffer it inherited and
     runs no exit hook."""
     children = []  # (pid, read end) of each child not yet reaped
@@ -177,13 +182,16 @@ def _fan_out(items, load, checks, workers: int):
             os.close(write)  # so that the child's death reads as EOF here
             children.append((pid, open(read, "rb")))
         for c, chunk in enumerate(_chunks(items)):
-            if c % workers:
-                yield from _receive(children[c % workers - 1][1])
-            else:
+            if c % workers == 0:
                 for graph in load(chunk):
                     yield graph_record((graph, checks))
+            elif (records := _receive(children[c % workers - 1][1])) is None:
+                raise ChildProcessError(CHANGED)  # the child saw fewer chunks
+            else:
+                yield from records
         for _, pipe in children:
-            _receive(pipe)  # the None after its last chunk
+            if _receive(pipe) is not None:  # the child saw more chunks
+                raise ChildProcessError(CHANGED)
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -193,16 +201,19 @@ def _fan_out(items, load, checks, workers: int):
 
 def stream_records(items, load, checks=ALL_CHECKS, threads=None):
     """An iterator over the records of a stream, in stream order.  ``items``
-    has a length and is iterated afresh by each process; ``load`` makes the
-    graphs of each chunk of items, in the process that computes them.
-    Closing the iterator, or its end, kills and reaps every child."""
+    is an iterable that each process iterates afresh; ``load`` makes the
+    graphs of each chunk of items, in the process that computes them.  Only
+    a prefix of the items is read to count the processes.  Closing the
+    iterator, or its end, kills and reaps every child."""
     if threads is not None and type(threads) is not int:
         raise ValueError("threads must be an int or None")
     checks = tuple(checks)
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    return _fan_out(items, load, checks, _worker_count(threads, len(items)))
+    workers = _worker_count(threads, os.cpu_count() or 1)
+    workers = _worker_count(workers, sum(1 for _ in islice(items, workers)))
+    return _fan_out(items, load, checks, workers)
 
 
 def summarize(records, checks) -> dict:
@@ -227,6 +238,30 @@ def summarize(records, checks) -> dict:
     summary["checks"] = dict(sorted(totals.items()))
     if "conjecture" in checks:
         summary["conjecture"] = conjecture
+    return summary
+
+
+def _indented(value, indent: str) -> str:
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + indent)
+
+
+def write_report(records, checks, handle) -> dict:
+    """Write the report of a record stream to handle, each record as it
+    arrives, in the text ``json.dump(report, handle, indent=2,
+    sort_keys=True)`` writes for the report ``sweep`` returns, then a
+    newline; return its summary.  Nothing is written before the first
+    record, so no forked worker inherits a filled buffer."""
+    def written():
+        opening = '{\n  "records": ['
+        for record in records:
+            handle.write(opening + "\n    " + _indented(record, "    "))
+            opening = ","
+            yield record
+        handle.write("\n  ]" if opening == "," else opening + "]")
+
+    summary = summarize(written(), checks)
+    handle.write(',\n  "summary": ' + _indented(summary, "  ") + "\n}\n")
     return summary
 
 

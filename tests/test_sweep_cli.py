@@ -8,6 +8,7 @@ import io
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -25,7 +26,7 @@ from compnum.graph import Digraph, Graph, bits
 from compnum.io import parse_edge_list, serialize_edge_list, serialize_graph6
 from compnum.realizer import RealizationError, _ascent, max_predators_with
 from compnum.smallgraphs import enumerate_small_graphs
-from compnum.sweep import CHUNK, _worker_count, sweep
+from compnum.sweep import CHUNK, _worker_count, stream_records, sweep
 from test_exact_search_pins import C4_PLUS_3, K4_PLUS_3, rg
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -262,6 +263,77 @@ def test_cli_sweep_out_errors_name_the_path_given(capsys, tmp_path):
         assert capsys.readouterr().err == (
             f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_sweep_reads_and_writes_pipes_and_fifos(capsys, monkeypatch,
+                                                   tmp_path):
+    # a pipe or FIFO reads once, so --in reads it whole before the fork, and
+    # --out writes it directly, as it has no bytes to keep or replace
+    stream = "".join(serialize_graph6(g) + "\n" for g in STREAM[:40])
+    (tmp_path / "in.g6").write_text(stream)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def run(source, out):
+        return run_cli(capsys, "sweep", "--in", source, "--threads", "2",
+                       "--out", out)
+
+    want = run(str(tmp_path / "in.g6"), str(tmp_path / "want.json"))
+    report = (tmp_path / "want.json").read_bytes()
+    read, write = os.pipe()
+    os.write(write, stream.encode())
+    os.close(write)
+    assert run(f"/dev/fd/{read}", str(tmp_path / "a.json")) == want
+    os.close(read)
+    os.mkfifo(tmp_path / "in.fifo")
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"',
+                               tmp_path / "in.g6", tmp_path / "in.fifo"])
+    assert run(str(tmp_path / "in.fifo"), str(tmp_path / "b.json")) == want
+    assert writer.wait(timeout=60) == 0
+    assert (tmp_path / "a.json").read_bytes() == report
+    assert (tmp_path / "b.json").read_bytes() == report
+    read, write = os.pipe()
+    assert run(str(tmp_path / "in.g6"), f"/dev/fd/{write}") == want
+    os.close(write)
+    with open(read, "rb") as pipe:
+        assert pipe.read() == report
+    os.mkfifo(tmp_path / "out.fifo")
+    reader = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"',
+                               tmp_path / "out.fifo", tmp_path / "c.json"])
+    assert run(str(tmp_path / "in.g6"), str(tmp_path / "out.fifo")) == want
+    assert reader.wait(timeout=60) == 0
+    assert (tmp_path / "c.json").read_bytes() == report
+    assert stat.S_ISFIFO(os.stat(tmp_path / "out.fifo").st_mode)
+    assert sorted(os.listdir(tmp_path)) == [
+        "a.json", "b.json", "c.json", "in.fifo", "in.g6", "out.fifo",
+        "want.json"]
+    assert_no_child_left()
+
+
+def test_cli_sweep_out_through_a_symlink_replaces_the_file_it_names(
+        capsys, tmp_path):
+    (tmp_path / "report.json").write_text("an earlier report\n")
+    (tmp_path / "link.json").symlink_to("report.json")
+    assert main(["sweep", "--n", "3", "--threads", "1",
+                 "--out", str(tmp_path / "link.json")]) == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads((tmp_path / "report.json").read_text())[
+        "summary"]["graphs"] == 4
+
+
+@pytest.mark.parametrize("child_items", [10, 60], ids=["fewer", "more"])
+def test_sweep_whose_processes_read_different_streams_fails(monkeypatch,
+                                                            child_items):
+    # as when --in FILE changes during the sweep: this process reads three
+    # chunks, its child one (so it ends where chunk 1 belongs) or four
+    class Unstable:
+        def __iter__(self):
+            return iter(STREAM[:40 if os.getpid() == parent else child_items])
+
+    parent = os.getpid()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ChildProcessError, match="input changed"):
+        list(stream_records(Unstable(), list, threads=2))
+    assert_no_child_left()
 
 
 POOL = [g for n in range(7) for g in enumerate_small_graphs(n)]
