@@ -13,6 +13,7 @@ loads only the modules of its own command.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -20,10 +21,13 @@ import sys
 from . import ALL_CHECKS
 
 
+def _open(path: str):
+    return (contextlib.nullcontext(sys.stdin) if path == "-"
+            else open(path, "r", encoding="ascii"))
+
+
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as handle:
+    with _open(path) as handle:
         return handle.read()
 
 
@@ -291,19 +295,6 @@ def _cmd_planar_check(args) -> int:
     return 0 if result["consistent"] else 2
 
 
-class _Lines:
-    """A regular file's lines, read lazily and afresh by each iteration, so
-    that each sweep process reads the file through a descriptor of its
-    own."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __iter__(self):
-        with open(self.path, "r", encoding="ascii") as handle:
-            yield from handle
-
-
 def _write_report(records, checks, path: str) -> dict:
     """Stream the report to path and return its summary.  An absent path
     or a regular file (through any symlink) gets a temporary file beside it,
@@ -335,28 +326,23 @@ def _write_report(records, checks, path: str) -> dict:
 
 def _cmd_sweep(args) -> int:
     from .io import parse_graph6_lines
-    from .sweep import stream_records, summarize
+    from .sweep import chunked, stream_records, summarize
     if (args.n is None) == (args.infile is None):
         raise ValueError("give exactly one of --n or --in")
     if args.infile is None:
         from .smallgraphs import enumerate_small_graphs
-        items, parse = list(enumerate_small_graphs(args.n)), list
-    else:  # each process reads a regular file on its own; stdin, a pipe
-        # or a FIFO reads only once, so it is read whole before the fork
-        items = (_Lines(args.infile) if args.infile != "-"
-                 and os.path.isfile(args.infile)
-                 else _read(args.infile).splitlines(keepends=True))
-
-        def parse(lines):
-            return parse_graph6_lines("".join(lines))
+        chunks = list(chunked(enumerate_small_graphs(args.n)))
+    else:  # read once, before the fork: one string per chunk of lines
+        with _open(args.infile) as handle:
+            chunks = ["".join(lines) for lines in chunked(handle)]
 
     def load(chunk):
-        graphs = parse(chunk)
+        graphs = chunk if args.infile is None else parse_graph6_lines(chunk)
         return ([g for g in graphs if g.is_connected()] if args.connected
                 else graphs)
 
     checks = ALL_CHECKS if args.checks == "all" else (args.checks,)
-    records = stream_records(items, load, checks, threads=args.threads)
+    records = stream_records(chunks, load, checks, threads=args.threads)
     try:
         summary = (_write_report(records, checks, args.out) if args.out
                    else summarize(records, checks))

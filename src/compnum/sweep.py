@@ -7,13 +7,15 @@ only tallied, and any counterexample is reported verbatim in the summary
 instead of failing the sweep.
 
 The sweep may fan out across forked processes (`--threads` caps their
-count, this one included).  The stream goes out in chunks of CHUNK items,
+count, this one included).  This process holds the stream as a list of
+chunks of CHUNK items, read once before any fork, and they go out
 round-robin: chunk 0 to this process, chunk i to child i, and so on.  Each
 process loads (parses) the graphs of its own chunks; a child sends each
 chunk's records as one marshal blob over its own pipe, whose capacity
 bounds how far it runs ahead.  Records come back in stream order, one
-chunk at a time, so parallel and serial runs match exactly and memory does
-not grow with the stream's length.
+chunk at a time, so parallel and serial runs match exactly.  Beyond the
+stream's items (for ``--in``, its graph6 text) no process holds a loaded
+graph or a record past the chunk in hand.
 """
 
 from __future__ import annotations
@@ -100,18 +102,18 @@ def graph_record(args) -> dict:
     return record
 
 
-def _worker_count(threads: int | None, jobs: int) -> int:
+def _worker_count(threads: int | None, chunks: int) -> int:
     """Processes for a sweep, this one included: ``--threads`` (else one per
-    CPU), never more than the stream's items or the CPUs, and one where the
+    CPU), never more than the stream's chunks or the CPUs, and one where the
     platform cannot fork."""
     cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    return max(1, min(cpus if threads is None else threads, jobs, cpus))
+    return max(1, min(cpus if threads is None else threads, chunks, cpus))
 
 
 CHUNK = 16  # stream items a process loads, computes and sends at a time
 
 
-def _chunks(items):
+def chunked(items):
     """The items in lists of CHUNK, the last one shorter."""
     items = iter(items)
     while chunk := list(islice(items, CHUNK)):
@@ -127,16 +129,14 @@ def _send(pipe, value) -> None:
 
 
 def _send_records(jobs, fd: int) -> None:
-    """Send one marshal blob per chunk of jobs, its records, then None.  A
-    chunk that fails to load sends its ValueError's message instead, last."""
+    """Send one marshal blob per chunk of jobs, its records.  A chunk that
+    fails to load sends its ValueError's message instead, last."""
     with open(fd, "wb") as pipe:
         try:
             for chunk in jobs:
                 _send(pipe, [graph_record(job) for job in chunk])
         except ValueError as exc:  # graph_record turns its own into records
             _send(pipe, str(exc))
-        else:
-            _send(pipe, None)
 
 
 def _receive(pipe):
@@ -151,15 +151,11 @@ def _receive(pipe):
     return blob
 
 
-CHANGED = "the sweep's input changed while its processes read it"
-
-
-def _fan_out(items, load, checks, workers: int):
+def _fan_out(chunks, load, checks, workers: int):
     """Yield the records in stream order: this process computes chunks 0,
     workers, 2 * workers, ...; forked child i computes chunks i, i +
     workers, ... and writes them to its own pipe, read here one blob at a
-    time; a child that dies before it has written them all, or that read
-    another number of chunks than this process, is an error.  A
+    time; a child that dies before it has written them all is an error.  A
     child leaves by ``os._exit``, so it flushes no buffer it inherited and
     runs no exit hook."""
     children = []  # (pid, read end) of each child not yet reaped
@@ -174,24 +170,18 @@ def _fan_out(items, load, checks, workers: int):
                 try:
                     os.close(read)
                     _send_records(([(graph, checks) for graph in load(chunk)]
-                                   for c, chunk in enumerate(_chunks(items))
-                                   if c % workers == i), write)
+                                   for chunk in chunks[i::workers]), write)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)  # so that the child's death reads as EOF here
             children.append((pid, open(read, "rb")))
-        for c, chunk in enumerate(_chunks(items)):
+        for c, chunk in enumerate(chunks):
             if c % workers == 0:
                 for graph in load(chunk):
                     yield graph_record((graph, checks))
-            elif (records := _receive(children[c % workers - 1][1])) is None:
-                raise ChildProcessError(CHANGED)  # the child saw fewer chunks
             else:
-                yield from records
-        for _, pipe in children:
-            if _receive(pipe) is not None:  # the child saw more chunks
-                raise ChildProcessError(CHANGED)
+                yield from _receive(children[c % workers - 1][1])
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -199,21 +189,21 @@ def _fan_out(items, load, checks, workers: int):
             os.waitpid(pid, 0)
 
 
-def stream_records(items, load, checks=ALL_CHECKS, threads=None):
-    """An iterator over the records of a stream, in stream order.  ``items``
-    is an iterable that each process iterates afresh; ``load`` makes the
-    graphs of each chunk of items, in the process that computes them.  Only
-    a prefix of the items is read to count the processes.  Closing the
-    iterator, or its end, kills and reaps every child."""
+def stream_records(chunks, load, checks=ALL_CHECKS, threads=None):
+    """An iterator over the records of a stream, in stream order.  ``chunks``
+    is the stream as a list, cut by ``chunked`` before any process is
+    forked; ``load`` makes the graphs of one chunk, in the process that
+    computes them.  Closing the iterator, or its end, kills and reaps every
+    child."""
     if threads is not None and type(threads) is not int:
         raise ValueError("threads must be an int or None")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
     checks = tuple(checks)
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    workers = _worker_count(threads, os.cpu_count() or 1)
-    workers = _worker_count(workers, sum(1 for _ in islice(items, workers)))
-    return _fan_out(items, load, checks, workers)
+    return _fan_out(chunks, load, checks, _worker_count(threads, len(chunks)))
 
 
 def summarize(records, checks) -> dict:
@@ -269,5 +259,6 @@ def sweep(graphs, checks=ALL_CHECKS, threads: int | None = None) -> dict:
     """Run the selected checks over a graph stream, as the report
     {records, summary} that ``compnum sweep --out`` writes."""
     checks = tuple(checks)
-    records = list(stream_records(list(graphs), list, checks, threads))
+    records = list(stream_records(list(chunked(graphs)), list, checks,
+                                  threads))
     return {"records": records, "summary": summarize(records, checks)}

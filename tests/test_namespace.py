@@ -230,7 +230,8 @@ def test_queries_load_no_dataclasses_or_inspect(tmp_path, argv):
 
 def test_forking_sweep_loads_no_multiprocessing(tmp_path):
     # the child is forked bare, without what multiprocessing pulls in
-    modules = loaded_modules(tmp_path, ["sweep", "--n", "3", "--threads", "2"],
+    # n = 5 has 34 graphs, so three chunks: one of them goes to a child
+    modules = loaded_modules(tmp_path, ["sweep", "--n", "5", "--threads", "2"],
                              forks=1)
     assert [name for name in modules
             if name.split(".")[0] == "compnum"] == ALL_MODULES

@@ -26,7 +26,7 @@ from compnum.graph import Digraph, Graph, bits
 from compnum.io import parse_edge_list, serialize_edge_list, serialize_graph6
 from compnum.realizer import RealizationError, _ascent, max_predators_with
 from compnum.smallgraphs import enumerate_small_graphs
-from compnum.sweep import CHUNK, _worker_count, stream_records, sweep
+from compnum.sweep import CHUNK, _worker_count, sweep
 from test_exact_search_pins import C4_PLUS_3, K4_PLUS_3, rg
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -100,18 +100,22 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch):
+STREAM = [g for n in range(1, 6) for g in enumerate_small_graphs(n)]
+
+
+@pytest.mark.parametrize("threads, cpus", [(5000, 64), (3, 64), (5000, 2)])
+@pytest.mark.parametrize("size, chunks", [(1, 1), (CHUNK, 1), (CHUNK + 1, 2),
+                                          (3 * CHUNK + 1, 4)])
+def test_sweep_asks_for_no_more_processes_than_jobs(monkeypatch, threads,
+                                                    cpus, size, chunks):
     pids = forked_children(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    graphs = list(enumerate_small_graphs(3))
-    report = sweep(graphs, threads=5000)
-    # this process computes a slice too, so it counts as one of them
-    assert len(pids) + 1 == len(graphs) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    graphs = STREAM[:size]
+    report = sweep(graphs, threads=threads)
+    # this process computes its chunks too, so it counts as one of them
+    assert len(pids) == min(threads, cpus, chunks) - 1
     assert_no_child_left()
     assert report["records"] == sweep(graphs, threads=1)["records"]
-
-
-STREAM = [g for n in range(1, 6) for g in enumerate_small_graphs(n)]
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 35])
@@ -139,12 +143,12 @@ def test_cli_sweep_fails_when_a_worker_dies(capsys, monkeypatch):
     # real children that die as soon as they are forked, before they write
     pids = forked_children(monkeypatch, child=lambda: os._exit(1))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    code = main(["sweep", "--n", "4", "--threads", "4"])
+    code = main(["sweep", "--n", "5", "--threads", "4"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == ("error: a sweep worker process died before "
                             "sending its records\n")
-    assert len(pids) == 3
+    assert len(pids) == 2  # one child per chunk the sweep does not compute
     assert_no_child_left()
 
 
@@ -173,7 +177,7 @@ def test_sweep_reads_a_real_dead_worker_as_an_error(monkeypatch):
                         "_send_records", die)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with deadline(60), pytest.raises(ChildProcessError):
-        sweep(list(enumerate_small_graphs(4)), threads=2)
+        sweep(list(enumerate_small_graphs(5)), threads=2)
     assert_no_child_left()
 
 
@@ -191,7 +195,7 @@ def test_sweep_kills_and_reaps_a_child_it_no_longer_waits_for(monkeypatch):
                         "_send_records", die_or_stall)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     with deadline(60), pytest.raises(ChildProcessError):
-        sweep(list(enumerate_small_graphs(4)), threads=3)
+        sweep(list(enumerate_small_graphs(5)), threads=3)
     assert len(pids) == 2
     assert_no_child_left()
 
@@ -309,6 +313,27 @@ def test_cli_sweep_reads_and_writes_pipes_and_fifos(capsys, monkeypatch,
     assert_no_child_left()
 
 
+def test_cli_sweep_opens_its_input_once(capsys, monkeypatch, tmp_path):
+    # the sweep reads --in before the fork, so no process opens it again
+    path = tmp_path / "in.g6"
+    path.write_text("".join(serialize_graph6(g) + "\n" for g in STREAM[:40]))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if file == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    pids = forked_children(monkeypatch)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out = run_cli(capsys, "sweep", "--in", str(path), "--threads", "2")
+    assert (code, json.loads(out)["graphs"]) == (0, 40)
+    assert len(pids) == 1 and len(opened) == 1
+    assert_no_child_left()
+
+
 def test_cli_sweep_out_through_a_symlink_replaces_the_file_it_names(
         capsys, tmp_path):
     (tmp_path / "report.json").write_text("an earlier report\n")
@@ -318,22 +343,6 @@ def test_cli_sweep_out_through_a_symlink_replaces_the_file_it_names(
     assert (tmp_path / "link.json").is_symlink()
     assert json.loads((tmp_path / "report.json").read_text())[
         "summary"]["graphs"] == 4
-
-
-@pytest.mark.parametrize("child_items", [10, 60], ids=["fewer", "more"])
-def test_sweep_whose_processes_read_different_streams_fails(monkeypatch,
-                                                            child_items):
-    # as when --in FILE changes during the sweep: this process reads three
-    # chunks, its child one (so it ends where chunk 1 belongs) or four
-    class Unstable:
-        def __iter__(self):
-            return iter(STREAM[:40 if os.getpid() == parent else child_items])
-
-    parent = os.getpid()
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    with pytest.raises(ChildProcessError, match="input changed"):
-        list(stream_records(Unstable(), list, threads=2))
-    assert_no_child_left()
 
 
 POOL = [g for n in range(7) for g in enumerate_small_graphs(n)]
@@ -453,7 +462,10 @@ def test_sweep_turns_a_raised_error_into_a_violation(capsys, monkeypatch):
     ({"checks": ["nope"]}, r"unknown checks: \['nope'\]"),
     ({"threads": 1.5}, "threads must be an int or None"),
     ({"threads": True}, "threads must be an int or None"),
-], ids=["unknown-check", "float-threads", "bool-threads"])
+    ({"threads": 0}, "threads must be at least 1"),
+    ({"threads": -2}, "threads must be at least 1"),
+], ids=["unknown-check", "float-threads", "bool-threads", "zero-threads",
+        "negative-threads"])
 def test_sweep_rejects_a_bad_argument(kwargs, error):
     with pytest.raises(ValueError, match=f"^{error}$"):
         sweep(enumerate_small_graphs(2), **kwargs)
@@ -463,12 +475,14 @@ def test_sweep_rejects_a_bad_argument(kwargs, error):
     (["sweep", "--n", "3", "--in", "{g6}"], "give exactly one of --n or --in"),
     (["sweep"], "give exactly one of --n or --in"),
     (["realize", "--in", "{edges}", "--k", "-1"], "--k must be nonnegative"),
+    (["sweep", "--n", "3", "--threads", "0"], "threads must be at least 1"),
+    (["sweep", "--n", "3", "--threads", "-2"], "threads must be at least 1"),
     (["knumber", "--in", "{arcs}"],
      "expected an undirected edge list, found arcs"),
     (["rebuild-star", "--in", "{edges}", "--digraph", "{edges}"],
      "expected an arc list (lines 'u > v')"),
-], ids=["n-and-in", "neither", "negative-k", "arcs-as-graph",
-        "edges-as-digraph"])
+], ids=["n-and-in", "neither", "negative-k", "zero-threads",
+        "negative-threads", "arcs-as-graph", "edges-as-digraph"])
 def test_cli_usage_errors_exit_1_with_one_error_line(capsys, fixture_files,
                                                      argv, error):
     names = {name: str(path) for name, path in fixture_files.items()}
