@@ -202,20 +202,16 @@ def _cmd_knumber(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    from .ecc import theta_e
     from .realizer import max_predators_with
     graph = _load_graph(args.infile, args.format)
     if args.k < 0:
         raise ValueError("--k must be nonnegative")
-    # Prey >= theta_e always, and from theta_e isolates on the witness
-    # hosts its cover on the first theta_e: later isolates are predators.
-    result = max_predators_with(graph, min(args.k, theta_e(graph)))
+    result = max_predators_with(graph, args.k)
     if result is None:
         _emit({"realizable": False, "k": args.k}, args.json,
               f"not realizable with {args.k} isolates")
         return 0
     predators, witness = result
-    predators += args.k - witness.k
     payload = {"realizable": True, "k": args.k, "max_predators": predators,
                "prey": witness.prey_count}
     if args.witness:

@@ -278,14 +278,17 @@ def hall_certificate(graph: Graph, cover=None, digraph=None) -> dict:
     feed, as the record {sets, matching}.  The sets A_i collect, per clique,
     the common out-neighbours of pairs inside it; the matching pairs each
     clique index with its prey.  The cover defaults to the minimum cover,
-    and the digraph, taken after the cover checks, to k's witness.  A
-    genuine realization always has a saturating matching, so a missing
-    one aborts loudly."""
+    and the digraph, taken after the cover checks, to k's witness."""
     if cover is None:
         cover = min_edge_clique_cover(graph)
     elif not all(cover_checks(graph, cover)):
         raise ValueError("cover must be a minimum cover of maximal cliques")
-    digraph = _certified(graph, digraph).digraph
+    return hall_matching(cover, _certified(graph, digraph).digraph)
+
+
+def hall_matching(cover, digraph: Digraph) -> dict:
+    """``hall_certificate``'s matching, of a checked cover into a certified
+    digraph; such a digraph always saturates it, so a miss aborts loudly."""
     sets = tuple(tuple(v for v in range(digraph.n)
                        if (digraph.in_rows[v] & mask).bit_count() >= 2)
                  for mask in map(mask_of, cover))

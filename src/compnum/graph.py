@@ -83,12 +83,9 @@ class Graph(Frozen):
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         self._freeze(n, rows)
-        if type(self.n) is not int:
-            raise ValueError("n must be an int")
+        check_count(self.n, "n", "vertex count")
         if not _ints(self.rows):
             raise ValueError("rows must be a tuple of ints")
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
         if len(self.rows) != self.n:
             raise ValueError("adjacency rows do not match vertex count")
         for v, row in enumerate(self.rows):
@@ -173,13 +170,10 @@ class Digraph(Frozen):
 
     def __init__(self, n: int, arcs: tuple[tuple[int, int], ...]):
         self._freeze(n, arcs)
-        if type(self.n) is not int:
-            raise ValueError("n must be an int")
+        check_count(self.n, "n", "vertex count")
         if type(self.arcs) is not tuple or not all(
                 _ints(arc) and len(arc) == 2 for arc in self.arcs):
             raise ValueError("arcs must be a tuple of int pairs")
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
         for u, v in self.arcs:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"arc ({u},{v}) out of range")
@@ -217,6 +211,14 @@ def check_digraph(digraph) -> None:
     """Raise ValueError unless ``digraph`` is a Digraph."""
     if not isinstance(digraph, Digraph):
         raise ValueError("digraph must be a Digraph")
+
+
+def check_count(value, name: str, noun: str) -> None:
+    """Raise ValueError unless ``value`` is an int (not a bool) >= 0."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int")
+    if value < 0:
+        raise ValueError(f"{noun} must be nonnegative")
 
 
 def acyclic_labeling(digraph: Digraph) -> tuple[bool, tuple[int, ...]]:
@@ -286,10 +288,7 @@ def competition_graph(digraph: Digraph) -> Graph:
 def add_isolated(graph: Graph, k: int) -> Graph:
     """Return the graph together with k extra isolated vertices appended."""
     check_graph(graph)
-    if type(k) is not int:
-        raise ValueError("k must be an int")
-    if k < 0:
-        raise ValueError("isolate count must be nonnegative")
+    check_count(k, "k", "isolate count")
     if k == 0:
         return graph
     return Graph(graph.n + k, graph.rows + (0,) * k)

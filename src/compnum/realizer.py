@@ -58,6 +58,7 @@ answer per graph: k(G) with its two witnesses, which
 ``competition_number`` and ``primary_predator_index`` read.  The floor
 starts at Opsut's theta_e - n + 2 and rises past every budget that the
 two vertices placed last refute, so no walk is spent on such a budget.
+Certification keeps nothing; later readers take the ascent's witnesses.
 Each core's search keeps every walk's result keyed by isolate budget,
 which later queries on the core and on the graph reuse; a walk's own
 state dies with the walk.
@@ -70,7 +71,7 @@ from functools import lru_cache
 from .cliques import maximal_cliques_through
 from .ecc import cover_solver, theta_e
 from .graph import (QUERY_GRAPHS, Digraph, Frozen, Graph, acyclic_labeling,
-                    bits, check_digraph, check_graph, clique_rows)
+                    bits, check_count, check_digraph, check_graph, clique_rows)
 
 
 class RealizationError(RuntimeError):
@@ -95,11 +96,9 @@ class Realization(Frozen):
         return [[u, v] for u, v in self.digraph.arcs]
 
 
-@lru_cache(maxsize=2 * QUERY_GRAPHS)
 def certify_realization(graph: Graph, digraph: Digraph, k: int,
                         sink_map=None) -> Realization:
-    """Check a claimed realization and package it; never trust, verify.
-    Recent results are kept, so a witness checked again costs a lookup."""
+    """Check a claimed realization and package it; never trust, verify."""
     check_digraph(digraph)
     if digraph.n < graph.n:
         raise RealizationError(f"digraph has {digraph.n} vertices, fewer "
@@ -345,15 +344,17 @@ def max_predators_with(graph: Graph, k: int) -> tuple[int, Realization] | None:
     """Maximum number of in-degree-0 vertices over realizations with a
     given isolate count k (not necessarily the competition number), with a
     witness attaining it.  Returns None when no realization exists, and
-    without a walk when k lies below ``k_floor``."""
-    if type(k) is not int:
-        raise ValueError("k must be an int")
-    if k < 0:
-        raise ValueError("isolate count must be nonnegative")
-    if k < k_floor(graph, theta_e(graph)):
+    without a walk when k lies below ``k_floor``.  Above theta_e, every
+    further isolate is a predator: prey >= theta_e always, and theta_e
+    isolates can host a minimum cover.  So the witness is theta_e's, with
+    theta_e added isolates, and the count adds k - theta_e to theta_e's."""
+    check_count(k, "k", "isolate count")
+    theta = theta_e(graph)
+    if k < k_floor(graph, theta):
         return None
-    found = _witnesses(graph, k)
-    return None if found is None else (found[1].predator_count, found[1])
+    found = _witnesses(graph, min(k, theta))
+    return None if found is None else (
+        found[1].predator_count + max(k - theta, 0), found[1])
 
 
 def primary_predator_index(graph: Graph) -> tuple[int, Realization]:

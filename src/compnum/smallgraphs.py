@@ -16,7 +16,7 @@ import sys
 from array import array
 from itertools import combinations, permutations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, check_count
 
 MAX_BUILTIN_N = 6
 
@@ -50,10 +50,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 def enumerate_small_graphs(n: int):
     """Yield one canonical representative per isomorphism class of graphs
     on n vertices, in ascending canonical order."""
-    if type(n) is not int:
-        raise ValueError("n must be an int")
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    check_count(n, "n", "vertex count")
     if n > MAX_BUILTIN_N:
         raise ValueError(
             f"built-in enumeration is capped at {MAX_BUILTIN_N} vertices; "

@@ -29,7 +29,8 @@ from itertools import islice
 from . import ALL_CHECKS
 from .bounds import opsut_bound, planar_formula_check, predator_bound
 from .cliques import chordality, every_vertex_on_occupied_edge, is_diamond_free
-from .constructions import chordal_realizer, hall_certificate, rebuild_star
+from .constructions import (chordal_realizer, hall_certificate, hall_matching,
+                            rebuild_star)
 from .ecc import min_edge_clique_cover, theta_e
 from .io import serialize_graph6
 from .realizer import competition_number, primary_predator_index
@@ -67,9 +68,9 @@ def graph_record(args) -> dict:
             if graph.edge_count > 0:
                 cover = min_edge_clique_cover(graph)
                 hall_certificate(graph, cover)  # with k's witness
-                # one witness when the first plan has the fewest prey
+                # a distinct p witness is certified and the cover checked
                 if p_witness is not k_witness:
-                    hall_certificate(graph, cover, p_witness.digraph)
+                    hall_matching(cover, p_witness.digraph)
                 out["hall_certificate"] = True
 
         if "effective" in checks and core.edge_count > 0:

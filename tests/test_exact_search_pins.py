@@ -23,8 +23,8 @@ from compnum.ecc import (_CoverSolver, cover_checks, cover_solver,
 from compnum.graph import Graph, add_isolated, bits
 from compnum.io import parse_graph6, serialize_graph6
 from compnum.realizer import (_ascent, _Search, _search, _witnesses,
-                              certify_realization, competition_number,
-                              max_predators_with, primary_predator_index)
+                              competition_number, max_predators_with,
+                              primary_predator_index)
 from compnum.smallgraphs import enumerate_small_graphs
 
 ATLAS7 = Path(__file__).resolve().parents[1] / "bench" / "data" / "atlas7.g6"
@@ -282,7 +282,7 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     # asked 1,701 questions, while p built the k witness's plan again
     # when that plan had the fewest prey 1,737, and before the floor asked
     # about the stars of the vertices placed last 1,702.
-    for cached in QUERY_CACHES + (cover_solver, certify_realization):
+    for cached in QUERY_CACHES + (cover_solver,):
         cached.cache_clear()
     graph = rg(16, .5, 53)
     asked = []
@@ -322,6 +322,14 @@ def test_one_walk_per_budget_gives_the_k_and_the_p_witness(monkeypatch):
     graphs = [g for n in range(7) for g in enumerate_small_graphs(n)]
     graphs += map(parse_graph6, ATLAS7.read_text(encoding="ascii").split())
     calls = count_walks(monkeypatch)
+    certified = []
+    certify = realizer.certify_realization
+
+    def counting(*args):
+        certified.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(realizer, "certify_realization", counting)
     shared = 0
     for graph in graphs:
         for cached in QUERY_CACHES:
@@ -330,9 +338,9 @@ def test_one_walk_per_budget_gives_the_k_and_the_p_witness(monkeypatch):
         k, first = competition_number(graph)
         assert len(calls) == len(set(calls))
         walked = list(calls)
-        misses = certify_realization.cache_info().misses
+        before = len(certified)
         p, witness = primary_predator_index(graph)
-        assert certify_realization.cache_info().misses == misses
+        assert len(certified) == before
         expected, expected_witness = max_predators_with(graph, k)
         assert calls == walked
         assert (witness is first) == (first.prey_count == theta_e(graph))
@@ -373,7 +381,9 @@ def test_edgeless_witnesses_are_pinned(n):
         assert (witness.prey_count, witness.predator_count) == (0, n + k)
         predators, witness = max_predators_with(graph, k)
         assert predators == n + k
-        assert (witness.k, witness.digraph.n, witness.witness_arcs()) == (k, n + k, [])
+        # theta_e = 0, so the witness is the one at 0 isolates; it was
+        # (k, n + k, []) before k above theta_e was answered from theta_e
+        assert (witness.k, witness.digraph.n, witness.witness_arcs()) == (0, n, [])
 
 
 def test_core_queries_reuse_the_walks_made_for_the_graph(monkeypatch):
@@ -403,8 +413,7 @@ def pindex_work(graph: Graph, monkeypatch) -> dict[str, int]:
     on the graph, from empty caches; the greedy packings computed, one per
     _bound call on a mask without a lower bound; and the steps of
     realizer.bits, which the walk's vertex loop takes."""
-    for cached in QUERY_CACHES + (cover_solver, maximal_clique_masks,
-                                  certify_realization):
+    for cached in QUERY_CACHES + (cover_solver, maximal_clique_masks):
         cached.cache_clear()
     calls = {"size": 0, "at_most": 0, "bron_kerbosch": 0, "bound": 0,
              "packings": 0, "bits": 0, "walks": 0}

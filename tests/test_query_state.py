@@ -14,14 +14,14 @@ from itertools import combinations
 import pytest
 
 import compnum
-from compnum import ALL_CHECKS
+from compnum import ALL_CHECKS, constructions, realizer
 from compnum.ecc import _CoverSolver, min_edge_clique_cover, theta_e
 from compnum.graph import Graph
-from compnum.io import serialize_graph6
-from compnum.realizer import certify_realization, primary_predator_index
+from compnum.io import parse_graph6, serialize_graph6
+from compnum.realizer import primary_predator_index
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import graph_record
-from test_exact_search_pins import rg
+from test_exact_search_pins import ATLAS7, rg
 
 
 def library_caches() -> list:
@@ -128,34 +128,47 @@ def test_sweep_record_builds_one_solver_for_a_graph_with_isolates(built_solvers)
     assert built_solvers == [graph.without_isolates()[0]]
 
 
-def test_sweep_records_certify_each_witness_once():
-    # a cache hit returns the result of the same check on equal inputs;
-    # each miss runs the check.  The competition number's and the predator
-    # index's witnesses come from one walk; when they are one plan, the
-    # predator index's witness is the competition number's, checked once,
-    # and the record's Hall check, which skips a p witness that is the k
-    # witness, asks for no second one.  The Hall check and the star rebuild
-    # take k's witness as it stands, already certified (944 calls before
-    # certification was cached, 832 while p built that plan's digraph
-    # again, and 693 while both looked k's witness up again).  Every
-    # effective-cover build is certified too: (410, 367) while the 93
-    # chordal builds were checked by the verifier's own table instead.
+@pytest.mark.parametrize("source,calls,distinct", [
+    ("n6", 460, 455), ("atlas7", 2_923, 2_917)])
+def test_sweep_records_certify_each_witness_once(source, calls, distinct,
+                                                 monkeypatch):
+    # The competition number's and the predator index's witnesses come
+    # from one walk, and the ascent certifies each once; when they are one
+    # plan, that plan is certified once.  The Hall check and the star
+    # rebuild take k's witness as it stands, and the Hall check matches
+    # p's witness without certifying it again.  Every effective-cover
+    # build is certified too.  On n = 6: 944 calls before certification
+    # was cached, 832 while p built that plan's digraph again, 693 while
+    # both looked k's witness up again, (410, 367) while the 93 chordal
+    # builds were checked by the verifier's own table, and 503 while the
+    # Hall check certified p's witness again; 3,518 on the atlas then.
+    seen = []
+    certify = realizer.certify_realization
+
+    def counting(*args):
+        seen.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(realizer, "certify_realization", counting)
+    monkeypatch.setattr(constructions, "certify_realization", counting)
+    graphs = (enumerate_small_graphs(6) if source == "n6" else
+              map(parse_graph6, ATLAS7.read_text(encoding="ascii").split()))
     for cached in CACHES:
         cached.cache_clear()
-    for graph in enumerate_small_graphs(6):
+    for graph in graphs:
         assert graph_record((graph, ALL_CHECKS))["error"] is None
-    info = certify_realization.cache_info()
-    assert (info.hits + info.misses, info.misses) == (503, 455)
+    assert (len(seen), len(set(seen))) == (calls, distinct)
 
 
 def test_caches_hold_one_query_only():
     for seed in range(20):
         primary_predator_index(rg(10, .5, seed))
-    assert certify_realization in CACHES
+    # certification kept a k and a p witness per graph while it was cached
+    assert sorted(cached.__name__ for cached in CACHES) == [
+        "_ascent", "_search", "cover_solver", "edge_clique_counts",
+        "maximal_clique_masks"]
     for cached in CACHES:
-        # certification keeps a k and a p witness per graph
-        limit = QUERY_GRAPHS * (2 if cached is certify_realization else 1)
-        assert cached.cache_info().currsize <= limit, cached.__name__
+        assert cached.cache_info().currsize <= QUERY_GRAPHS, cached.__name__
     gc.collect()
     alive = sum(isinstance(obj, _CoverSolver) for obj in gc.get_objects())
     assert alive <= QUERY_GRAPHS

@@ -75,21 +75,34 @@ def test_realizer_rejects_inconsistent_counts(call, error, message):
         call()
 
 
-def test_certification_cache_never_vouches_for_another_digraph():
+def test_isolates_past_theta_e_build_no_larger_digraph(monkeypatch):
+    # P3 has theta_e = 2: from 2 isolates on, the fewest prey are 2, so
+    # the witness at 2 answers every larger count, each further isolate
+    # being a predator
+    sizes = []
+    init = Digraph.__init__
+
+    def recording(self, n, arcs):
+        sizes.append(n)
+        init(self, n, arcs)
+
+    monkeypatch.setattr(Digraph, "__init__", recording)
+    predators, witness = max_predators_with(P3, 10**6)
+    assert predators == 1_000_001
+    assert (witness.k, witness.prey_count) == (2, 2)
+    assert sizes and max(sizes) <= 5
+
+
+def test_certification_never_vouches_for_another_digraph():
     k, witness = competition_number(C4)
     assert certify_realization(C4, witness.digraph, k) == witness
     # 0 -> 5 makes 0 compete with 2, which C4 does not join to 0
     arcs = witness.digraph.arcs
     assert (0, 4) in arcs and (0, 5) not in arcs
     moved = Digraph.from_arcs(6, [(0, 5) if a == (0, 4) else a for a in arcs])
-    before = certify_realization.cache_info()
     for _ in range(2):
         with pytest.raises(RealizationError, match="graph mismatch"):
             certify_realization(C4, moved, k)
-    after = certify_realization.cache_info()
-    # both were checked from scratch, and neither failure was kept
-    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
-    assert after.currsize == before.currsize
 
 
 def test_competition_number_values():

@@ -24,7 +24,7 @@ from compnum.fixtures import (effective_cover_example_cover,
                               effective_cover_example_graph)
 from compnum.graph import Digraph, Graph, bits
 from compnum.io import parse_edge_list, serialize_edge_list, serialize_graph6
-from compnum.realizer import RealizationError, _ascent, max_predators_with
+from compnum.realizer import RealizationError, _ascent, _witnesses
 from compnum.smallgraphs import enumerate_small_graphs
 from compnum.sweep import CHUNK, _worker_count, sweep
 from test_exact_search_pins import C4_PLUS_3, K4_PLUS_3, rg
@@ -617,17 +617,18 @@ def test_cli_realize_with_many_isolates_is_pinned(capsys, tmp_path):
 
 def test_cli_realize_past_theta_e_prints_the_library_answer(capsys,
                                                              tmp_path):
-    # From K = theta_e on, the command asks the library at theta_e and adds
-    # the further isolates as predators; its bytes are those of the
-    # library's own answer at K.
+    # From K = theta_e on, the library answers from the witness at
+    # theta_e and adds the further isolates as predators; the bytes are
+    # those of the walk at K itself.
     path = tmp_path / "g.edges"
     graphs = [g for n in range(6) for g in enumerate_small_graphs(n)]
     for graph in graphs + [K4_PLUS_3, C4_PLUS_3]:
         path.write_text(serialize_edge_list(graph))
         theta = theta_e(graph)
         for k in range(theta, theta + 4):
-            predators, witness = max_predators_with(graph, k)
-            expected = {"realizable": True, "k": k, "max_predators": predators,
+            witness = _witnesses(graph, k)[1]
+            expected = {"realizable": True, "k": k,
+                        "max_predators": witness.predator_count,
                         "prey": witness.prey_count,
                         "witness_arcs": witness.witness_arcs()}
             assert run_cli(capsys, "realize", "--in", str(path), "--k",

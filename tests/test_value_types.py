@@ -9,7 +9,9 @@ import pickle
 import pytest
 
 from compnum.graph import Digraph, Graph, add_isolated
-from compnum.realizer import Realization, competition_number
+from compnum.realizer import (Realization, competition_number,
+                              max_predators_with)
+from compnum.smallgraphs import enumerate_small_graphs
 
 P3_PLUS_ISOLATE = Graph(4, (2, 5, 2, 0))
 FORK = Digraph(3, ((0, 2), (1, 2)))
@@ -177,7 +179,34 @@ def test_cached_property_values():
      "arcs must strictly increase; use Digraph.from_arcs"),
     (lambda: Digraph(3, ((0, 2), (0, 2))),
      "arcs must strictly increase; use Digraph.from_arcs"),
+    # a count that is negative goes first: its fields are not looked at
+    (lambda: Graph(-1, [0]), "vertex count must be nonnegative"),
+    (lambda: Digraph(-1, [(0, 1)]), "vertex count must be nonnegative"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+# every count argument, as (call, argument name, what it counts)
+COUNT_SITES = {
+    "Graph": (lambda v: Graph(v, ()), "n", "vertex count"),
+    "Digraph": (lambda v: Digraph(v, ()), "n", "vertex count"),
+    "add_isolated": (lambda v: add_isolated(Graph(1, (0,)), v),
+                     "k", "isolate count"),
+    "max_predators_with": (lambda v: max_predators_with(Graph(1, (0,)), v),
+                           "k", "isolate count"),
+    "enumerate_small_graphs": (lambda v: next(enumerate_small_graphs(v)),
+                               "n", "vertex count"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, -1],
+                         ids=["bool", "float", "negative"])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_arguments_share_one_check(site, value):
+    call, name, noun = COUNT_SITES[site]
+    message = (f"{noun} must be nonnegative" if type(value) is int
+               else f"{name} must be an int")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value)

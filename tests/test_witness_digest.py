@@ -11,6 +11,7 @@ pruning that moves any of these witnesses changes the digest.
 import hashlib
 import json
 
+from compnum.ecc import theta_e
 from compnum.io import serialize_graph6
 from compnum.realizer import (_witnesses, competition_number,
                               max_predators_with, primary_predator_index)
@@ -35,3 +36,18 @@ def test_small_graph_witnesses_are_pinned():
     assert len(graphs) == 1553
     assert digest.hexdigest() == (
         "3b275b62d91613740944dea32824a11898bd206e674ee3d0a9f30afcf5ddde51")
+
+
+def test_isolates_past_theta_e_match_the_walk_at_their_count():
+    # max_predators_with answers a count above theta_e from the witness at
+    # theta_e; the walk at the count itself finds the same prey and arcs
+    graphs = small_graphs() + atlas7() + sweep_pool()
+    for graph in graphs:
+        theta = theta_e(graph)
+        for k in (theta + 1, theta + 2):
+            predators, witness = max_predators_with(graph, k)
+            walked = _witnesses(graph, k)[1]
+            assert (predators, witness.prey_count, witness.witness_arcs()) == (
+                walked.predator_count, walked.prey_count,
+                walked.witness_arcs()), (serialize_graph6(graph), k)
+    assert len(graphs) == 1553
