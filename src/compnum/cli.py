@@ -363,11 +363,9 @@ def main(argv=None) -> int:
         code = args.run(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RecursionError) as exc:  # RecursionError: a limit
+        print(f"error: {exc}", file=sys.stderr)  # of the input, not a bug
         return 1
-    except RecursionError:
-        raise  # a RuntimeError, but a limit of the input, not a failed check
     except RuntimeError as exc:  # a failed self-check
         print(f"error: {exc}", file=sys.stderr)
         return 2

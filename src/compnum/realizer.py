@@ -24,12 +24,13 @@ branched on.
 The walk prunes at the parent.  Below a child, the k isolates and the
 n - |placed| - 1 vertices still unplaced can host one clique each, so a
 child whose leftover edges need more cliques than that is never entered.
-Each option's fit is decided once per node, at its first use, and serves
-the option under every next vertex; when no option fits, and a next
-vertex that hosts no clique would not fit either, the loop over next
-vertices ends after the first.  A prefix's options come from its
-parent's: adding w keeps every clique that w does not see whole and adds
-the maximal cliques through w, so no prefix is enumerated from scratch.
+A node's children are its options that fit, then hosting nothing when
+its own leftover fits; each option's fit is decided once per node, at
+its first use, and each child serves under every next vertex, so a node
+with no child leaves its vertex loop after the first.  A prefix's
+options come from its parent's, passed down the walk: adding w keeps
+every clique that w does not see whole and adds the maximal cliques
+through w, so no prefix is enumerated from scratch.
 
 The walk only compares leftover cover sizes with thresholds (the budget
 k, that room, and the best total so far), so it asks the cover solver's
@@ -125,20 +126,19 @@ class _Search:
         self.graph = graph
         self.n = graph.n
         self.solver = cover_solver(graph)
-        self._options: dict[int, tuple] = {0: ()}
+        self._options: dict[int, tuple] = {}
         self._walks: dict[int, tuple | None] = {}
 
-    def _clique_options(self, placed: int, w: int):
+    def _clique_options(self, placed: int, w: int, parent: tuple):
         """Cliques maximal within the prefix ``placed``, largest first, as
         (-size, members, vertex mask, edge mask).  They are derived from
-        the options of the prefix without ``w``, which must be cached:
-        each of those stays maximal unless w sees all of it, and the new
-        ones are the maximal cliques through w."""
+        ``parent``, the options of the prefix without ``w``: each of those
+        stays maximal unless w sees all of it, and the new ones are the
+        maximal cliques through w."""
         cached = self._options.get(placed)
         if cached is None:
             nb = self.graph.rows[w]
-            opts = [opt for opt in self._options[placed & ~(1 << w)]
-                    if opt[2] & ~nb]
+            opts = [opt for opt in parent if opt[2] & ~nb]
             for cm in maximal_cliques_through(self.graph, w, placed):
                 members = tuple(bits(cm))
                 opts.append((-len(members), members, cm,
@@ -177,7 +177,7 @@ class _Search:
         found: list = []  # the first (total, plan), then each better one
         visited: dict[tuple[int, int], int] = {}
 
-        def rec(placed, covered, used, trail):
+        def rec(placed, covered, used, trail, options):
             state = (placed, covered)
             seen = visited.get(state)
             if seen is not None and seen <= used:
@@ -188,9 +188,9 @@ class _Search:
             # before the last vertex room >= k, so a leftover that does
             # not fit room cannot record a plan.  The last vertex's node
             # is entered only if its leftover fits its parent's room,
-            # k + n - 1 - (n - 1) = k, and the root of an empty core only
-            # if the guard at_most(full, spare + 1) below holds, so either
-            # records its plan without asking
+            # k + n - 1 - (n - 1) = k, and an empty core's root, itself
+            # the last node, has no edge left, so either records its plan
+            # without asking
             last = placed == everyone
             room = spare - placed.bit_count()
             fits_room = not last and at_most(rem, room)
@@ -198,47 +198,47 @@ class _Search:
                 total = used + solver.size(rem)
                 found.append((total, (list(trail), rem)))
                 return total <= goal
-            options = (self._clique_options(placed, trail[-1][0]) if trail
-                       else ())
+            if trail:
+                options = self._clique_options(placed, trail[-1][0], options)
             # a child whose leftover needs more than room cliques can
             # neither record a plan nor be finished by the isolates and
             # the vertices left after it, so it is not entered
             fits: list = []
-            children = self._fitting(options, rem, room, fits)
+            children = self._fitting(options, rem, room, fits_room, fits)
             for w in bits(everyone & ~placed):
-                wbit = 1 << w
                 for members, em in children:
                     trail.append((w, members))
-                    if rec(placed | wbit, covered | em, used + 1, trail):
+                    if rec(placed | 1 << w, covered | em, used + bool(em),
+                           trail, options):
                         return True
                     trail.pop()
-                if not (fits or fits_room):
+                if not fits:
                     break  # no later vertex has a child
                 children = fits
-                if fits_room:
-                    trail.append((w, None))
-                    if rec(placed | wbit, covered, used, trail):
-                        return True
-                    trail.pop()
             visited[state] = used if found else 0  # 0: dead to any entry
 
-        if at_most(full, spare + 1):
-            rec(0, 0, 0, [])
+        rec(0, 0, 0, [], ())
         # rec refers to itself; unbinding it frees the walk's state at once
         del rec
         return (found[0], found[-1]) if found else None
 
-    def _fitting(self, options, rem: int, room: int, fits: list):
-        """The options that cover some of the uncovered edges ``rem`` and
-        leave at most ``room`` cliques' worth, as (members, edge mask).
-        Each is tested when the walk reaches it and is also appended to
-        ``fits``, which later vertices replay: a walk often ends at a
-        theta_e-prey plan before a node's later options are asked."""
+    def _fitting(self, options, rem: int, room: int, fits_room: bool,
+                 fits: list):
+        """A node's children, as (members, edge mask): the options that
+        cover some of the uncovered edges ``rem`` and leave at most
+        ``room`` cliques' worth, then (None, 0), hosting nothing, if
+        ``fits_room``.  Each option is tested when the walk reaches it;
+        each child is also appended to ``fits``, which later vertices
+        replay: a walk often ends at a theta_e-prey plan before a node's
+        later options are asked."""
         at_most = self.solver.at_most
         for _, members, _, em in options:
             if em & rem and at_most(rem & ~em, room):
                 fits.append((members, em))
                 yield members, em
+        if fits_room:
+            fits.append((None, 0))
+            yield None, 0
 
     def build(self, plan, mapping) -> Digraph:
         """Turn a placement plan into a digraph whose vertex mapping[i] is

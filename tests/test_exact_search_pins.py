@@ -280,8 +280,10 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     # small graphs: sets whose cover was found above their lower bound and
     # asked again.  While the walks for k asked no theta_e goal, the query
     # asked 1,701 questions, while p built the k witness's plan again
-    # when that plan had the fewest prey 1,737, and before the floor asked
-    # about the stars of the vertices placed last 1,702.
+    # when that plan had the fewest prey 1,737, before the floor asked
+    # about the stars of the vertices placed last 1,702, and while each
+    # walk asked whether all edges fit budget + n cliques before entering
+    # its root 1,704.
     for cached in QUERY_CACHES + (cover_solver,):
         cached.cache_clear()
     graph = rg(16, .5, 53)
@@ -297,7 +299,7 @@ def test_threshold_answers_of_a_dense_query_match_exact_sizes(monkeypatch):
     primary_predator_index(graph)
     monkeypatch.undo()
     fresh = _CoverSolver(graph.without_isolates()[0])
-    assert len(asked) == 1_704
+    assert len(asked) == 1_702
     for uncovered, t, answer in asked:
         assert answer == (fresh.size(uncovered) <= t), (uncovered, t)
 
@@ -489,14 +491,15 @@ def test_predator_index_continues_the_competition_walk(monkeypatch):
     # prefix, the query took 4 walks, 36,200 at_most calls and 35,305
     # realizer.bits steps.  Before the floor refuted k = 1 from the
     # vertices placed last, it walked k = 1 too: 3 walks, 18,311 at_most
-    # calls and 22,714 steps.
+    # calls and 22,714 steps.  While each walk asked a question of its own
+    # before entering its root, the query took 18,004 at_most calls.
     work = pindex_work(rg(15, .5, 18), monkeypatch)
-    assert (work["walks"], work["at_most"], work["bits"]) == (2, 18_004, 22_274)
+    assert (work["walks"], work["at_most"], work["bits"]) == (2, 18_002, 22_274)
 
 
 @pytest.mark.parametrize("name,bound,packings,steps,questions", [
-    ("tree-60-0", 871, 55, 1_688, 1_001), ("P400", 403, 3, 1_198, 1_606),
-    ("C400", 803, 400, 1_200, 1_608), ("L100", 5_156, 101, 992, 1_004)])
+    ("tree-60-0", 871, 55, 1_688, 1_000), ("P400", 403, 3, 1_198, 1_605),
+    ("C400", 803, 400, 1_200, 1_607), ("L100", 5_156, 101, 992, 1_003)])
 def test_sparse_search_work_counts(name, bound, packings, steps, questions,
                                    monkeypatch):
     # A forced edge's child takes its packing from its parent, and the
@@ -509,7 +512,8 @@ def test_sparse_search_work_counts(name, bound, packings, steps, questions,
     # 1,301 at_most calls.  Before the floor asked about the stars of the
     # vertices placed last, they took 868, 400, 798 and 5,150 _bound
     # calls, 53, 1, 398 and 99 packings and 999, 1,604, 1,606 and 1,002
-    # at_most calls.
+    # at_most calls.  While each walk asked a question of its own before
+    # entering its root, they took 1,001, 1,606, 1,608 and 1,004.
     work = pindex_work(PINNED_SPARSE[name][0], monkeypatch)
     assert (work["bound"], work["packings"], work["bits"],
             work["at_most"]) == (bound, packings, steps, questions)

@@ -28,7 +28,7 @@ import pytest
 from compnum.ecc import theta_e
 from compnum.graph import Graph, bits
 from compnum.io import parse_graph6, serialize_graph6
-from compnum.realizer import competition_number
+from compnum.realizer import _Search, competition_number
 from compnum.smallgraphs import enumerate_small_graphs
 from test_exact_search_pins import rg
 
@@ -189,6 +189,22 @@ def test_unpruned_search_decides_k_where_the_floors_fall_short(graphs, count):
              if realizable(g, k - 1) or not realizable(g, k)]
     assert wrong == []
     assert len(unproven) == count
+
+
+def test_walk_finds_a_plan_exactly_where_the_unpruned_search_does():
+    # Every budget from 0 to theta_e, those below Opsut's floor included,
+    # which no library caller walks: the walk enters its root without a
+    # question of its own, so a root whose edges do not fit its room must
+    # find nothing by itself.  K_{3,3} has theta_e = 9 > n = 6.
+    graphs = [g for g in small_graphs() if not g.isolated_vertices()]
+    graphs.append(Graph.from_edges(6, [(i, j) for i in range(3)
+                                       for j in range(3, 6)]))
+    cases = [(g, search, b) for g in graphs for search in [_Search(g)]
+             for b in range(theta_e(g) + 1)]
+    assert (len(graphs), len(cases)) == (157, 784)
+    wrong = [(serialize_graph6(g), b) for g, search, b in cases
+             if (search._walk(b) is None) != (not realizable(g, b))]
+    assert wrong == []
 
 
 def test_golden_dense_competition_numbers_meet_opsuts_bounds():

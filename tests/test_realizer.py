@@ -19,13 +19,14 @@ C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def test_clique_options_are_the_prefix_maximal_cliques():
-    # Each prefix's options are derived from its parent's; they must be
-    # the maximal cliques of the prefix, as a subset scan lists them.
+    # Each prefix's options are derived from its parent's, carried
+    # forward; they must be the maximal cliques of the prefix, as a subset
+    # scan lists them.
     rng = random.Random(4)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 8))
         search = _Search(g)
-        prefix = []
+        prefix, options = [], ()
         for w in rng.sample(range(g.n), g.n):
             prefix.append(w)
             cliques = [c for size in range(2, len(prefix) + 1)
@@ -34,7 +35,7 @@ def test_clique_options_are_the_prefix_maximal_cliques():
             maximal = [c for c in cliques
                        if not any(set(c) < set(d) for d in cliques)]
             placed = sum(1 << v for v in prefix)
-            options = search._clique_options(placed, w)
+            options = search._clique_options(placed, w, options)
             assert [members for _, members, _, _ in options] == sorted(
                 maximal, key=lambda c: (-len(c), c))
 

@@ -789,15 +789,40 @@ def test_cli_failed_self_check_exits_2_with_one_error_line(
     assert captured.err.startswith("error: ") and "library bug" in captured.err
 
 
-def test_cli_lets_a_recursion_error_propagate(monkeypatch, c4_file):
+def test_cli_recursion_error_exits_1_with_one_error_line(
+        capsys, monkeypatch, c4_file):
+    # an input too deep for Python's recursion limit is a limit of the
+    # input, not a failed self-check, so it exits 1, not 2
     import compnum.bounds
 
     def too_deep(graph):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(compnum.bounds, "competition_number", too_deep)
-    with pytest.raises(RecursionError):
-        main(["bounds", "--in", c4_file])
+    code = main(["bounds", "--in", c4_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: maximum recursion depth exceeded\n"
+
+
+def test_cli_on_a_path_too_deep_exits_1_without_traceback(tmp_path):
+    # P1200's forced edges make the cover solver recurse once per edge,
+    # past Python's default recursion limit
+    graph = tmp_path / "P1200.edges"
+    graph.write_text(serialize_edge_list(
+        Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "compnum", "knumber", "--in", str(graph)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.fixture
