@@ -18,8 +18,10 @@ from .graph import QUERY_GRAPHS, Graph, bits, check_graph, mask_of
 
 
 def _bron_kerbosch(rows, r: int, p: int, x: int, out: list[int]) -> None:
-    if p == 0 and x == 0:
-        out.append(r)
+    if not p & (p - 1):  # p is one vertex v or none: r | p is the only clique
+        extends = rows[p.bit_length() - 1] if p else -1  # the vertices seeing v
+        if not x & extends:
+            out.append(r | p)
         return
     pivot, best = -1, -1
     for u in bits(p | x):
@@ -152,7 +154,7 @@ def _mcs_order(graph: Graph) -> list[int]:
     elimination order is that numbering read from position 1 up.  The
     unnumbered vertices are kept in one bitmask per weight.
     """
-    n = graph.n
+    n, rows = graph.n, graph.rows
     weight = [0] * n
     buckets = [0] * (n + 1)
     unnumbered = buckets[0] = graph.vertex_mask
@@ -165,7 +167,7 @@ def _mcs_order(graph: Graph) -> list[int]:
         order[pos] = pick = low.bit_length() - 1
         buckets[top] ^= low
         unnumbered ^= low
-        for u in bits(graph.rows[pick] & unnumbered):
+        for u in bits(rows[pick] & unnumbered):
             buckets[weight[u]] ^= 1 << u
             weight[u] += 1
             buckets[weight[u]] |= 1 << u
@@ -177,11 +179,11 @@ def _elimination_gaps(graph: Graph, order):
     """Every way ``order`` fails to be a perfect elimination ordering, from
     its last vertex back: (v, u, w) for each later neighbour u of v that
     misses another later neighbour of v, the least of which is w."""
-    later = 0
+    rows, later = graph.rows, 0
     for v in reversed(order):
-        group = graph.rows[v] & later
+        group = rows[v] & later
         for u in bits(group):
-            gap = group & ~(1 << u) & ~graph.rows[u]
+            gap = group & ~(1 << u) & ~rows[u]
             if gap:
                 yield v, u, (gap & -gap).bit_length() - 1
         later |= 1 << v

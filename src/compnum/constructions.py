@@ -289,8 +289,8 @@ def hall_certificate(graph: Graph, cover=None, digraph=None) -> dict:
 def hall_matching(cover, digraph: Digraph) -> dict:
     """``hall_certificate``'s matching, of a checked cover into a certified
     digraph; such a digraph always saturates it, so a miss aborts loudly."""
-    sets = tuple(tuple(v for v in range(digraph.n)
-                       if (digraph.in_rows[v] & mask).bit_count() >= 2)
+    prey = [(v, row) for v, row in enumerate(digraph.in_rows) if row]
+    sets = tuple(tuple([v for v, row in prey if (row & mask).bit_count() >= 2])
                  for mask in map(mask_of, cover))
     match = _max_bipartite_matching(sets)
     if any(w is None for w in match):

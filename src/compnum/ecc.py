@@ -32,8 +32,9 @@ fixtures are stable.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
-from .cliques import edge_clique_counts, maximal_clique_masks
+from .cliques import maximal_clique_masks
 from .graph import (QUERY_GRAPHS, Graph, bits, check_graph, clique_rows,
                     mask_of)
 
@@ -42,23 +43,28 @@ class _CoverSolver:
     """Exact set-cover engine over the maximal cliques of an isolate-free graph."""
 
     def __init__(self, graph: Graph):
-        self.clique_masks = maximal_clique_masks(graph)
-        hits = edge_clique_counts(graph)
-        self.edges = sorted(graph.edges(), key=lambda e: (hits[e], e))
-        self.stars = [0] * graph.n  # per vertex, the edges at it
-        for i, (u, v) in enumerate(self.edges):
-            self.stars[u] |= 1 << i
-            self.stars[v] |= 1 << i
-        self.full_mask = (1 << len(self.edges)) - 1
-        self.clique_edge_masks = [self.edge_mask_of(bits(c)) for c in self.clique_masks]
-        self.cliques_per_edge: list[list[int]] = [[] for _ in self.edges]
-        shared = [0] * len(self.edges)
-        for ci, em in enumerate(self.clique_edge_masks):
-            for e in bits(em):
-                self.cliques_per_edge[e].append(ci)
-                shared[e] |= em
+        self.clique_masks = masks = maximal_clique_masks(graph)
+        # per edge, the indices of the maximal cliques through it, ascending
+        through: dict[tuple[int, int], list[int]] = {e: [] for e in graph.edges()}
+        for ci, c in enumerate(masks):
+            for pair in combinations(bits(c), 2):
+                through[pair].append(ci)
+        # sorted stably, so edges with as many cliques stay in edge order
+        self.edges = edges = sorted(through, key=lambda e: len(through[e]))
+        self.stars = stars = [0] * graph.n  # per vertex, the edges at it
+        for i, (u, v) in enumerate(edges):
+            stars[u] |= 1 << i
+            stars[v] |= 1 << i
+        self.full_mask = (1 << len(edges)) - 1
+        self.clique_edge_masks = ems = [self.edge_mask_of(bits(c)) for c in masks]
+        self.cliques_per_edge = [through[e] for e in edges]
         # per edge bit, the edges that share no maximal clique with it
-        self._apart = {1 << e: ~em for e, em in enumerate(shared)}
+        self._apart = {}
+        for i, cliques in enumerate(self.cliques_per_edge):
+            shared = 0
+            for ci in cliques:
+                shared |= ems[ci]
+            self._apart[1 << i] = ~shared
         self._size_memo: dict[int, int] = {0: 0}
         self._lower: dict[int, int] = {}
 
@@ -108,12 +114,12 @@ class _CoverSolver:
             self._lower[uncovered] = lo
         if lo > t:
             return lo
-        memo = self._size_memo
+        memo, ems = self._size_memo, self.clique_edge_masks
         e = (uncovered & -uncovered).bit_length() - 1
         cliques = self.cliques_per_edge[e]
         least = len(self.edges) + 1
         for ci in cliques:
-            rest = uncovered & ~self.clique_edge_masks[ci]
+            rest = uncovered & ~ems[ci]
             b = memo.get(rest)
             if b is None:
                 if len(cliques) == 1:
@@ -143,12 +149,13 @@ class _CoverSolver:
         whether what is left has a cover one smaller, by any cliques,
         decides each step."""
         budget = self.size(uncovered)
+        at_most, ems = self.at_most, self.clique_edge_masks
         chosen: list[int] = []
         lo = 0
         while uncovered:
-            for idx in range(lo, len(self.clique_masks)):
-                em = self.clique_edge_masks[idx]
-                if self.at_most(uncovered & ~em, budget - 1):
+            for idx in range(lo, len(ems)):
+                em = ems[idx]
+                if at_most(uncovered & ~em, budget - 1):
                     chosen.append(self.clique_masks[idx])
                     uncovered &= ~em
                     budget -= 1
@@ -177,7 +184,7 @@ def min_edge_clique_cover(graph: Graph) -> tuple[tuple[int, ...], ...]:
     core, keep = graph.without_isolates()
     solver = cover_solver(core)
     cover = solver.lex_min_cover(solver.full_mask)
-    return tuple(tuple(keep[v] for v in bits(c)) for c in cover)
+    return tuple(tuple(map(keep.__getitem__, bits(c))) for c in cover)
 
 
 def make_cover(graph: Graph, cliques) -> tuple[tuple[int, ...], ...]:
@@ -205,10 +212,10 @@ def cover_checks(graph: Graph, cover) -> tuple[bool, bool, bool]:
     every edge with theta_e cliques; all three fail when a vertex is not
     an int in 0..n-1 (a bool counts as no int).  Worked out from the graph
     on every call."""
-    if not all(type(v) is int and 0 <= v < graph.n for c in cover for v in c):
+    n = graph.n
+    if not all(type(v) is int and 0 <= v < n for c in cover for v in c):
         return False, False, False
     masks = [mask_of(c) for c in cover]
-    maximal = set(maximal_clique_masks(graph))
-    covers = clique_rows(graph.n, masks) == graph.rows
-    return (covers, all(m in maximal for m in masks),
+    covers = clique_rows(n, masks) == graph.rows
+    return (covers, set(maximal_clique_masks(graph)).issuperset(masks),
             covers and len(masks) == theta_e(graph))

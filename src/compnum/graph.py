@@ -8,13 +8,25 @@ to share across threads or processes.
 
 from __future__ import annotations
 
-import heapq
-from functools import cached_property
 from itertools import combinations
+
+# the set bit positions of every mask below 2**9, ascending: those from
+# 2**b up are the ones below 2**b, each with b appended
+_BITS: tuple[tuple[int, ...], ...] = ((),)
+for _b in range(9):
+    _BITS += tuple(low + (_b,) for low in _BITS)
 
 
 def bits(mask: int):
-    """Yield the set bit positions of ``mask`` in ascending order."""
+    """The set bit positions of ``mask`` in ascending order: a shared tuple
+    below 2**9, where most masks of small graphs lie, else a generator, so
+    a caller that stops early on a wide mask pays only for what it uses."""
+    if 0 <= mask < 512:
+        return _BITS[mask]
+    return _wide_bits(mask)
+
+
+def _wide_bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -38,19 +50,39 @@ def _ints(values) -> bool:
 QUERY_GRAPHS = 2
 
 
+class lazy:
+    """A field computed on its first read and kept in the instance
+    ``__dict__``, which later reads find before this descriptor.  Unlike
+    ``functools.cached_property`` it takes no lock: threads that race on a
+    first read compute the same immutable value."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Frozen:
     """Base of the immutable value types.  A subclass names its
     constructor's parameters, in order, in ``_fields`` and stores their
     values with ``_freeze``, which also keeps them as the tuple ``_key``.
     Equality (same class, equal fields), the hash, the repr, pickling and
     copying go through that tuple, and no attribute can be assigned or
-    deleted.  ``cached_property`` writes its values straight into the
-    instance ``__dict__``."""
+    deleted.  The hash is that tuple's, computed once.  It, the ``lazy``
+    fields and values derived at construction (a digraph's rows) live in
+    the instance ``__dict__`` but not in that tuple, so equality, the repr,
+    pickles and copies never see them."""
 
     _fields: tuple[str, ...] = ()
 
     def _freeze(self, *values) -> None:
-        self.__dict__.update(zip(self._fields, values), _key=values)
+        # from a dict, not from pairs, which leaves a layout that reads its
+        # attributes over twice as slowly
+        self.__dict__.update(dict(zip(self._fields, values)), _key=values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -58,6 +90,10 @@ class Frozen:
         return NotImplemented
 
     def __hash__(self):
+        return self._hash
+
+    @lazy
+    def _hash(self) -> int:
         return hash(self._key)
 
     def __repr__(self):
@@ -83,19 +119,19 @@ class Graph(Frozen):
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         self._freeze(n, rows)
-        check_count(self.n, "n", "vertex count")
-        if not _ints(self.rows):
+        check_count(n, "n", "vertex count")
+        if not _ints(rows):
             raise ValueError("rows must be a tuple of ints")
-        if len(self.rows) != self.n:
+        if len(rows) != n:
             raise ValueError("adjacency rows do not match vertex count")
-        for v, row in enumerate(self.rows):
-            if row >> self.n:
+        for v, row in enumerate(rows):
+            if row >> n:
                 raise ValueError(f"adjacency bit out of range in row {v}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                if not (self.rows[v] >> u) & 1:
+        for u, row in enumerate(rows):
+            for v in bits(row):
+                if not (rows[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at {u},{v}")
 
     @classmethod
@@ -120,7 +156,7 @@ class Graph(Frozen):
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.rows[u]) if u < v]
 
-    @cached_property
+    @lazy
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -136,7 +172,7 @@ class Graph(Frozen):
         graph itself if none is isolated) and each one's original index."""
         return self._core or (self, tuple(range(self.n)))
 
-    @cached_property
+    @lazy
     def _core(self) -> tuple["Graph", tuple[int, ...]] | None:
         # built once; None when no vertex is isolated, so no graph keeps itself
         keep = tuple(v for v in range(self.n) if self.rows[v])
@@ -164,41 +200,45 @@ class Graph(Frozen):
 
 
 class Digraph(Frozen):
-    """Simple directed graph: no self-arcs, no parallel arcs."""
+    """Simple directed graph: no self-arcs, no parallel arcs.  Its rows,
+    ``in_rows[v]`` the mask of v's in-neighbours and ``out_rows[v]`` of its
+    out-neighbours, are built with the arcs' one check."""
 
     _fields = ("n", "arcs")
 
     def __init__(self, n: int, arcs: tuple[tuple[int, int], ...]):
         self._freeze(n, arcs)
-        check_count(self.n, "n", "vertex count")
-        if type(self.arcs) is not tuple or not all(
-                _ints(arc) and len(arc) == 2 for arc in self.arcs):
+        check_count(n, "n", "vertex count")
+        if type(arcs) is not tuple:
             raise ValueError("arcs must be a tuple of int pairs")
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-arc at vertex {u}")
-        if any(a >= b for a, b in zip(self.arcs, self.arcs[1:])):
+        # one pass; a malformed arc anywhere outranks the first arc out of
+        # range or a self-arc, which outranks arcs out of order
+        fault, unordered, last = None, False, ()
+        in_rows, out_rows = [0] * n, [0] * n
+        for arc in arcs:
+            if type(arc) is not tuple or len(arc) != 2:
+                raise ValueError("arcs must be a tuple of int pairs")
+            u, v = arc
+            if type(u) is not int or type(v) is not int:
+                raise ValueError("arcs must be a tuple of int pairs")
+            if u != v and 0 <= u < n and 0 <= v < n:
+                in_rows[v] |= 1 << u
+                out_rows[u] |= 1 << v
+            elif fault is None:
+                fault = (f"self-arc at vertex {u}" if 0 <= u == v < n
+                         else f"arc ({u},{v}) out of range")
+            if last >= arc:
+                unordered = True
+            last = arc
+        if fault:
+            raise ValueError(fault)
+        if unordered:
             raise ValueError("arcs must strictly increase; use Digraph.from_arcs")
+        self.__dict__.update(in_rows=tuple(in_rows), out_rows=tuple(out_rows))
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Digraph":
         return cls(n, tuple(sorted(set(map(tuple, arcs)))))
-
-    @cached_property
-    def in_rows(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for u, v in self.arcs:
-            rows[v] |= 1 << u
-        return tuple(rows)
-
-    @cached_property
-    def out_rows(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for u, v in self.arcs:
-            rows[u] |= 1 << v
-        return tuple(rows)
 
 
 def check_graph(graph) -> None:
@@ -229,24 +269,31 @@ def acyclic_labeling(digraph: Digraph) -> tuple[bool, tuple[int, ...]]:
 
     Labels are assigned 1, 2, ... by repeatedly taking the smallest-index
     remaining vertex with no out-arc into the remaining set, so the result
-    is deterministic.  Those vertices wait in the min-heap ``ready``, which
-    a vertex enters when its last remaining out-neighbour is labeled.  A
-    cycle is a result, not an error.
+    is deterministic.  Those vertices wait in the bitmask ``ready``, which
+    a vertex enters when its last remaining out-neighbour is labeled, and
+    its lowest bit is the next to take.  A cycle is a result, not an
+    error.
     """
     check_digraph(digraph)
-    n = digraph.n
+    n, in_rows = digraph.n, digraph.in_rows
     out_degree = [row.bit_count() for row in digraph.out_rows]
-    ready = [v for v in range(n) if out_degree[v] == 0]  # ascending: a heap
+    ready = 0
+    for v, degree in enumerate(out_degree):
+        if not degree:
+            ready |= 1 << v
     labels = [0] * n
     for next_label in range(1, n + 1):
         if not ready:
             return _extract_cycle(digraph, labels)
-        pick = heapq.heappop(ready)
+        low = ready & -ready
+        ready ^= low
+        pick = low.bit_length() - 1
         labels[pick] = next_label
-        for u in bits(digraph.in_rows[pick]):
-            out_degree[u] -= 1
-            if out_degree[u] == 0:
-                heapq.heappush(ready, u)
+        if in_rows[pick]:
+            for u in bits(in_rows[pick]):
+                out_degree[u] -= 1
+                if not out_degree[u]:
+                    ready |= 1 << u
     return True, tuple(labels)
 
 
@@ -254,12 +301,13 @@ def _extract_cycle(digraph: Digraph, labels) -> tuple[bool, tuple[int, ...]]:
     # every unlabeled vertex has an out-arc to another unlabeled one, so
     # following smallest such out-neighbours must revisit a vertex
     remaining = mask_of(v for v in range(digraph.n) if not labels[v])
-    start = next(bits(remaining))
+    start = (remaining & -remaining).bit_length() - 1
     path = [start]
     index = {start: 0}
     v = start
     while True:
-        v = next(bits(digraph.out_rows[v] & remaining))
+        after = digraph.out_rows[v] & remaining
+        v = (after & -after).bit_length() - 1
         if v in index:
             cycle = path[index[v]:]
             # rotate so the smallest vertex comes first
@@ -274,8 +322,9 @@ def clique_rows(n: int, masks) -> tuple[int, ...]:
     each mask is made a clique, and no other pair is adjacent."""
     rows = [0] * n
     for mask in masks:
-        for u in bits(mask):
-            rows[u] |= mask ^ (1 << u)
+        if mask & (mask - 1):  # a mask of one vertex spans no pair
+            for u in bits(mask):
+                rows[u] |= mask ^ (1 << u)
     return tuple(rows)
 
 

@@ -13,7 +13,7 @@ line.
 
 from __future__ import annotations
 
-from .graph import Digraph, Graph, check_graph
+from .graph import Digraph, Graph, bits, check_graph
 
 
 class FormatError(ValueError):
@@ -82,24 +82,26 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError("nonzero padding bits in graph6 payload")
     bitstream >>= pad
     rows = [0] * n
-    # bits come most-significant first: pair (0,1), then (0,2), (1,2), ...
-    pos = nbits
+    # bits come most-significant first: pair (0,1), then (0,2), (1,2), ...,
+    # so column j's j bits, reversed, are row j's neighbours below j
+    column_bits = format(bitstream, f"0{nbits}b") if nbits else ""
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bitstream >> pos) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        below = int(column_bits[start:start + j][::-1], 2)
+        start += j
+        rows[j] |= below
+        for i in bits(below):
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))
 
 
 def serialize_graph6(graph: Graph) -> str:
     check_graph(graph)
     out = _encode_g6_size(graph.n)
-    bitstream = 0
-    for j in range(1, graph.n):
-        for i in range(j):
-            bitstream = (bitstream << 1) | graph.has_edge(i, j)
+    # column j lists pairs (0, j) .. (j - 1, j): row j's low j bits, reversed
+    bitstream = int("0" + "".join(format(graph.rows[j] & ((1 << j) - 1),
+                                         f"0{j}b")[::-1]
+                                  for j in range(1, graph.n)), 2)
     nbits = graph.n * (graph.n - 1) // 2
     nchars = (nbits + 5) // 6
     bitstream <<= 6 * nchars - nbits

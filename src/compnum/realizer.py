@@ -16,10 +16,10 @@ reductions make this complete:
 Since isolates send no arcs, they can all be placed last, where they may
 host arbitrary cliques of G; the search therefore walks orderings of V(G)
 only and finishes each branch with an exact set-cover of the leftover
-edges, one clique per isolate.  States are memoized on (placed-vertex
-bitmask, covered-edge bitmask).  Hosting a clique that is maximal within
-the placed prefix dominates hosting any sub-clique, so only those are
-branched on.
+edges, one clique per isolate.  States are memoized on the placed-vertex
+bitmask and the uncovered-edge bitmask, packed into one int.  Hosting a
+clique that is maximal within the placed prefix dominates hosting any
+sub-clique, so only those are branched on.
 
 The walk prunes at the parent.  Below a child, the k isolates and the
 n - |placed| - 1 vertices still unplaced can host one clique each, so a
@@ -101,22 +101,23 @@ def certify_realization(graph: Graph, digraph: Digraph, k: int,
                         sink_map=None) -> Realization:
     """Check a claimed realization and package it; never trust, verify."""
     check_digraph(digraph)
-    if digraph.n < graph.n:
-        raise RealizationError(f"digraph has {digraph.n} vertices, fewer "
+    n, in_rows = digraph.n, digraph.in_rows
+    if n < graph.n:
+        raise RealizationError(f"digraph has {n} vertices, fewer "
                                f"than the graph's {graph.n}")
-    if digraph.n != graph.n + k:
+    if n != graph.n + k:
         raise RealizationError(
-            f"digraph has {digraph.n} vertices, expected {graph.n + k}")
+            f"digraph has {n} vertices, expected {graph.n + k}")
     # the competition graph's rows against G's plus k isolates' empty ones
-    if clique_rows(digraph.n, digraph.in_rows) != graph.rows + (0,) * k:
+    if clique_rows(n, in_rows) != graph.rows + (0,) * k:
         raise RealizationError("competition graph mismatch")
     acyclic, labeling = acyclic_labeling(digraph)
     if not acyclic:
         raise RealizationError(f"digraph contains a cycle: {labeling}")
-    prey = sum(1 for v in range(digraph.n) if digraph.in_rows[v])
+    prey = n - in_rows.count(0)
     if graph.edge_count > 0 and prey < theta_e(graph):
         raise RealizationError("fewer prey than the edge clique cover number")
-    return Realization(digraph, k, labeling, prey, digraph.n - prey, sink_map)
+    return Realization(digraph, k, labeling, prey, n - prey, sink_map)
 
 
 class _Search:
@@ -134,19 +135,22 @@ class _Search:
         (-size, members, vertex mask, edge mask).  They are derived from
         ``parent``, the options of the prefix without ``w``: each of those
         stays maximal unless w sees all of it, and the new ones are the
-        maximal cliques through w."""
-        cached = self._options.get(placed)
-        if cached is None:
-            nb = self.graph.rows[w]
-            opts = [opt for opt in parent if opt[2] & ~nb]
+        maximal cliques through w.  They are kept in ``_options``, which
+        the walk reads before deriving a prefix's options again."""
+        seen = self.graph.rows[w]
+        if placed & seen:
+            unseen = ~seen
+            opts = [opt for opt in parent if opt[2] & unseen]
+            edge_mask_of = self.solver.edge_mask_of
             for cm in maximal_cliques_through(self.graph, w, placed):
                 members = tuple(bits(cm))
-                opts.append((-len(members), members, cm,
-                             self.solver.edge_mask_of(members)))
+                opts.append((-len(members), members, cm, edge_mask_of(members)))
             opts.sort()
-            cached = tuple(opts)
-            self._options[placed] = cached
-        return cached
+            options = tuple(opts)
+        else:  # w sees no placed vertex: every option stays, none is new
+            options = parent
+        self._options[placed] = options
+        return options
 
     def best(self, budget: int):
         """``_walk(budget)``, walked once per budget."""
@@ -175,14 +179,18 @@ class _Search:
         # after the one a node places
         spare = k + self.n - 1
         found: list = []  # the first (total, plan), then each better one
-        visited: dict[tuple[int, int], int] = {}
+        # a state, the placed vertices and the uncovered edges rem, is
+        # keyed by the one int placed << m | rem, m being the edge count
+        visited: dict[int, int] = {}
+        m = full.bit_length()
+        known, clique_options = self._options, self._clique_options
+        fitting = self._fitting
 
-        def rec(placed, covered, used, trail, options):
-            state = (placed, covered)
+        def rec(placed, rem, used, trail, options):
+            state = placed << m | rem
             seen = visited.get(state)
             if seen is not None and seen <= used:
                 return
-            rem = full & ~covered
             if found and not at_most(rem, found[-1][0] - used - 1):
                 return
             # before the last vertex room >= k, so a leftover that does
@@ -199,17 +207,19 @@ class _Search:
                 found.append((total, (list(trail), rem)))
                 return total <= goal
             if trail:
-                options = self._clique_options(placed, trail[-1][0], options)
+                derived = known.get(placed)
+                options = (clique_options(placed, trail[-1][0], options)
+                           if derived is None else derived)
             # a child whose leftover needs more than room cliques can
             # neither record a plan nor be finished by the isolates and
             # the vertices left after it, so it is not entered
             fits: list = []
-            children = self._fitting(options, rem, room, fits_room, fits)
+            children = fitting(options, rem, room, fits_room, fits)
             for w in bits(everyone & ~placed):
-                for members, em in children:
+                for members, rest, hosted in children:
                     trail.append((w, members))
-                    if rec(placed | 1 << w, covered | em, used + bool(em),
-                           trail, options):
+                    if rec(placed | 1 << w, rest, used + hosted, trail,
+                           options):
                         return True
                     trail.pop()
                 if not fits:
@@ -217,42 +227,46 @@ class _Search:
                 children = fits
             visited[state] = used if found else 0  # 0: dead to any entry
 
-        rec(0, 0, 0, [], ())
+        rec(0, full, 0, [], ())
         # rec refers to itself; unbinding it frees the walk's state at once
         del rec
         return (found[0], found[-1]) if found else None
 
     def _fitting(self, options, rem: int, room: int, fits_room: bool,
                  fits: list):
-        """A node's children, as (members, edge mask): the options that
-        cover some of the uncovered edges ``rem`` and leave at most
-        ``room`` cliques' worth, then (None, 0), hosting nothing, if
-        ``fits_room``.  Each option is tested when the walk reaches it;
-        each child is also appended to ``fits``, which later vertices
-        replay: a walk often ends at a theta_e-prey plan before a node's
-        later options are asked."""
+        """A node's children, as (members, edges left uncovered, cliques
+        hosted): the options that cover some of the uncovered edges
+        ``rem`` and leave at most ``room`` cliques' worth, then (None, rem,
+        0), hosting nothing, if ``fits_room``.  Each option is tested when
+        the walk reaches it; each child is also appended to ``fits``,
+        which later vertices replay: a walk often ends at a theta_e-prey
+        plan before a node's later options are asked."""
         at_most = self.solver.at_most
         for _, members, _, em in options:
-            if em & rem and at_most(rem & ~em, room):
-                fits.append((members, em))
-                yield members, em
+            if em & rem:
+                rest = rem & ~em
+                if at_most(rest, room):
+                    child = (members, rest, 1)
+                    fits.append(child)
+                    yield child
         if fits_room:
-            fits.append((None, 0))
-            yield None, 0
+            child = (None, rem, 0)
+            fits.append(child)
+            yield child
 
     def build(self, plan, mapping) -> Digraph:
         """Turn a placement plan into a digraph whose vertex mapping[i] is
         the plan's vertex i: the n placed ones, then the budget's isolates."""
         placements, rem = plan
-        arcs = [(v, w) for w, members in placements if members is not None
-                for v in members]
+        arcs = [(mapping[v], mapping[w]) for w, members in placements
+                if members is not None for v in members]
         leftover = self.solver.lex_min_cover(rem)
         if len(leftover) > len(mapping) - self.n:
             raise RealizationError("isolate budget exceeded by plan")
         for j, clique in enumerate(leftover, self.n):
-            arcs.extend((v, j) for v in bits(clique))
-        return Digraph.from_arcs(len(mapping),
-                                 [(mapping[u], mapping[v]) for u, v in arcs])
+            arcs.extend([(mapping[v], mapping[j]) for v in bits(clique)])
+        # each placed vertex and isolate hosts one clique: no arc repeats
+        return Digraph(len(mapping), tuple(sorted(arcs)))
 
 
 @lru_cache(maxsize=QUERY_GRAPHS)
@@ -308,9 +322,12 @@ def k_floor(graph: Graph, theta: int) -> int:
     at_most, stars = solver.at_most, solver.stars
 
     def refuted(b: int) -> bool:
-        return not any(at_most(last | before, b + 1)
-                       for t, last in enumerate(stars) if at_most(last, b)
-                       for s, before in enumerate(stars) if s != t)
+        for t, last in enumerate(stars):
+            if at_most(last, b):
+                for s, before in enumerate(stars):
+                    if s != t and at_most(last | before, b + 1):
+                        return False
+        return True
 
     k, isolates = max(theta - graph.n + 2, 0), graph.n - core.n
     while k < theta and refuted(k + isolates):

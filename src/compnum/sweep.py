@@ -25,6 +25,7 @@ import marshal
 import os
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quoted
 
 from . import ALL_CHECKS
 from .bounds import opsut_bound, planar_formula_check, predator_bound
@@ -73,20 +74,20 @@ def graph_record(args) -> dict:
                     hall_matching(cover, p_witness.digraph)
                 out["hall_certificate"] = True
 
+        # the core's theta_e is the graph's: isolates lie on no edge
         if "effective" in checks and core.edge_count > 0:
             kc, _ = competition_number(core)
             pc, pc_witness = primary_predator_index(core)
             if chordal:
                 realization, _ = chordal_realizer(core)
-                out["chordal_construction"] = (
-                    realization.prey_count == theta_e(core))
+                out["chordal_construction"] = realization.prey_count == theta
             strong, _ = every_vertex_on_occupied_edge(core)
             if strong:
                 rebuilt = rebuild_star(core)
-                out["star_rebuild"] = rebuilt.prey_count == theta_e(core)
+                out["star_rebuild"] = rebuilt.prey_count == theta
             if chordal or strong:
-                out["effective_equality"] = kc == theta_e(core) - core.n + pc
-                out["prey_equals_theta"] = pc_witness.prey_count == theta_e(core)
+                out["effective_equality"] = kc == theta - core.n + pc
+                out["prey_equals_theta"] = pc_witness.prey_count == theta
 
         if "planar" in checks:
             try:
@@ -233,6 +234,32 @@ def summarize(records, checks) -> dict:
 
 
 def _indented(value, indent: str) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` writes, each
+    line after the first indented by ``indent``.  json's indenting encoder
+    is pure Python, so a report's own types (None, bools, ints, strs, lists
+    and dicts with str keys) are written here, and any other goes to it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind, inner = type(value), indent + "  "
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _quoted(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        items = (inner + _indented(item, inner) for item in value)
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = (f"{inner}{_quoted(key)}: {_indented(item, inner)}"
+                 for key, item in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
     return json.dumps(value, indent=2, sort_keys=True).replace(
         "\n", "\n" + indent)
 

@@ -499,7 +499,8 @@ def test_predator_index_continues_the_competition_walk(monkeypatch):
 
 @pytest.mark.parametrize("name,bound,packings,steps,questions", [
     ("tree-60-0", 871, 55, 1_688, 1_000), ("P400", 403, 3, 1_198, 1_605),
-    ("C400", 803, 400, 1_200, 1_607), ("L100", 5_156, 101, 992, 1_003)])
+    ("C400", 803, 400, 1_200, 1_607), ("L100", 5_156, 101, 992, 1_003)],
+    ids=["tree-60-0", "P400", "C400", "L100"])
 def test_sparse_search_work_counts(name, bound, packings, steps, questions,
                                    monkeypatch):
     # A forced edge's child takes its packing from its parent, and the
