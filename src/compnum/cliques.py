@@ -10,7 +10,7 @@ verified: the verifier is what we trust, not the recognizer.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
@@ -99,23 +99,27 @@ def is_diamond_free(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 
 @lru_cache(maxsize=QUERY_GRAPHS)
-def edge_clique_counts(graph: Graph) -> Counter:
-    """Per edge (u, v), u < v, the number of maximal cliques containing it,
-    shared by all callers.  An edge of count 1 is occupied by its clique."""
-    return Counter(pair for c in maximal_clique_masks(graph)
-                   for pair in combinations(bits(c), 2))
+def edge_cliques(graph: Graph) -> dict[tuple[int, int], list[int]]:
+    """Per edge (u, v), u < v, in edge order, the ascending indices of the
+    maximal cliques through it, shared by the cover solver and the
+    occupied-edge listing: an edge in one clique is occupied by it."""
+    through: dict[tuple[int, int], list[int]] = {e: [] for e in graph.edges()}
+    for ci, c in enumerate(maximal_clique_masks(graph)):
+        for pair in combinations(bits(c), 2):
+            through[pair].append(ci)
+    return through
 
 
 def occupied_edges_by_clique(graph: Graph):
     """Each maximal clique with an edge, in canonical order, as ascending
     members with the pairs of them whose edge no other maximal clique
     covers (the edges it occupies); lazily, so a caller may stop early."""
-    counts = edge_clique_counts(graph)
+    through = edge_cliques(graph)
     for c in maximal_clique_masks(graph):
         if c.bit_count() >= 2:
             members = tuple(bits(c))
             yield members, [pair for pair in combinations(members, 2)
-                            if counts[pair] == 1]
+                            if len(through[pair]) == 1]
 
 
 def every_clique_has_occupied_edge(graph: Graph) -> bool:

@@ -32,9 +32,8 @@ fixtures are stable.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
-from .cliques import maximal_clique_masks
+from .cliques import edge_cliques, maximal_clique_masks
 from .graph import (QUERY_GRAPHS, Graph, bits, check_graph, clique_rows,
                     mask_of)
 
@@ -44,11 +43,7 @@ class _CoverSolver:
 
     def __init__(self, graph: Graph):
         self.clique_masks = masks = maximal_clique_masks(graph)
-        # per edge, the indices of the maximal cliques through it, ascending
-        through: dict[tuple[int, int], list[int]] = {e: [] for e in graph.edges()}
-        for ci, c in enumerate(masks):
-            for pair in combinations(bits(c), 2):
-                through[pair].append(ci)
+        through = edge_cliques(graph)
         # sorted stably, so edges with as many cliques stay in edge order
         self.edges = edges = sorted(through, key=lambda e: len(through[e]))
         self.stars = stars = [0] * graph.n  # per vertex, the edges at it

@@ -8,6 +8,8 @@ to share across threads or processes.
 
 from __future__ import annotations
 
+from functools import cached_property
+from heapq import heappop, heappush
 from itertools import combinations
 
 # the set bit positions of every mask below 2**9, ascending: those from
@@ -50,32 +52,16 @@ def _ints(values) -> bool:
 QUERY_GRAPHS = 2
 
 
-class lazy:
-    """A field computed on its first read and kept in the instance
-    ``__dict__``, which later reads find before this descriptor.  Unlike
-    ``functools.cached_property`` it takes no lock: threads that race on a
-    first read compute the same immutable value."""
-
-    def __init__(self, func):
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class Frozen:
     """Base of the immutable value types.  A subclass names its
     constructor's parameters, in order, in ``_fields`` and stores their
     values with ``_freeze``, which also keeps them as the tuple ``_key``.
     Equality (same class, equal fields), the hash, the repr, pickling and
     copying go through that tuple, and no attribute can be assigned or
-    deleted.  The hash is that tuple's, computed once.  It, the ``lazy``
-    fields and values derived at construction (a digraph's rows) live in
-    the instance ``__dict__`` but not in that tuple, so equality, the repr,
-    pickles and copies never see them."""
+    deleted.  The hash is that tuple's, computed once.  It, the
+    ``cached_property`` fields and values derived at construction (a
+    digraph's rows) live in the instance ``__dict__`` but not in that
+    tuple, so equality, the repr, pickles and copies never see them."""
 
     _fields: tuple[str, ...] = ()
 
@@ -92,7 +78,7 @@ class Frozen:
     def __hash__(self):
         return self._hash
 
-    @lazy
+    @cached_property
     def _hash(self) -> int:
         return hash(self._key)
 
@@ -156,7 +142,7 @@ class Graph(Frozen):
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.rows[u]) if u < v]
 
-    @lazy
+    @cached_property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -170,14 +156,15 @@ class Graph(Frozen):
     def without_isolates(self) -> tuple["Graph", tuple[int, ...]]:
         """The subgraph on the non-isolated vertices in ascending order (the
         graph itself if none is isolated) and each one's original index."""
-        return self._core or (self, tuple(range(self.n)))
+        core, keep = self._core
+        return core or self, keep
 
-    @lazy
-    def _core(self) -> tuple["Graph", tuple[int, ...]] | None:
-        # built once; None when no vertex is isolated, so no graph keeps itself
+    @cached_property
+    def _core(self) -> tuple["Graph | None", tuple[int, ...]]:
+        # built once; no core when no vertex is isolated: no graph keeps itself
         keep = tuple(v for v in range(self.n) if self.rows[v])
         if len(keep) == self.n:
-            return None
+            return None, keep
         index = {v: i for i, v in enumerate(keep)}
         rows = tuple(sum(1 << index[u] for u in bits(self.rows[v])) for v in keep)
         return Graph(len(keep), rows), keep
@@ -269,31 +256,24 @@ def acyclic_labeling(digraph: Digraph) -> tuple[bool, tuple[int, ...]]:
 
     Labels are assigned 1, 2, ... by repeatedly taking the smallest-index
     remaining vertex with no out-arc into the remaining set, so the result
-    is deterministic.  Those vertices wait in the bitmask ``ready``, which
-    a vertex enters when its last remaining out-neighbour is labeled, and
-    its lowest bit is the next to take.  A cycle is a result, not an
-    error.
+    is deterministic.  Those vertices wait in the min-heap ``ready``, which
+    a vertex enters when its last remaining out-neighbour is labeled.  A
+    cycle is a result, not an error.
     """
     check_digraph(digraph)
     n, in_rows = digraph.n, digraph.in_rows
     out_degree = [row.bit_count() for row in digraph.out_rows]
-    ready = 0
-    for v, degree in enumerate(out_degree):
-        if not degree:
-            ready |= 1 << v
+    ready = [v for v, degree in enumerate(out_degree) if not degree]  # sorted: a heap
     labels = [0] * n
     for next_label in range(1, n + 1):
         if not ready:
             return _extract_cycle(digraph, labels)
-        low = ready & -ready
-        ready ^= low
-        pick = low.bit_length() - 1
+        pick = heappop(ready)
         labels[pick] = next_label
-        if in_rows[pick]:
-            for u in bits(in_rows[pick]):
-                out_degree[u] -= 1
-                if not out_degree[u]:
-                    ready |= 1 << u
+        for u in bits(in_rows[pick]):
+            out_degree[u] -= 1
+            if not out_degree[u]:
+                heappush(ready, u)
     return True, tuple(labels)
 
 

@@ -15,7 +15,8 @@ import pytest
 
 import compnum
 from compnum import ALL_CHECKS, constructions, realizer
-from compnum.ecc import _CoverSolver, min_edge_clique_cover, theta_e
+from compnum.cliques import edge_cliques
+from compnum.ecc import _CoverSolver, cover_solver, min_edge_clique_cover, theta_e
 from compnum.graph import Graph
 from compnum.io import parse_graph6, serialize_graph6
 from compnum.realizer import primary_predator_index
@@ -160,12 +161,30 @@ def test_sweep_records_certify_each_witness_once(source, calls, distinct,
     assert (len(seen), len(set(seen))) == (calls, distinct)
 
 
+def test_sweep_records_build_one_edge_clique_table_per_core():
+    # the cover solver and the occupied-edge listing read one table; each
+    # built its own before, 1,044 solver tables and 1,043 counters
+    for cached in CACHES:
+        cached.cache_clear()
+    for graph in map(parse_graph6, ATLAS7.read_text(encoding="ascii").split()):
+        assert graph_record((graph, ALL_CHECKS))["error"] is None
+    assert edge_cliques.cache_info().misses == 1_044
+
+
+def test_the_solver_reads_the_edge_clique_table():
+    core = GRAPH_WITH_ISOLATES.without_isolates()[0]
+    solver, through = cover_solver(core), edge_cliques(core)
+    assert sorted(solver.edges) == list(through) == core.edges()
+    for i, e in enumerate(solver.edges):
+        assert solver.cliques_per_edge[i] is through[e]
+
+
 def test_caches_hold_one_query_only():
     for seed in range(20):
         primary_predator_index(rg(10, .5, seed))
     # certification kept a k and a p witness per graph while it was cached
     assert sorted(cached.__name__ for cached in CACHES) == [
-        "_ascent", "_search", "cover_solver", "edge_clique_counts",
+        "_ascent", "_search", "cover_solver", "edge_cliques",
         "maximal_clique_masks"]
     for cached in CACHES:
         assert cached.cache_info().currsize <= QUERY_GRAPHS, cached.__name__

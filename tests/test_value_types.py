@@ -137,7 +137,7 @@ def test_cached_property_values():
     assert graph._core == (core, (0, 1, 2))
     assert graph.without_isolates() == (core, (0, 1, 2))
     assert graph._core is graph._core
-    assert core._core is None
+    assert core._core == (None, (0, 1, 2))  # was None, which cost a new keep per call
     assert core.without_isolates() == (core, (0, 1, 2))
     assert core.without_isolates()[0] is core
     digraph = Digraph(3, ((0, 2), (1, 2)))
@@ -145,6 +145,11 @@ def test_cached_property_values():
     assert digraph.out_rows == (4, 4, 0)
     assert digraph.in_rows is digraph.in_rows
     assert digraph.out_rows is digraph.out_rows
+
+
+def test_an_isolate_free_graph_keeps_one_index_tuple():
+    core = Graph(3, (2, 5, 2))
+    assert core.without_isolates()[1] is core.without_isolates()[1]
 
 
 @pytest.mark.parametrize("make, message", [
